@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Mapping, Sequence
 
 from . import core_special as cs
 from . import limits as lm
@@ -42,6 +42,52 @@ class CommandInvocation:
 
 def _g(value: float) -> str:
     return format(value, ".17g")
+
+
+def _print_result(res, width: int, prefix: str = "") -> None:
+    """One ``name = value`` line per field of a series, quadrature or limit result."""
+    for field in fields(res):
+        value = getattr(res, field.name)
+        print(f"{prefix}{field.name:<{width}} = {_g(value) if isinstance(value, float) else value}")
+
+
+# --- argument collection -------------------------------------------------
+
+
+def _collect(
+    options: Mapping,
+    where: str,
+    signature: Sequence[tuple[str, Callable]],
+    flags: Sequence[str],
+    defaults: Mapping | None = None,
+) -> list:
+    """Converted values of ``signature``'s ``(flag, converter)`` pairs, in order.
+
+    Every flag of ``flags`` outside the signature must be absent; every flag
+    in it must be given or have an entry in ``defaults``.
+    """
+    wanted = [flag for flag, _ in signature]
+    for flag in flags:
+        if options.get(flag) is not None and flag not in wanted:
+            raise DomainError(f"{where} takes no --{flag}")
+    args = []
+    for flag, conv in signature:
+        raw = options.get(flag)
+        if raw is None:
+            raw = (defaults or {}).get(flag)
+        if raw is None:
+            raise DomainError(f"{where} requires --{flag}")
+        try:
+            args.append(conv(raw))
+        except ValueError:
+            kind = "an integer" if conv is int else "a number"
+            raise DomainError(f"--{flag} must be {kind}, got {raw!r}") from None
+    return args
+
+
+def _given(options: Mapping, *names: str) -> dict:
+    """The named options that were given, so the library owns every default."""
+    return {name: options[name] for name in names if options[name] is not None}
 
 
 # --- eval -----------------------------------------------------------------
@@ -70,67 +116,33 @@ _EVAL_TABLE = {
 def _run_eval(options: Mapping) -> int:
     name = options["function"]
     func, signature = _EVAL_TABLE[name]
-    wanted = [flag for flag, _ in signature]
-    for flag in ("x", "x2"):
-        if options.get(flag) is not None and flag not in wanted:
-            raise DomainError(f"eval {name} takes no --{flag}")
-    args = []
-    for flag, conv in signature:
-        raw = options.get(flag)
-        if raw is None:
-            raise DomainError(f"eval {name} requires --{flag}")
-        try:
-            args.append(conv(raw))
-        except ValueError:
-            kind = "an integer" if conv is int else "a number"
-            raise DomainError(f"--{flag} must be {kind}, got {raw!r}") from None
-    print(_g(func(*args)))
+    print(_g(func(*_collect(options, f"eval {name}", signature, ("x", "x2")))))
     return 0
 
 
 # --- series ---------------------------------------------------------------
 
-# series name -> ((flag, parameter-name), ...)
-_SERIES_PARAMS = {
-    "beta": (("u", "u"), ("v", "v")),
-    "beta-limit": (("u", "u"),),
-    "digamma": (("u", "u"),),
-    "log2": (),
-    "norlund": (("xarg", "x"), ("a", "a")),
-    "trigamma": (("u", "u"),),
-    "trigamma-half": (("convention", "convention"),),
-    "zeta2": (("convention", "convention"),),
-}
-
-_DEFAULT_SERIES_TOL = 1e-10
+# series flag -> converter; the series themselves and their flags are sr.SERIES
+_SERIES_FLAGS = {"u": float, "v": float, "a": float, "xarg": float, "convention": str}
 
 
 def _run_series(options: Mapping) -> int:
     name = options["name"]
-    signature = _SERIES_PARAMS[name]
-    wanted = [flag for flag, _ in signature]
-    for flag in ("u", "v", "a", "xarg", "convention"):
-        if options.get(flag) is not None and flag not in wanted:
-            raise DomainError(f"series {name} takes no --{flag}")
-    params = {}
-    for flag, param in signature:
-        raw = options.get(flag)
-        if raw is None:
-            if flag == "convention":
-                raw = sr.CORRECTED
-            else:
-                raise DomainError(f"series {name} requires --{flag}")
-        params[param] = raw
+    pairs = sr.SERIES[name][1]
+    signature = [(flag, _SERIES_FLAGS[flag]) for flag, _ in pairs]
+    values = _collect(
+        options, f"series {name}", signature, _SERIES_FLAGS, {"convention": sr.CORRECTED}
+    )
     every = options["every"]
     if every < 0:
         raise DomainError(f"--every must be >= 0, got {every}")
-    explicit_tol = options["tol"]
     ctrl = sr.SeriesControl(
-        max_terms=10**6 if options["max_terms"] is None else options["max_terms"],
-        tol=_DEFAULT_SERIES_TOL if explicit_tol is None else explicit_tol,
+        **_given(options, "max_terms", "tol"),
         tail_correction=not options["no_tail_correction"],
     )
-    result, rows = sr.trace(name, params, ctrl, every)
+    result, rows = sr.trace(
+        name, {param: value for (_, param), value in zip(pairs, values)}, ctrl, every
+    )
     if rows:
         print(f"{'n':>10}  {'term':>24}  {'partial_sum':>24}  {'tail_estimate':>24}")
         for row in rows:
@@ -139,12 +151,8 @@ def _run_series(options: Mapping) -> int:
                 f"{_g(row.tail_estimate):>24}"
             )
         print()
-    print(f"value            = {_g(result.value)}")
-    print(f"raw_partial_sum  = {_g(result.raw_partial_sum)}")
-    print(f"tail_estimate    = {_g(result.tail_estimate)}")
-    print(f"terms_used       = {result.terms_used}")
-    print(f"termination      = {result.termination}")
-    print(f"reductions       = {result.reductions}")
+    _print_result(result, 16)
+    explicit_tol = options["tol"]
     if (
         explicit_tol is not None
         and result.termination == sr.MAX_TERMS
@@ -161,64 +169,45 @@ def _run_series(options: Mapping) -> int:
 
 # --- integrate ------------------------------------------------------------
 
+# kernel -> (quadrature routine, flags of its positional parameters)
+_KERNELS = {
+    "beta": (qd.beta_integral, ("u", "v")),
+    "digamma": (qd.digamma_integral, ("u",)),
+    "log-kernel": (qd.log_kernel_moment, ("u",)),
+}
+
 
 def _run_integrate(options: Mapping) -> int:
     kernel = options["kernel"]
-    tol = options["tol"]
-    u = options.get("u")
-    v = options.get("v")
-    if kernel == "beta":
-        if u is None or v is None:
-            raise DomainError("integrate beta requires --u and --v")
-        res = qd.beta_integral(u, v, tol)
-    else:
-        if u is None:
-            raise DomainError(f"integrate {kernel} requires --u")
-        if v is not None:
-            raise DomainError(f"integrate {kernel} takes no --v")
-        if kernel == "log-kernel":
-            res = qd.log_kernel_moment(u, tol)
-        else:
-            res = qd.digamma_integral(u, tol)
-    print(f"value          = {_g(res.value)}")
-    print(f"error_estimate = {_g(res.error_estimate)}")
-    print(f"levels_used    = {res.levels_used}")
-    print(f"evaluations    = {res.evaluations}")
+    func, flags = _KERNELS[kernel]
+    if any(options[flag] is None for flag in flags):  # one message names them all
+        needed = " and ".join(f"--{flag}" for flag in flags)
+        raise DomainError(f"integrate {kernel} requires {needed}")
+    args = _collect(options, f"integrate {kernel}", [(f, float) for f in flags], ("u", "v"))
+    _print_result(func(*args, **_given(options, "tol")), 14)
     return 0
 
 
 # --- limit ----------------------------------------------------------------
 
-
-def _print_limit(res: lm.LimitResult, prefix: str = "") -> None:
-    print(f"{prefix}value          = {_g(res.value)}")
-    print(f"{prefix}error_estimate = {_g(res.error_estimate)}")
-    print(f"{prefix}table_depth    = {res.table_depth}")
+# limit -> (routine, flags of its positional parameters, one print prefix per result)
+_LIMITS = {
+    "beta-pole": (lm.beta_pole_limit, ("u",), ("",)),
+    "gamma-derivative": (lm.gamma_derivative_at_1, (), ("",)),
+    "gamma-pole": (lm.gamma_pole_limit, (), ("",)),
+    "scaled-beta": (lm.scaled_beta_limits, ("u",), ("via_log_gamma  ", "via_recurrence ")),
+}
 
 
 def _run_limit(options: Mapping) -> int:
     name = options["name"]
-    depth = options["depth"]
-    h0 = options.get("h0")
-    u = options.get("u")
-    if name in ("gamma-pole", "gamma-derivative"):
-        if u is not None:
-            raise DomainError(f"limit {name} takes no --u")
-        start = 0.5 if h0 is None else h0
-        if name == "gamma-pole":
-            _print_limit(lm.gamma_pole_limit(depth, start))
-        else:
-            _print_limit(lm.gamma_derivative_at_1(depth, start))
-        return 0
-    if u is None:
-        raise DomainError(f"limit {name} requires --u")
-    start = 0.25 if h0 is None else h0
-    if name == "beta-pole":
-        _print_limit(lm.beta_pole_limit(u, depth, start))
-        return 0
-    via_log, via_recur = lm.scaled_beta_limits(u, depth, start)
-    _print_limit(via_log, prefix="via_log_gamma  ")
-    _print_limit(via_recur, prefix="via_recurrence ")
+    func, flags, prefixes = _LIMITS[name]
+    args = _collect(options, f"limit {name}", [(f, float) for f in flags], ("u",))
+    results = func(*args, **_given(options, "depth", "h0"))
+    if not isinstance(results, tuple):
+        results = (results,)
+    for prefix, res in zip(prefixes, results):
+        _print_result(res, 14, prefix)
     return 0
 
 
@@ -259,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x2", help="second argument (two-argument functions)")
 
     p_series = sub.add_parser("series", help="sum a slowly convergent series")
-    p_series.add_argument("name", choices=sorted(_SERIES_PARAMS))
+    p_series.add_argument("name", choices=sorted(sr.SERIES))
     p_series.add_argument("--u", type=float, help="series parameter u")
     p_series.add_argument("--v", type=float, help="series parameter v")
     p_series.add_argument("--a", type=float, help="difference-series parameter a")
@@ -269,7 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sr.CONVENTIONS,
         help="inner-sum lower index (default: corrected)",
     )
-    p_series.add_argument("--max-terms", type=int, help="term cap (default 1000000)")
+    p_series.add_argument(
+        "--max-terms", type=int, help=f"term cap (default {sr.SeriesControl.max_terms})"
+    )
     p_series.add_argument("--tol", type=float, help="stop when estimated tail <= tol")
     p_series.add_argument(
         "--every", type=int, default=0, help="print a table row every N terms"
@@ -281,21 +272,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_int = sub.add_parser("integrate", help="tanh-sinh integration of a kernel")
-    p_int.add_argument("kernel", choices=("beta", "digamma", "log-kernel"))
+    p_int.add_argument("kernel", choices=sorted(_KERNELS))
     p_int.add_argument("--u", type=float, help="kernel parameter u")
     p_int.add_argument("--v", type=float, help="kernel parameter v (beta only)")
     p_int.add_argument(
-        "--tol", type=float, default=1e-12, help="refinement tolerance (default 1e-12)"
+        "--tol", type=float, help=f"refinement tolerance (default {qd.DEFAULT_TOL:g})"
     )
 
     p_lim = sub.add_parser("limit", help="Richardson-extrapolated v->0 limits")
-    p_lim.add_argument(
-        "name", choices=("beta-pole", "gamma-derivative", "gamma-pole", "scaled-beta")
-    )
+    p_lim.add_argument("name", choices=sorted(_LIMITS))
     p_lim.add_argument("--u", type=float, help="first beta argument")
     p_lim.add_argument("--h0", type=float, help="largest sample point (default per op)")
     p_lim.add_argument(
-        "--depth", type=int, default=10, help="extrapolation table depth (default 10)"
+        "--depth", type=int, help=f"extrapolation table depth (default {lm.DEFAULT_DEPTH})"
     )
 
     p_ver = sub.add_parser("verify", help="run the identity suite and report")

@@ -34,6 +34,7 @@ __all__ = [
 
 _MIN_DEPTH = 2
 _MAX_DEPTH = 12
+DEFAULT_DEPTH = 10  # Neville tableau rows every limit uses unless told otherwise
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,9 @@ class LimitResult:
     table_depth: int
 
 
-def richardson_limit(f: Callable[[float], float], h0: float, depth: int = 10) -> LimitResult:
+def richardson_limit(
+    f: Callable[[float], float], h0: float, depth: int = DEFAULT_DEPTH
+) -> LimitResult:
     """Extrapolate ``f(h) -> f(0+)`` from samples at ``h0 / 2^k``, k < depth.
 
     Builds the Neville tableau for polynomial extrapolation to h = 0; the
@@ -76,7 +79,7 @@ def richardson_limit(f: Callable[[float], float], h0: float, depth: int = 10) ->
     return LimitResult(diag, abs(diag - prev_diag), depth)
 
 
-def gamma_pole_limit(depth: int = 10, h0: float = 0.5) -> LimitResult:
+def gamma_pole_limit(depth: int = DEFAULT_DEPTH, h0: float = 0.5) -> LimitResult:
     """``lim_{v->0+} (Gamma(v) - 1/v)``, which equals -gamma.
 
     Samples the difference naively (both terms grow like 1/v, costing a few
@@ -86,7 +89,7 @@ def gamma_pole_limit(depth: int = 10, h0: float = 0.5) -> LimitResult:
     return richardson_limit(lambda v: gamma(v) - 1.0 / v, h0, depth)
 
 
-def gamma_derivative_at_1(depth: int = 10, h0: float = 0.5) -> LimitResult:
+def gamma_derivative_at_1(depth: int = DEFAULT_DEPTH, h0: float = 0.5) -> LimitResult:
     """``Gamma'(1)`` as the limit of ``(Gamma(v+1) - 1)/v``, equal to -gamma.
 
     The quotient is evaluated as ``expm1(lgamma(v+1)) / v`` so the
@@ -102,7 +105,7 @@ def _check_u(u: float) -> float:
     return u
 
 
-def beta_pole_limit(u: float, depth: int = 10, h0: float = 0.25) -> LimitResult:
+def beta_pole_limit(u: float, depth: int = DEFAULT_DEPTH, h0: float = 0.25) -> LimitResult:
     """``lim_{v->0+} (B(u,v) - 1/v)`` for u >= 0.1.
 
     Uses ``B(u,v) - 1/v = expm1(lgamma(v+1) + lgamma(u) - lgamma(u+v)) / v``,
@@ -119,7 +122,9 @@ def beta_pole_limit(u: float, depth: int = 10, h0: float = 0.25) -> LimitResult:
     return richardson_limit(sample, h0, depth)
 
 
-def scaled_beta_limits(u: float, depth: int = 10, h0: float = 0.25) -> tuple[LimitResult, LimitResult]:
+def scaled_beta_limits(
+    u: float, depth: int = DEFAULT_DEPTH, h0: float = 0.25
+) -> tuple[LimitResult, LimitResult]:
     """Two independent routes to ``lim_{v->0+} v B(u, v)`` (= 1), u >= 0.1.
 
     Route one evaluates ``v B(u,v) = exp(lgamma(v+1) + lgamma(u) -

@@ -23,8 +23,8 @@ summation (`math.fsum`), making results deterministic and rerun-stable.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,12 +39,9 @@ __all__ = [
 ]
 
 MAX_LEVEL = 12
+DEFAULT_TOL = 1e-12  # successive-level agreement every kernel refines to
 _MIN_WEIGHT = 1e-300
 _HALF_PI = math.pi / 2.0
-
-# Node tables are immutable once built; the lock only guards first build.
-_levels: dict[int, tuple[tuple[float, float, float], ...]] = {}
-_levels_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -57,12 +54,13 @@ class QuadratureResult:
     evaluations: int
 
 
+@functools.cache
 def _build_level(level: int) -> tuple[tuple[float, float, float], ...]:
     """Evaluation points new at this level as (t, s, weight/h) triples.
 
     ``t`` is the abscissa, ``s = 1 - t`` computed independently at full
     relative precision.  Level 0 holds all integer nodes, deeper levels only
-    the odd multiples of their step.
+    the odd multiples of their step.  Each table is built once per process.
     """
     h = 2.0**-level
     pts: list[tuple[float, float, float]] = []
@@ -88,17 +86,6 @@ def _build_level(level: int) -> tuple[tuple[float, float, float], ...]:
     return tuple(pts)
 
 
-def _nodes(level: int) -> tuple[tuple[float, float, float], ...]:
-    table = _levels.get(level)
-    if table is None:
-        with _levels_lock:
-            table = _levels.get(level)
-            if table is None:
-                table = _build_level(level)
-                _levels[level] = table
-    return table
-
-
 def _refine(
     g: Callable[[float, float], float],
     tol: float,
@@ -116,7 +103,7 @@ def _refine(
     total = math.nan
     err = math.inf
     for level in range(max_level + 1):
-        for t, s, w in _nodes(level):
+        for t, s, w in _build_level(level):
             if interior_only and (t <= 0.0 or t >= 1.0):
                 continue
             fv = g(t, s)
@@ -138,7 +125,7 @@ def _refine(
 
 
 def integrate01(
-    f: Callable[[float], float], tol: float = 1e-12, max_level: int = MAX_LEVEL
+    f: Callable[[float], float], tol: float = DEFAULT_TOL, max_level: int = MAX_LEVEL
 ) -> QuadratureResult:
     """Integrate ``f`` over (0, 1), refining until successive levels agree.
 
@@ -155,7 +142,7 @@ def _log_given(t: float, s: float) -> float:
     return math.log(t) if t <= 0.5 else math.log1p(-s)
 
 
-def beta_integral(u: float, v: float, tol: float = 1e-12) -> QuadratureResult:
+def beta_integral(u: float, v: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """``int_0^1 t^{u-1} (1-t)^{v-1} dt`` for ``u, v >= 0.05``.
 
     Below 0.05 the double-exponential nodes under-resolve the endpoint
@@ -170,7 +157,7 @@ def beta_integral(u: float, v: float, tol: float = 1e-12) -> QuadratureResult:
     return _refine(g, tol, MAX_LEVEL, interior_only=False)
 
 
-def log_kernel_moment(u: float, tol: float = 1e-12) -> QuadratureResult:
+def log_kernel_moment(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """``int_0^1 t^{u-1} log(1-t) dt`` for ``u >= 0.05``.
 
     This is the beta derivative with respect to its second argument at v = 1.
@@ -183,7 +170,7 @@ def log_kernel_moment(u: float, tol: float = 1e-12) -> QuadratureResult:
     return _refine(g, tol, MAX_LEVEL, interior_only=False)
 
 
-def digamma_integral(u: float, tol: float = 1e-12) -> QuadratureResult:
+def digamma_integral(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """``int_0^1 (1 - t^u)/(1 - t) dt`` for ``u >= 0.05``.
 
     The integrand has a removable point at t = 1; evaluating through the

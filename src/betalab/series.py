@@ -54,6 +54,7 @@ __all__ = [
     "trigamma_half_series",
     "zeta2_series",
     "trace",
+    "SERIES",
 ]
 
 EXACT_TERMINATION = "exact_termination"
@@ -129,24 +130,26 @@ def _tail_fit(mags: array, n: int, last: float) -> float:
 
 
 def _run(
-    terms: Iterator[tuple[float, float]],
-    ctrl: SeriesControl,
-    *,
-    base: float = 0.0,
-    scale: float = 1.0,
-    stop_on_zero: bool = True,
-    reductions: int = 0,
-    every: int = 0,
+    name: str, params: dict, ctrl: SeriesControl | None, every: int = 0
 ) -> tuple[SeriesResult, tuple[TraceRow, ...]]:
-    """Sum ``base + scale * sum(terms)`` under ``ctrl``; see module docstring.
+    """Sum series ``name`` of :data:`SERIES` under ``ctrl``; see module docstring.
 
-    Each generated term is a ``(term, residual)`` pair: ``term`` is the
-    rounded double driving all bookkeeping (counting, zero detection, the
-    tail model, trace rows) and ``residual`` is the sub-ulp remainder of
-    computing it, folded into the compensated accumulator so that exactness
-    contracts survive heavy cancellation.
+    The term source turns ``params`` into ``base + sum(terms) / div``.  ``div``
+    divides rather than scales because ``x * (1/3)`` and ``x / 3`` differ for
+    about a third of doubles, and zeta2 must stay exactly one third of its
+    parent series.  Each generated term is a ``(term, residual)`` pair:
+    ``term`` is the rounded double driving all bookkeeping (counting, zero
+    detection, the tail model, trace rows) and ``residual`` is the sub-ulp
+    remainder of computing it, folded into the compensated accumulator so
+    that exactness contracts survive heavy cancellation.
     """
+    terms, base, div, stop_on_zero, reductions = SERIES[name][0](**params)
+    ctrl = ctrl or _DEFAULT_CTRL
+    tol = ctrl.tol
+    max_terms = ctrl.max_terms
+    tail_fit = _tail_fit
     mags = array("d")
+    record = mags.append
     s = 0.0
     comp = 0.0
     n = 0
@@ -167,27 +170,21 @@ def _run(
         s = t
         if resid != 0.0:
             comp += resid
-        mags.append(abs(term))
-        tail = _tail_fit(mags, n, term)
+        record(abs(term))
+        tail = tail_fit(mags, n, term)
         if every > 0 and n % every == 0:
-            rows.append(TraceRow(n, scale * term, base + scale * (s + comp), abs(scale * tail)))
-        if tail != 0.0 and abs(tail) <= ctrl.tol:
+            rows.append(TraceRow(n, term / div, base + (s + comp) / div, abs(tail / div)))
+        if tail != 0.0 and abs(tail) <= tol:
             termination = TOLERANCE_MET
             break
-        if n >= ctrl.max_terms:
+        if n >= max_terms:
             break
     raw_series = s + comp
-    raw = base + scale * raw_series
-    if termination == EXACT_TERMINATION:
-        result = SeriesResult(raw, raw, 0.0, n, termination, reductions)
-    else:
-        tail_abs = abs(scale * tail)
-        if ctrl.tail_correction and tail != 0.0:
-            value = base + scale * (raw_series + tail)
-        else:
-            value = raw
-        result = SeriesResult(value, raw, tail_abs, n, termination, reductions)
-    return result, tuple(rows)
+    raw = base + raw_series / div
+    value = raw
+    if ctrl.tail_correction and tail != 0.0:  # never on exact termination: tail is 0 there
+        value = base + (raw_series + tail) / div
+    return SeriesResult(value, raw, abs(tail / div), n, termination, reductions), tuple(rows)
 
 
 # --- term generators (all infinite; ratio recurrences only) ---------------
@@ -286,7 +283,17 @@ def _trigamma_half_terms(include_k0: bool) -> Iterator[tuple[float, float]]:
         yield (2.0 * c / n) * inner, 0.0
 
 
-# --- public operations ----------------------------------------------------
+# --- term sources: validate parameters, say what the engine sums ---------
+
+
+class _Summand(NamedTuple):
+    """A validated series: the engine sums ``base + sum(terms) / div``."""
+
+    terms: Iterator[tuple[float, float]]
+    base: float = 0.0
+    div: float = 1.0
+    stop_on_zero: bool = True
+    reductions: int = 0
 
 
 def _positive(x: float, name: str) -> float:
@@ -296,10 +303,78 @@ def _positive(x: float, name: str) -> float:
     return x
 
 
-def _beta_impl(u: float, v: float, ctrl: SeriesControl, every: int = 0):
+def _beta(u: float, v: float) -> _Summand:
     u = _positive(u, "u")
     v = _positive(v, "v")
-    return _run(_shifted_ratio_terms(u, v), ctrl, base=1.0 / v, every=every)
+    return _Summand(_shifted_ratio_terms(u, v), base=1.0 / v)
+
+
+def _beta_limit(u: float) -> _Summand:
+    return _Summand(_limit_terms(_positive(u, "u")))
+
+
+def _digamma(u: float) -> _Summand:
+    y = _positive(u, "u")
+    acc = 0.0
+    reductions = 0
+    while y > 1.0:
+        y -= 1.0
+        acc += 1.0 / y
+        reductions += 1
+    return _Summand(_limit_terms(y), base=acc - EULER_GAMMA, div=-1.0, reductions=reductions)
+
+
+def _log2() -> _Summand:
+    return _Summand(_log2_terms())
+
+
+def _norlund(x: float, a: float) -> _Summand:
+    x = float(x)
+    a = float(a)
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    if not math.isfinite(a) or a <= 0.0:
+        raise DomainError(f"a must be a finite positive real, got {a!r}")
+    if x + a <= 0.0:
+        raise DomainError(f"norlund_diff requires x + a > 0, got x={x!r}, a={a!r}")
+    return _Summand(_norlund_terms(x, a))
+
+
+def _trigamma(u: float) -> _Summand:
+    u = float(u)
+    if not (math.isfinite(u) and 0.0 < u < 1.0):
+        raise DomainError(f"trigamma_series requires 0 < u < 1, got {u!r}")
+    return _Summand(_trigamma_terms(u))
+
+
+def _trigamma_half(convention: str, div: float = 1.0) -> _Summand:
+    if convention not in CONVENTIONS:
+        raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    return _Summand(
+        _trigamma_half_terms(include_k0=(convention == CORRECTED)),
+        div=div,
+        stop_on_zero=False,  # the literal convention's first term is 0 but later ones are not
+    )
+
+
+# The one list of series: name -> (term source, ((CLI flag, parameter), ...)).
+# The public functions, trace() and the CLI all read it.
+SERIES: dict[str, tuple[Callable[..., _Summand], tuple[tuple[str, str], ...]]] = {
+    "beta": (_beta, (("u", "u"), ("v", "v"))),
+    "beta-limit": (_beta_limit, (("u", "u"),)),
+    "digamma": (_digamma, (("u", "u"),)),
+    "log2": (_log2, ()),
+    "norlund": (_norlund, (("xarg", "x"), ("a", "a"))),
+    "trigamma": (_trigamma, (("u", "u"),)),
+    "trigamma-half": (_trigamma_half, (("convention", "convention"),)),
+    "zeta2": (
+        lambda convention: _trigamma_half(convention, div=3.0),
+        (("convention", "convention"),),
+    ),
+}
+
+
+# --- public operations ----------------------------------------------------
 
 
 def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> SeriesResult:
@@ -307,36 +382,12 @@ def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> Series
 
     Terminates exactly for positive integer u (the rising factor vanishes).
     """
-    return _beta_impl(u, v, ctrl or _DEFAULT_CTRL)[0]
-
-
-def _beta_limit_impl(u: float, ctrl: SeriesControl, every: int = 0):
-    u = _positive(u, "u")
-    return _run(_limit_terms(u), ctrl, every=every)
+    return _run("beta", {"u": u, "v": v}, ctrl)[0]
 
 
 def beta_limit_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
     """``sum_{n>=1} (1-u)_n / (n n!)``: the v->0 limit of ``B(u,v) - 1/v``."""
-    return _beta_limit_impl(u, ctrl or _DEFAULT_CTRL)[0]
-
-
-def _digamma_impl(u: float, ctrl: SeriesControl, every: int = 0):
-    u = _positive(u, "u")
-    acc = 0.0
-    reductions = 0
-    y = u
-    while y > 1.0:
-        y -= 1.0
-        acc += 1.0 / y
-        reductions += 1
-    return _run(
-        _limit_terms(y),
-        ctrl,
-        base=acc - EULER_GAMMA,
-        scale=-1.0,
-        reductions=reductions,
-        every=every,
-    )
+    return _run("beta-limit", {"u": u}, ctrl)[0]
 
 
 def digamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
@@ -346,28 +397,12 @@ def digamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
     with ``psi(y+1) = psi(y) + 1/y`` and the number of reduction steps is
     reported in ``reductions`` (0 means the pure series path was used).
     """
-    return _digamma_impl(u, ctrl or _DEFAULT_CTRL)[0]
-
-
-def _log2_impl(ctrl: SeriesControl, every: int = 0):
-    return _run(_log2_terms(), ctrl, every=every)
+    return _run("digamma", {"u": u}, ctrl)[0]
 
 
 def log2_series(ctrl: SeriesControl | None = None) -> SeriesResult:
     """log 2 as ``sum_{n>=1} C(2n,n) / (n 2^{2n+1})`` (terms ~ n^-1.5)."""
-    return _log2_impl(ctrl or _DEFAULT_CTRL)[0]
-
-
-def _norlund_impl(x: float, a: float, ctrl: SeriesControl, every: int = 0):
-    x = float(x)
-    a = float(a)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"a must be a finite positive real, got {a!r}")
-    if x + a <= 0.0:
-        raise DomainError(f"norlund_diff requires x + a > 0, got x={x!r}, a={a!r}")
-    return _run(_norlund_terms(x, a), ctrl, every=every)
+    return _run("log2", {}, ctrl)[0]
 
 
 def norlund_diff(x: float, a: float, ctrl: SeriesControl | None = None) -> SeriesResult:
@@ -376,14 +411,7 @@ def norlund_diff(x: float, a: float, ctrl: SeriesControl | None = None) -> Serie
     Requires ``a > 0`` and ``x + a > 0``; terminates exactly for integer
     x >= 0 (falling factor vanishes at k = x + 1).
     """
-    return _norlund_impl(x, a, ctrl or _DEFAULT_CTRL)[0]
-
-
-def _trigamma_impl(u: float, ctrl: SeriesControl, every: int = 0):
-    u = float(u)
-    if not (math.isfinite(u) and 0.0 < u < 1.0):
-        raise DomainError(f"trigamma_series requires 0 < u < 1, got {u!r}")
-    return _run(_trigamma_terms(u), ctrl, every=every)
+    return _run("norlund", {"x": x, "a": a}, ctrl)[0]
 
 
 def trigamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
@@ -392,23 +420,7 @@ def trigamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult
     Term n is ``(1/(n n!)) (1-u)_n [psi(n+1-u) - psi(1-u)]`` with the bracket
     maintained incrementally (adds ``1/(n-u)`` per step).
     """
-    return _trigamma_impl(u, ctrl or _DEFAULT_CTRL)[0]
-
-
-def _check_convention(convention: str) -> str:
-    if convention not in CONVENTIONS:
-        raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return convention
-
-
-def _trigamma_half_impl(convention: str, ctrl: SeriesControl, every: int = 0):
-    convention = _check_convention(convention)
-    return _run(
-        _trigamma_half_terms(include_k0=(convention == CORRECTED)),
-        ctrl,
-        stop_on_zero=False,  # the literal convention's first term is 0 but later ones are not
-        every=every,
-    )
+    return _run("trigamma", {"u": u}, ctrl)[0]
 
 
 def trigamma_half_series(convention: str, ctrl: SeriesControl | None = None) -> SeriesResult:
@@ -417,47 +429,25 @@ def trigamma_half_series(convention: str, ctrl: SeriesControl | None = None) -> 
     ``convention`` picks the inner sum's lower index: ``corrected`` starts at
     k = 0 (sums to pi^2/2), ``literal`` starts at k = 1 (lands 4 log 2 lower).
     """
-    return _trigamma_half_impl(convention, ctrl or _DEFAULT_CTRL)[0]
-
-
-def _zeta2_impl(convention: str, ctrl: SeriesControl, every: int = 0):
-    res, rows = _trigamma_half_impl(convention, ctrl, every)
-    scaled = SeriesResult(
-        res.value / 3.0,
-        res.raw_partial_sum / 3.0,
-        res.tail_estimate / 3.0,
-        res.terms_used,
-        res.termination,
-        res.reductions,
-    )
-    return scaled, tuple(TraceRow(r.n, r.term / 3.0, r.partial_sum / 3.0, r.tail_estimate / 3.0) for r in rows)
+    return _run("trigamma-half", {"convention": convention}, ctrl)[0]
 
 
 def zeta2_series(convention: str, ctrl: SeriesControl | None = None) -> SeriesResult:
     """zeta(2) as one third of the trigamma-at-one-half series."""
-    return _zeta2_impl(convention, ctrl or _DEFAULT_CTRL)[0]
-
-
-# --- traced access (used by the CLI's convergence tables) -----------------
-
-_TRACEABLE: dict[str, Callable] = {
-    "beta": _beta_impl,
-    "beta-limit": _beta_limit_impl,
-    "digamma": _digamma_impl,
-    "log2": _log2_impl,
-    "norlund": _norlund_impl,
-    "trigamma": _trigamma_impl,
-    "trigamma-half": _trigamma_half_impl,
-    "zeta2": _zeta2_impl,
-}
+    return _run("zeta2", {"convention": convention}, ctrl)[0]
 
 
 def trace(
     name: str, params: dict, ctrl: SeriesControl | None = None, every: int = 0
 ) -> tuple[SeriesResult, tuple[TraceRow, ...]]:
-    """Run series ``name`` with ``params``, recording a row every ``every`` terms."""
-    try:
-        impl = _TRACEABLE[name]
-    except KeyError:
-        raise DomainError(f"unknown series {name!r}; choose from {sorted(_TRACEABLE)}") from None
-    return impl(ctrl=ctrl or _DEFAULT_CTRL, every=every, **params)
+    """Run series ``name`` with ``params``, recording a row every ``every`` terms.
+
+    Raises :class:`DomainError` for an unknown name, or for ``params`` whose
+    keys are not exactly the series' parameters (see :data:`SERIES`).
+    """
+    if name not in SERIES:
+        raise DomainError(f"unknown series {name!r}; choose from {sorted(SERIES)}")
+    expected = [param for _, param in SERIES[name][1]]
+    if set(params) != set(expected):
+        raise DomainError(f"series {name!r} takes parameters {expected}, got {list(params)}")
+    return _run(name, params, ctrl, every)

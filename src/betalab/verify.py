@@ -28,9 +28,10 @@ The two differ by ``4 log 2``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import core_special as cs
@@ -138,32 +139,21 @@ class SuiteReport:
 # --- evaluator plumbing ---------------------------------------------------
 
 
-def _plain(value: float) -> tuple[float, Mapping]:
-    return value, {}
+def _route(result) -> tuple[float, Mapping]:
+    """A route's value plus the ``_DIAG_KEYS`` attributes its result carries.
 
-
-def _series(res: sr.SeriesResult) -> tuple[float, Mapping]:
-    return res.value, {"terms_used": res.terms_used, "tail_estimate": res.tail_estimate}
-
-
-def _quad(res: qd.QuadratureResult) -> tuple[float, Mapping]:
-    return res.value, {"levels_used": res.levels_used}
-
-
-def _limit(res: lm.LimitResult) -> tuple[float, Mapping]:
-    return res.value, {"table_depth": res.table_depth}
+    Bare floats (reference functions) carry none; series, quadrature and
+    limit results carry their own subset.
+    """
+    diag = {key: getattr(result, key) for key in _DIAG_KEYS if hasattr(result, key)}
+    return getattr(result, "value", result), diag
 
 
 def _merge_diag(a: Mapping, b: Mapping) -> dict:
-    merged: dict = {}
-    for key in _DIAG_KEYS:
-        if key == "tail_estimate":
-            if key in a or key in b:
-                merged[key] = a.get(key, 0.0) + b.get(key, 0.0)
-        elif key in b:
-            merged[key] = b[key]
-        elif key in a:
-            merged[key] = a[key]
+    """Both sides' diagnostics: tail estimates add up, otherwise ``b`` wins."""
+    merged = {key: b.get(key, a.get(key)) for key in _DIAG_KEYS if key in a or key in b}
+    if "tail_estimate" in merged:
+        merged["tail_estimate"] = a.get("tail_estimate", 0.0) + b.get("tail_estimate", 0.0)
     return merged
 
 
@@ -180,19 +170,17 @@ def _pairs_lt(values: Sequence[float]) -> tuple[tuple[float, float], ...]:
 
 
 def _eq2_route(route: str) -> tuple[float, Mapping]:
-    if route == "pole":
-        return _limit(lm.gamma_pole_limit())
-    return _limit(lm.gamma_derivative_at_1())
+    return _route(lm.gamma_pole_limit() if route == "pole" else lm.gamma_derivative_at_1())
 
 
 def _log_moment_form(u: float) -> tuple[float, Mapping]:
     res = qd.log_kernel_moment(u)
-    return u * res.value + 1.0 / u, {"levels_used": res.levels_used}
+    return _route(replace(res, value=u * res.value + 1.0 / u))
 
 
 def _neg_n_log_moment(n: float) -> tuple[float, Mapping]:
     res = qd.log_kernel_moment(float(n))
-    return -float(n) * res.value, {"levels_used": res.levels_used}
+    return _route(replace(res, value=-float(n) * res.value))
 
 
 def _eq3_rhs(u: float) -> tuple[float, Mapping]:
@@ -200,7 +188,9 @@ def _eq3_rhs(u: float) -> tuple[float, Mapping]:
     return -cs.EULER_GAMMA - value, diag
 
 
-def _build_registry() -> tuple[IdentitySpec, ...]:
+@functools.cache
+def builtin_registry() -> tuple[IdentitySpec, ...]:
+    """The full identity registry, built once and cached."""
     specs = [
         IdentitySpec(
             id="SYM",
@@ -209,8 +199,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=_pairs_lt((0.1, 0.5, 1.0, 2.5, 7.0)),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u, v: _plain(cs.beta(u, v)),
-            rhs=lambda u, v: _plain(cs.beta(v, u)),
+            lhs=lambda u, v: _route(cs.beta(u, v)),
+            rhs=lambda u, v: _route(cs.beta(v, u)),
         ),
         IdentitySpec(
             id="RECUR",
@@ -219,8 +209,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u, v) for u in _U7 for v in _V3),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u, v: _plain(cs.beta(u, v + 1.0)),
-            rhs=lambda u, v: _plain(v / (u + v) * cs.beta(u, v)),
+            lhs=lambda u, v: _route(cs.beta(u, v + 1.0)),
+            rhs=lambda u, v: _route(v / (u + v) * cs.beta(u, v)),
         ),
         IdentitySpec(
             id="BU1",
@@ -229,8 +219,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: _plain(cs.beta(u, 1.0)),
-            rhs=lambda u: _plain(1.0 / u),
+            lhs=lambda u: _route(cs.beta(u, 1.0)),
+            rhs=lambda u: _route(1.0 / u),
         ),
         IdentitySpec(
             id="POCH",
@@ -239,8 +229,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((x, n) for x in (0.3, 1.5, 4.0) for n in range(0, 11)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=lambda x, n: _plain(cs.rising(x, n)),
-            rhs=lambda x, n: _plain(cs.gamma(x + n) / cs.gamma(x)),
+            lhs=lambda x, n: _route(cs.rising(x, n)),
+            rhs=lambda x, n: _route(cs.gamma(x + n) / cs.gamma(x)),
         ),
         IdentitySpec(
             id="EQ1",
@@ -249,7 +239,7 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-7,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: _limit(lm.beta_pole_limit(u)),
+            lhs=lambda u: _route(lm.beta_pole_limit(u)),
             rhs=_log_moment_form,
         ),
         IdentitySpec(
@@ -260,7 +250,7 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             tolerance=1e-7,
             tolerance_mode=ABSOLUTE,
             lhs=_eq2_route,
-            rhs=lambda route: _plain(-cs.euler_gamma()),
+            rhs=lambda route: _route(-cs.euler_gamma()),
         ),
         IdentitySpec(
             id="EQ3",
@@ -269,7 +259,7 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: _plain(cs.digamma(u)),
+            lhs=lambda u: _route(cs.digamma(u)),
             rhs=_eq3_rhs,
         ),
         IdentitySpec(
@@ -280,7 +270,7 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
             lhs=_neg_n_log_moment,
-            rhs=lambda u: _plain(cs.EULER_GAMMA + cs.digamma(u + 1.0)),
+            rhs=lambda u: _route(cs.EULER_GAMMA + cs.digamma(u + 1.0)),
         ),
         IdentitySpec(
             id="EQ4H",
@@ -290,7 +280,7 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
             lhs=_neg_n_log_moment,
-            rhs=lambda n: _plain(cs.harmonic(n)),
+            rhs=lambda n: _route(cs.harmonic(n)),
         ),
         IdentitySpec(
             id="EQ4B",
@@ -299,8 +289,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: _quad(qd.digamma_integral(u)),
-            rhs=lambda u: _plain(cs.EULER_GAMMA + cs.digamma(u + 1.0)),
+            lhs=lambda u: _route(qd.digamma_integral(u)),
+            rhs=lambda u: _route(cs.EULER_GAMMA + cs.digamma(u + 1.0)),
         ),
         IdentitySpec(
             id="EQ5",
@@ -309,8 +299,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u, v) for u in _U7 for v in _V3),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u, v: _series(sr.beta_series(u, v, _SUITE_SERIES)),
-            rhs=lambda u, v: _quad(qd.beta_integral(u, v)),
+            lhs=lambda u, v: _route(sr.beta_series(u, v, _SUITE_SERIES)),
+            rhs=lambda u, v: _route(qd.beta_integral(u, v)),
         ),
         IdentitySpec(
             id="EQ6",
@@ -319,8 +309,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: _series(sr.beta_limit_series(u, _SUITE_SERIES)),
-            rhs=lambda u: _limit(lm.beta_pole_limit(u)),
+            lhs=lambda u: _route(sr.beta_limit_series(u, _SUITE_SERIES)),
+            rhs=lambda u: _route(lm.beta_pole_limit(u)),
         ),
         IdentitySpec(
             id="EQ7",
@@ -329,8 +319,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: _series(sr.digamma_series(u, _SUITE_SERIES)),
-            rhs=lambda u: _plain(cs.digamma(u)),
+            lhs=lambda u: _route(sr.digamma_series(u, _SUITE_SERIES)),
+            rhs=lambda u: _route(cs.digamma(u)),
         ),
         IdentitySpec(
             id="EQ7H",
@@ -339,8 +329,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=((0.5,),),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: _plain(cs.digamma(u)),
-            rhs=lambda u: _plain(-cs.EULER_GAMMA - 2.0 * math.log(2.0)),
+            lhs=lambda u: _route(cs.digamma(u)),
+            rhs=lambda u: _route(-cs.EULER_GAMMA - 2.0 * math.log(2.0)),
         ),
         IdentitySpec(
             id="LOG2",
@@ -349,8 +339,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=((),),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda: _series(sr.log2_series(_SUITE_SERIES)),
-            rhs=lambda: _plain(math.log(2.0)),
+            lhs=lambda: _route(sr.log2_series(_SUITE_SERIES)),
+            rhs=lambda: _route(math.log(2.0)),
         ),
         IdentitySpec(
             id="EQ8",
@@ -359,8 +349,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((float(m), 1.0) for m in range(1, 11)) + ((0.0, 2.5), (0.5, 0.5)),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda x, a: _series(sr.norlund_diff(x, a, _SUITE_SERIES)),
-            rhs=lambda x, a: _plain(cs.digamma(x + a) - cs.digamma(a)),
+            lhs=lambda x, a: _route(sr.norlund_diff(x, a, _SUITE_SERIES)),
+            rhs=lambda x, a: _route(cs.digamma(x + a) - cs.digamma(a)),
         ),
         IdentitySpec(
             id="EQ9",
@@ -369,8 +359,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=((0.25,), (0.5,), (0.75,)),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: _series(sr.trigamma_series(u, _SUITE_SERIES)),
-            rhs=lambda u: _plain(cs.trigamma(u)),
+            lhs=lambda u: _route(sr.trigamma_series(u, _SUITE_SERIES)),
+            rhs=lambda u: _route(cs.trigamma(u)),
         ),
         IdentitySpec(
             id="EQ10",
@@ -379,8 +369,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=5e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda conv: _series(sr.trigamma_half_series(conv, _SUITE_SERIES)),
-            rhs=lambda conv: _plain(cs.trigamma(0.5)),
+            lhs=lambda conv: _route(sr.trigamma_half_series(conv, _SUITE_SERIES)),
+            rhs=lambda conv: _route(cs.trigamma(0.5)),
         ),
         IdentitySpec(
             id="EQ11",
@@ -389,8 +379,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=2e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda conv: _series(sr.zeta2_series(conv, _SUITE_SERIES)),
-            rhs=lambda conv: _plain(cs.riemann_zeta(2.0)),
+            lhs=lambda conv: _route(sr.zeta2_series(conv, _SUITE_SERIES)),
+            rhs=lambda conv: _route(cs.riemann_zeta(2.0)),
         ),
         IdentitySpec(
             id="DUP",
@@ -399,8 +389,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((t,) for t in (0.25, 0.5, 1.0, 2.0, 5.0, 10.0)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=lambda t: _plain(cs.gamma(t) * cs.gamma(t + 0.5)),
-            rhs=lambda t: _plain(math.sqrt(math.pi) * 2.0 ** (1.0 - 2.0 * t) * cs.gamma(2.0 * t)),
+            lhs=lambda t: _route(cs.gamma(t) * cs.gamma(t + 0.5)),
+            rhs=lambda t: _route(math.sqrt(math.pi) * 2.0 ** (1.0 - 2.0 * t) * cs.gamma(2.0 * t)),
         ),
         IdentitySpec(
             id="GHALF",
@@ -409,8 +399,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((n,) for n in range(1, 11)),
             tolerance=1e-12,
             tolerance_mode=RELATIVE,
-            lhs=lambda n: _plain(cs.gamma_half(n)),
-            rhs=lambda n: _plain(cs.gamma(n + 0.5)),
+            lhs=lambda n: _route(cs.gamma_half(n)),
+            rhs=lambda n: _route(cs.gamma(n + 0.5)),
         ),
         IdentitySpec(
             id="BHALF",
@@ -419,8 +409,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((n,) for n in range(1, 11)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=lambda n: _plain(cs.beta_half(n)),
-            rhs=lambda n: _plain(cs.beta(float(n), 0.5)),
+            lhs=lambda n: _route(cs.beta_half(n)),
+            rhs=lambda n: _route(cs.beta(float(n), 0.5)),
         ),
         IdentitySpec(
             id="ZHALF",
@@ -429,8 +419,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((float(s),) for s in (2, 3, 4, 6)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=lambda s: _plain(cs.hurwitz_zeta(s, 0.5)),
-            rhs=lambda s: _plain((2.0**s - 1.0) * cs.riemann_zeta(s)),
+            lhs=lambda s: _route(cs.hurwitz_zeta(s, 0.5)),
+            rhs=lambda s: _route((2.0**s - 1.0) * cs.riemann_zeta(s)),
         ),
         IdentitySpec(
             id="PSIM",
@@ -439,8 +429,8 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((x,) for x in (0.5, 1.0, 2.0, 5.0)),
             tolerance=1e-6,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda x: _plain(cs.polygamma(1, x)),
-            rhs=lambda x: _plain(
+            lhs=lambda x: _route(cs.polygamma(1, x)),
+            rhs=lambda x: _route(
                 (cs.digamma(x + _FD_STEP) - cs.digamma(x - _FD_STEP)) / (2.0 * _FD_STEP)
             ),
         ),
@@ -449,17 +439,6 @@ def _build_registry() -> tuple[IdentitySpec, ...]:
     if len(set(ids)) != len(ids):
         raise AssertionError("registry ids must be unique")
     return tuple(specs)
-
-
-_REGISTRY: tuple[IdentitySpec, ...] | None = None
-
-
-def builtin_registry() -> tuple[IdentitySpec, ...]:
-    """The full identity registry, built once and cached."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-    return _REGISTRY
 
 
 # --- running --------------------------------------------------------------
@@ -531,20 +510,16 @@ def run_identity(
     return records
 
 
-def _literal_observation(identity_id: str) -> Mapping:
-    """The literal-convention (inner k from 1) value for EQ10 / EQ11."""
-    if identity_id == "EQ10":
-        res = sr.trigamma_half_series(sr.LITERAL, _SUITE_SERIES)
-        reference = cs.trigamma(0.5)
-    else:
-        res = sr.zeta2_series(sr.LITERAL, _SUITE_SERIES)
-        reference = cs.riemann_zeta(2.0)
+def _literal_observation(spec: IdentitySpec) -> Mapping:
+    """EQ10 / EQ11 evaluated under the literal convention (inner k from 1)."""
+    value, _ = spec.lhs(sr.LITERAL)
+    reference, _ = spec.rhs(sr.LITERAL)
     return {
-        "identity_id": identity_id,
+        "identity_id": spec.id,
         "convention": sr.LITERAL,
-        "value": res.value,
+        "value": value,
         "reference": reference,
-        "abs_difference": abs(res.value - reference),
+        "abs_difference": abs(value - reference),
     }
 
 
@@ -583,7 +558,7 @@ def run_suite(
             run_identity(spec, grid=kw.get("grid"), tolerance=kw.get("tolerance"))
         )
         if spec.id in ("EQ10", "EQ11"):
-            informational.append(_literal_observation(spec.id))
+            informational.append(_literal_observation(spec))
     records.sort(key=lambda r: r.identity_id)  # stable: grid order kept within an id
     informational.sort(key=lambda obs: obs["identity_id"])
     passed = sum(1 for r in records if r.passed is True)
@@ -620,13 +595,9 @@ def _fmt(value) -> str:
 def _json_scalar(value) -> str:
     if value is None:
         return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
-    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _fmt(value)
 
 
 def _json_record(record: CheckRecord) -> str:
@@ -654,6 +625,13 @@ def _json_record(record: CheckRecord) -> str:
 _INFO_KEYS = ("identity_id", "convention", "value", "reference", "abs_difference")
 
 
+def _json_array(key: str, items: list[str], end: str) -> list[str]:
+    """Lines of the top-level array ``key``: one item per line, or ``[]`` if empty."""
+    if not items:
+        return [f'  "{key}": []{end}']
+    return [f'  "{key}": [', "    " + ",\n    ".join(items), "  ]" + end]
+
+
 def _render_json(report: SuiteReport) -> bytes:
     counts = report.counts
     lines = [
@@ -664,23 +642,12 @@ def _render_json(report: SuiteReport) -> bytes:
         + f'"failed": {counts["failed"]}, "skipped": {counts["skipped"]}'
         + "},",
     ]
-    if report.records:
-        lines.append('  "records": [')
-        for i, record in enumerate(report.records):
-            comma = "," if i + 1 < len(report.records) else ""
-            lines.append("    " + _json_record(record) + comma)
-        lines.append("  ],")
-    else:
-        lines.append('  "records": [],')
-    if report.informational:
-        lines.append('  "informational": [')
-        for i, obs in enumerate(report.informational):
-            comma = "," if i + 1 < len(report.informational) else ""
-            body = ", ".join(f'"{k}": {_json_scalar(obs.get(k))}' for k in _INFO_KEYS)
-            lines.append("    {" + body + "}" + comma)
-        lines.append("  ]")
-    else:
-        lines.append('  "informational": []')
+    lines += _json_array("records", [_json_record(r) for r in report.records], ",")
+    info = [
+        "{" + ", ".join(f'"{k}": {_json_scalar(obs.get(k))}' for k in _INFO_KEYS) + "}"
+        for obs in report.informational
+    ]
+    lines += _json_array("informational", info, "")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -9,6 +9,7 @@ import pytest
 
 import betalab as bl
 from betalab.errors import DomainError
+from betalab.series import SERIES
 from oracles import (
     digamma_half_oracle,
     euler_gamma_oracle,
@@ -281,12 +282,19 @@ def test_trigamma_half_rejects_unknown_convention():
 
 
 def test_zeta2_series_is_one_third_of_half_series():
+    # Exact equalities: zeta2 divides by 3, which x * (1/3) would not match.
     for convention in bl.CONVENTIONS:
         z = bl.zeta2_series(convention, CTRL_1E4)
         t = bl.trigamma_half_series(convention, CTRL_1E4)
         assert z.value == t.value / 3.0
+        assert z.raw_partial_sum == t.raw_partial_sum / 3.0
         assert z.tail_estimate == t.tail_estimate / 3.0
         assert z.terms_used == t.terms_used
+        _, z_rows = bl.trace("zeta2", {"convention": convention}, CTRL_1E3, every=1)
+        _, t_rows = bl.trace("trigamma-half", {"convention": convention}, CTRL_1E3, every=1)
+        assert len(z_rows) == len(t_rows) == 1_000
+        for zr, tr in zip(z_rows, t_rows):
+            assert zr == (tr.n, tr.term / 3.0, tr.partial_sum / 3.0, tr.tail_estimate / 3.0)
 
 
 def test_zeta2_series_corrected_value():
@@ -311,30 +319,26 @@ def test_convention_difference_is_four_log_two():
 
 
 def test_trace_names_cover_all_series():
-    expected = {
-        "beta",
-        "beta-limit",
-        "digamma",
-        "log2",
-        "norlund",
-        "trigamma",
-        "trigamma-half",
-        "zeta2",
+    # name -> (params, the public function that must give the same result)
+    cases = {
+        "beta": ({"u": 2.0, "v": 1.0}, lambda c: bl.beta_series(2.0, 1.0, c)),
+        "beta-limit": ({"u": 2.0}, lambda c: bl.beta_limit_series(2.0, c)),
+        "digamma": ({"u": 0.5}, lambda c: bl.digamma_series(0.5, c)),
+        "log2": ({}, lambda c: bl.log2_series(c)),
+        "norlund": ({"x": 2.0, "a": 1.0}, lambda c: bl.norlund_diff(2.0, 1.0, c)),
+        "trigamma": ({"u": 0.5}, lambda c: bl.trigamma_series(0.5, c)),
+        "trigamma-half": (
+            {"convention": bl.CORRECTED},
+            lambda c: bl.trigamma_half_series(bl.CORRECTED, c),
+        ),
+        "zeta2": ({"convention": bl.CORRECTED}, lambda c: bl.zeta2_series(bl.CORRECTED, c)),
     }
-    for name in expected:
-        params = {
-            "beta": {"u": 2.0, "v": 1.0},
-            "beta-limit": {"u": 2.0},
-            "digamma": {"u": 0.5},
-            "log2": {},
-            "norlund": {"x": 2.0, "a": 1.0},
-            "trigamma": {"u": 0.5},
-            "trigamma-half": {"convention": bl.CORRECTED},
-            "zeta2": {"convention": bl.CORRECTED},
-        }[name]
+    assert set(cases) == set(SERIES)
+    for name, (params, public) in cases.items():
         res, rows = bl.trace(name, params, CTRL_1E3, every=0)
         assert rows == ()
         assert math.isfinite(res.value)
+        assert res == public(CTRL_1E3)
 
 
 def test_trace_rows_checkpoint_partial_sums():
@@ -351,8 +355,13 @@ def test_trace_unknown_name():
 
 
 def test_trace_rejects_unknown_params():
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError, match=r"takes parameters \[\]"):
         bl.trace("log2", {"u": 1.0})
+
+
+def test_trace_rejects_missing_params():
+    with pytest.raises(DomainError, match=r"takes parameters \['u', 'v'\]"):
+        bl.trace("beta", {"u": 1.0})
 
 
 # --- gamma constant consistency -------------------------------------------
