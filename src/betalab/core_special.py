@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, OverflowRangeError
+from .errors import DomainError, OverflowRangeError, finite_real, integer, positive_real
 
 __all__ = [
     "EULER_GAMMA",
@@ -78,19 +78,6 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _require_positive(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{name} must be a finite positive real, got {x!r}")
-    return x
-
-
-def _require_count(n: int, name: str) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {n!r}")
-    return n
-
-
 def _stirling_lgamma(x: float) -> float:
     """Stirling series for log Gamma, accurate to ~1 ulp for x >= 10."""
     w = 1.0 / (x * x)
@@ -108,13 +95,14 @@ def hurwitz_zeta(s: float, a: float) -> float:
     1e-12 for ``s`` in [1.5, 12] and ``a`` in [0.1, 100] (and degrades
     gracefully, not catastrophically, outside that box).
     """
-    s = float(s)
-    a = float(a)
-    if not math.isfinite(s) or s <= 1.0:
+    s = finite_real(s, "s")
+    a = positive_real(a, "a")
+    if s <= 1.0:
         raise DomainError(f"hurwitz_zeta requires s > 1, got {s!r}")
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"hurwitz_zeta requires a > 0, got {a!r}")
-    direct = math.fsum((a + k) ** -s for k in range(15))
+    try:
+        direct = math.fsum((a + k) ** -s for k in range(15))
+    except OverflowError:
+        raise OverflowRangeError(f"hurwitz_zeta({s!r}, {a!r}) overflows double precision") from None
     x = a + 15.0
     total = direct + x ** (1.0 - s) / (s - 1.0) + 0.5 * x**-s
     rising_s = s  # (s)_{2j-1}, built up two factors at a time
@@ -122,6 +110,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
     inv_x2 = 1.0 / (x * x)
     corr = 0.0
     for j, b in enumerate(_HURWITZ_COEFFS, start=1):
+        if xp == 0.0:  # later terms vanish too; rising_s may already be inf
+            break
         corr += b * rising_s * xp
         rising_s *= (s + 2 * j - 1) * (s + 2 * j)
         xp *= inv_x2
@@ -156,7 +146,7 @@ def lgamma(x: float) -> float:
     Relative error stays below 1e-13 across [1e-3, 1e4]; the values at the
     zeros x = 1 and x = 2 are exact.
     """
-    x = _require_positive(x, "x")
+    x = positive_real(x, "x")
     if x < 0.5:
         return _log_gamma_1p(x) - math.log(x)
     if x <= 1.5:
@@ -164,7 +154,10 @@ def lgamma(x: float) -> float:
     if x <= 2.5:
         return _log_gamma_1p(x - 2.0) + math.log1p(x - 2.0)
     if x >= 10.0:
-        return _stirling_lgamma(x)
+        value = _stirling_lgamma(x)
+        if value == math.inf:
+            raise OverflowRangeError(f"lgamma overflows double precision at x = {x!r}")
+        return value
     # Shift upward: Gamma(x+m) = (x+m-1)...(x) Gamma(x).  The product of at
     # most eight factors below ten stays well inside exact double range.
     shift = 1.0
@@ -177,7 +170,7 @@ def lgamma(x: float) -> float:
 
 def gamma(x: float) -> float:
     """Gamma(x) for ``0 < x <= 170``; exact factorials at integer x <= 20."""
-    x = _require_positive(x, "x")
+    x = positive_real(x, "x")
     if x > 170.0:
         raise OverflowRangeError(f"gamma overflows double precision for x > 170, got {x!r}")
     if x == math.floor(x) and x <= 20.0:
@@ -187,7 +180,10 @@ def gamma(x: float) -> float:
             p *= k
             k += 1.0
         return p
-    return math.exp(lgamma(x))
+    try:
+        return math.exp(lgamma(x))
+    except OverflowError:
+        raise OverflowRangeError(f"gamma overflows double precision at x = {x!r}") from None
 
 
 def beta(u: float, v: float) -> float:
@@ -196,17 +192,21 @@ def beta(u: float, v: float) -> float:
     Small integer arguments take the exact-factorial route, so e.g.
     ``beta(2, 3)`` is the correctly rounded double of 1/12.
     """
-    u = _require_positive(u, "u")
-    v = _require_positive(v, "v")
+    u = positive_real(u, "u")
+    v = positive_real(v, "v")
     if u == math.floor(u) and v == math.floor(v) and u + v <= 21.0:
         # (u-1)!(v-1)! <= 10!*9! fits exactly in a double; one rounding total.
         return gamma(u) * gamma(v) / gamma(u + v)
-    return math.exp(lgamma(u) + lgamma(v) - lgamma(u + v))
+    log_beta = lgamma(u) + lgamma(v) - lgamma(u + v)
+    try:
+        return math.exp(log_beta)
+    except OverflowError:
+        raise OverflowRangeError(f"beta overflows double precision at ({u!r}, {v!r})") from None
 
 
 def digamma(x: float) -> float:
     """Digamma psi(x) for ``x > 0``; absolute error <= 1e-12 on [1e-3, 1e4]."""
-    x = _require_positive(x, "x")
+    x = positive_real(x, "x")
     shifts = []
     y = x
     while y < 10.0:
@@ -219,18 +219,23 @@ def digamma(x: float) -> float:
     asym = math.log(y) - 0.5 / y - s * w
     if not shifts:
         return asym
-    return asym - math.fsum(shifts)
+    value = asym - math.fsum(shifts)
+    if value == -math.inf:  # 1/x overflowed: x is below ~5.6e-309
+        raise OverflowRangeError(f"digamma overflows double precision at x = {x!r}")
+    return value
 
 
 def polygamma(m: int, x: float) -> float:
     """m-th derivative of digamma, ``(-1)^{m+1} m! zeta(m+1, x)``, m >= 1."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"polygamma requires integer m >= 1, got {m!r}")
-    x = _require_positive(x, "x")
+    m = integer(m, "m", 1)
+    x = positive_real(x, "x")
     if m > 170:
         raise OverflowRangeError(f"polygamma order {m} overflows double precision")
     sign = 1.0 if m % 2 == 1 else -1.0
-    return sign * float(math.factorial(m)) * hurwitz_zeta(float(m + 1), x)
+    value = sign * float(math.factorial(m)) * hurwitz_zeta(m + 1.0, x)
+    if math.isinf(value):
+        raise OverflowRangeError(f"polygamma({m}, {x!r}) overflows double precision")
+    return value
 
 
 def trigamma(x: float) -> float:
@@ -243,10 +248,8 @@ def rising(x: float, n: int) -> float:
 
     Exact zero when a factor vanishes; raises if the product overflows.
     """
-    n = _require_count(n, "n")
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
+    n = integer(n, "n", 0)
+    x = finite_real(x, "x")
     p = 1.0
     for k in range(n):
         p *= x + k
@@ -257,10 +260,8 @@ def rising(x: float, n: int) -> float:
 
 def falling(x: float, n: int) -> float:
     """Falling factorial ``x (x-1) ... (x-n+1)``; empty product is 1."""
-    n = _require_count(n, "n")
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
+    n = integer(n, "n", 0)
+    x = finite_real(x, "x")
     p = 1.0
     for k in range(n):
         p *= x - k
@@ -275,7 +276,7 @@ def central_binom(n: int) -> float:
     Exact integer arithmetic up to n = 30 (the result is still exactly
     representable as a double there); the log-gamma route beyond.
     """
-    n = _require_count(n, "n")
+    n = integer(n, "n", 0)
     if n > 500:
         raise DomainError(f"central_binom supports n <= 500, got {n}")
     if n <= 30:
@@ -288,7 +289,7 @@ def central_binom(n: int) -> float:
 
 def harmonic(n: int) -> float:
     """Harmonic number ``H_n = sum_{k=1}^{n} 1/k``, summed in increasing k."""
-    n = _require_count(n, "n")
+    n = integer(n, "n", 0)
     total = 0.0
     for k in range(1, n + 1):
         total += 1.0 / k
@@ -297,7 +298,7 @@ def harmonic(n: int) -> float:
 
 def odd_harmonic(n: int) -> float:
     """``sum_{k=0}^{n-1} 1/(2k+1)``: reciprocals of the first n odd numbers."""
-    n = _require_count(n, "n")
+    n = integer(n, "n", 0)
     total = 0.0
     for k in range(n):
         total += 1.0 / (2 * k + 1)
@@ -315,7 +316,7 @@ def gamma_half(n: int) -> float:
     Supported for ``0 <= n <= 80``; deliberately not routed through lgamma so
     it can serve as an independent check on it.
     """
-    n = _require_count(n, "n")
+    n = integer(n, "n", 0)
     if n > 80:
         raise OverflowRangeError(f"gamma_half supports n <= 80, got {n}")
     p = _SQRT_PI
@@ -326,7 +327,7 @@ def gamma_half(n: int) -> float:
 
 def beta_half(n: int) -> float:
     """B(n, 1/2) by the closed form ``4^n / (n C(2n, n))`` for 1 <= n <= 500."""
-    n = _require_count(n, "n")
+    n = integer(n, "n", 0)
     if n < 1 or n > 500:
         raise DomainError(f"beta_half supports 1 <= n <= 500, got {n}")
     return 2.0 ** (2 * n) / (n * central_binom(n))

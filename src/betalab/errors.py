@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the betalab modules.
+"""Exception taxonomy and argument checks shared across the betalab modules.
 
 Every error raised on purpose by this package derives from :class:`BetalabError`,
 so callers (and the CLI) can distinguish deliberate signalling from bugs.  The
@@ -43,3 +43,38 @@ class UnknownIdentityError(BetalabError, KeyError):
     def __str__(self) -> str:
         # KeyError would repr() the message; keep it readable.
         return self.args[0] if self.args else ""
+
+
+# --- argument checks shared by every public entry point ---------------------
+# Only int and float count as numbers: bool, str, None and ints beyond double
+# range are rejected, never converted.  Plain floats take the cheap first branch.
+
+_MAX = 1.7976931348623157e308  # largest finite double
+
+
+def finite_real(x, name: str) -> float:
+    """``x`` as a float if it is a finite int or float, else :class:`DomainError`."""
+    if x.__class__ is float:
+        if -_MAX <= x <= _MAX:
+            return x
+    elif isinstance(x, (int, float)) and not isinstance(x, bool) and -_MAX <= x <= _MAX:
+        return float(x)
+    raise DomainError(f"{name} must be a finite real, got {x!r}")
+
+
+def positive_real(x, name: str) -> float:
+    """``x`` as a float if it is a finite positive int or float, else :class:`DomainError`."""
+    if x.__class__ is float:
+        if 0.0 < x <= _MAX:
+            return x
+    elif isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x <= _MAX:
+        return float(x)
+    raise DomainError(f"{name} must be a finite positive real, got {x!r}")
+
+
+def integer(n, name: str, lo: int, hi: int | None = None) -> int:
+    """``n`` if it is an int in ``[lo, hi]`` (``hi`` defaults to the double range)."""
+    if isinstance(n, int) and not isinstance(n, bool) and lo <= n <= (_MAX if hi is None else hi):
+        return n
+    bound = f"a finite integer >= {lo}" if hi is None else f"an integer in [{lo}, {hi}]"
+    raise DomainError(f"{name} must be {bound}, got {n!r}")

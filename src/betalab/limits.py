@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core_special import beta, gamma, lgamma
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, finite_real, integer, positive_real
 
 __all__ = [
     "LimitResult",
@@ -35,6 +35,7 @@ __all__ = [
 _MIN_DEPTH = 2
 _MAX_DEPTH = 12
 DEFAULT_DEPTH = 10  # Neville tableau rows every limit uses unless told otherwise
+_MIN_U = 0.1  # smallest u the beta limits accept
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,8 @@ def richardson_limit(
     reported error estimate is ``|T[d,d] - T[d-1,d-1]|``, the change in the
     diagonal on the final row.
     """
-    h0 = float(h0)
-    if not (math.isfinite(h0) and h0 > 0.0):
-        raise DomainError(f"h0 must be a finite positive real, got {h0!r}")
-    if not isinstance(depth, int) or isinstance(depth, bool) or not _MIN_DEPTH <= depth <= _MAX_DEPTH:
-        raise DomainError(f"depth must be an integer in [{_MIN_DEPTH}, {_MAX_DEPTH}], got {depth!r}")
+    h0 = positive_real(h0, "h0")
+    depth = integer(depth, "depth", _MIN_DEPTH, _MAX_DEPTH)
     xs: list[float] = []
     rows: list[list[float]] = []
     prev_diag = math.nan
@@ -98,13 +96,6 @@ def gamma_derivative_at_1(depth: int = DEFAULT_DEPTH, h0: float = 0.5) -> LimitR
     return richardson_limit(lambda v: math.expm1(lgamma(v + 1.0)) / v, h0, depth)
 
 
-def _check_u(u: float) -> float:
-    u = float(u)
-    if not (math.isfinite(u) and u >= 0.1):
-        raise DomainError(f"u must be a finite real >= 0.1, got {u!r}")
-    return u
-
-
 def beta_pole_limit(u: float, depth: int = DEFAULT_DEPTH, h0: float = 0.25) -> LimitResult:
     """``lim_{v->0+} (B(u,v) - 1/v)`` for u >= 0.1.
 
@@ -113,7 +104,9 @@ def beta_pole_limit(u: float, depth: int = DEFAULT_DEPTH, h0: float = 0.25) -> L
     like 1/v.  In closed form the limit is ``-(gamma + psi(u))`` (0 at u = 1);
     the identity suite checks it against both that form and the series route.
     """
-    u = _check_u(u)
+    u = finite_real(u, "u")
+    if u < _MIN_U:
+        raise DomainError(f"u must be a finite real >= {_MIN_U}, got {u!r}")
     lg_u = lgamma(u)
 
     def sample(v: float) -> float:
@@ -133,7 +126,9 @@ def scaled_beta_limits(
     agreement is a structural check on both the beta evaluator and the
     extrapolator.
     """
-    u = _check_u(u)
+    u = finite_real(u, "u")
+    if u < _MIN_U:
+        raise DomainError(f"u must be a finite real >= {_MIN_U}, got {u!r}")
     lg_u = lgamma(u)
 
     def via_log(v: float) -> float:

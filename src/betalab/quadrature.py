@@ -28,7 +28,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, EvaluationError, NonConvergenceError
+from .errors import (
+    DomainError,
+    EvaluationError,
+    NonConvergenceError,
+    finite_real,
+    integer,
+    positive_real,
+)
 
 __all__ = [
     "QuadratureResult",
@@ -41,6 +48,8 @@ __all__ = [
 MAX_LEVEL = 12
 DEFAULT_TOL = 1e-12  # successive-level agreement every kernel refines to
 _MIN_WEIGHT = 1e-300
+_MIN_ARG = 0.05  # kernel parameters below this under-resolve the endpoint singularity
+_MIN_ARG_RULE = f">= {_MIN_ARG} (endpoint resolution limit)"
 _HALF_PI = math.pi / 2.0
 
 
@@ -93,10 +102,8 @@ def _refine(
     interior_only: bool,
 ) -> QuadratureResult:
     """Run the level refinement for an integrand ``g(t, s)`` with s = 1 - t."""
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise DomainError(f"tol must be a positive finite real, got {tol!r}")
-    if not 1 <= max_level <= MAX_LEVEL:
-        raise DomainError(f"max_level must lie in [1, {MAX_LEVEL}], got {max_level!r}")
+    tol = positive_real(tol, "tol")
+    max_level = integer(max_level, "max_level", 1, MAX_LEVEL)
     phi: list[float] = []
     evaluations = 0
     prev = math.nan
@@ -148,8 +155,11 @@ def beta_integral(u: float, v: float, tol: float = DEFAULT_TOL) -> QuadratureRes
     Below 0.05 the double-exponential nodes under-resolve the endpoint
     singularity, so that region is excluded from the domain.
     """
-    u = _kernel_arg(u, "u")
-    v = _kernel_arg(v, "v")
+    u = finite_real(u, "u")
+    v = finite_real(v, "v")
+    for name, x in (("u", u), ("v", v)):
+        if x < _MIN_ARG:
+            raise DomainError(f"{name} must be {_MIN_ARG_RULE}, got {x!r}")
 
     def g(t: float, s: float) -> float:
         return math.exp((u - 1.0) * _log_given(t, s) + (v - 1.0) * _log_given(s, t))
@@ -162,7 +172,9 @@ def log_kernel_moment(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
     This is the beta derivative with respect to its second argument at v = 1.
     """
-    u = _kernel_arg(u, "u")
+    u = finite_real(u, "u")
+    if u < _MIN_ARG:
+        raise DomainError(f"u must be {_MIN_ARG_RULE}, got {u!r}")
 
     def g(t: float, s: float) -> float:
         return math.exp((u - 1.0) * _log_given(t, s)) * _log_given(s, t)
@@ -176,7 +188,9 @@ def digamma_integral(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     The integrand has a removable point at t = 1; evaluating through the
     distance ``s = 1 - t`` keeps it finite and fully accurate there.
     """
-    u = _kernel_arg(u, "u")
+    u = finite_real(u, "u")
+    if u < _MIN_ARG:
+        raise DomainError(f"u must be {_MIN_ARG_RULE}, got {u!r}")
 
     def g(t: float, s: float) -> float:
         if t <= 0.5:
@@ -184,10 +198,3 @@ def digamma_integral(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
         return -math.expm1(u * math.log1p(-s)) / s
 
     return _refine(g, tol, MAX_LEVEL, interior_only=False)
-
-
-def _kernel_arg(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x < 0.05:
-        raise DomainError(f"{name} must be >= 0.05 (endpoint resolution limit), got {x!r}")
-    return x

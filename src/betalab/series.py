@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .core_special import EULER_GAMMA
-from .errors import DomainError
+from .errors import DomainError, finite_real, integer, positive_real
 
 __all__ = [
     "SeriesControl",
@@ -78,10 +78,8 @@ class SeriesControl:
     tail_correction: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_terms, int) or isinstance(self.max_terms, bool) or self.max_terms < 1:
-            raise DomainError(f"max_terms must be a positive integer, got {self.max_terms!r}")
-        if not (isinstance(self.tol, (int, float)) and math.isfinite(self.tol) and self.tol > 0.0):
-            raise DomainError(f"tol must be a positive finite real, got {self.tol!r}")
+        integer(self.max_terms, "max_terms", 1)
+        positive_real(self.tol, "tol")
 
 
 @dataclass(frozen=True)
@@ -296,25 +294,18 @@ class _Summand(NamedTuple):
     reductions: int = 0
 
 
-def _positive(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{name} must be a finite positive real, got {x!r}")
-    return x
-
-
 def _beta(u: float, v: float) -> _Summand:
-    u = _positive(u, "u")
-    v = _positive(v, "v")
+    u = positive_real(u, "u")
+    v = positive_real(v, "v")
     return _Summand(_shifted_ratio_terms(u, v), base=1.0 / v)
 
 
 def _beta_limit(u: float) -> _Summand:
-    return _Summand(_limit_terms(_positive(u, "u")))
+    return _Summand(_limit_terms(positive_real(u, "u")))
 
 
 def _digamma(u: float) -> _Summand:
-    y = _positive(u, "u")
+    y = positive_real(u, "u")
     acc = 0.0
     reductions = 0
     while y > 1.0:
@@ -329,20 +320,16 @@ def _log2() -> _Summand:
 
 
 def _norlund(x: float, a: float) -> _Summand:
-    x = float(x)
-    a = float(a)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"a must be a finite positive real, got {a!r}")
+    x = finite_real(x, "x")
+    a = positive_real(a, "a")
     if x + a <= 0.0:
         raise DomainError(f"norlund_diff requires x + a > 0, got x={x!r}, a={a!r}")
     return _Summand(_norlund_terms(x, a))
 
 
 def _trigamma(u: float) -> _Summand:
-    u = float(u)
-    if not (math.isfinite(u) and 0.0 < u < 1.0):
+    u = finite_real(u, "u")
+    if not 0.0 < u < 1.0:
         raise DomainError(f"trigamma_series requires 0 < u < 1, got {u!r}")
     return _Summand(_trigamma_terms(u))
 
@@ -442,12 +429,13 @@ def trace(
 ) -> tuple[SeriesResult, tuple[TraceRow, ...]]:
     """Run series ``name`` with ``params``, recording a row every ``every`` terms.
 
-    Raises :class:`DomainError` for an unknown name, or for ``params`` whose
-    keys are not exactly the series' parameters (see :data:`SERIES`).
+    Raises :class:`DomainError` for an unknown name, for ``params`` that is
+    not a mapping whose keys are exactly the series' parameters (see
+    :data:`SERIES`), or for an ``every`` that is not an integer >= 0.
     """
     if name not in SERIES:
         raise DomainError(f"unknown series {name!r}; choose from {sorted(SERIES)}")
     expected = [param for _, param in SERIES[name][1]]
-    if set(params) != set(expected):
-        raise DomainError(f"series {name!r} takes parameters {expected}, got {list(params)}")
-    return _run(name, params, ctrl, every)
+    if not isinstance(params, Mapping) or set(params) != set(expected):
+        raise DomainError(f"series {name!r} takes parameters {expected}, got {params!r}")
+    return _run(name, params, ctrl, integer(every, "every", 0))

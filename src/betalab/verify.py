@@ -31,8 +31,9 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+import operator
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import core_special as cs
 from . import limits as lm
@@ -43,6 +44,7 @@ from .errors import (
     NonConvergenceError,
     OverflowRangeError,
     UnknownIdentityError,
+    positive_real,
 )
 
 __all__ = [
@@ -67,6 +69,8 @@ TAIL_AWARE = "tail_aware"
 _MODES = (ABSOLUTE, RELATIVE, TAIL_AWARE)
 
 _DIAG_KEYS = ("terms_used", "tail_estimate", "levels_used", "table_depth")
+# Keys of an informational entry, in report order.
+_INFO_KEYS = ("identity_id", "convention", "value", "reference", "abs_difference")
 
 # Series are summed under one shared control so suite runtime stays bounded;
 # tail_aware tolerances absorb the truncation this implies.
@@ -80,9 +84,9 @@ class IdentitySpec:
     """One registered identity: evaluators, grid, and pass criterion.
 
     ``lhs`` and ``rhs`` are called with a grid tuple unpacked as positional
-    arguments and return ``(value, diagnostics)`` where diagnostics is a
-    (possibly empty) mapping with keys drawn from terms_used /
-    tail_estimate / levels_used / table_depth.
+    arguments and return either a float or a result object with a ``.value``
+    and any of the attributes terms_used / tail_estimate / levels_used /
+    table_depth, which become the record's diagnostics.
     """
 
     id: str
@@ -91,14 +95,13 @@ class IdentitySpec:
     grid: tuple[tuple, ...]
     tolerance: float
     tolerance_mode: str
-    lhs: Callable[..., tuple[float, Mapping]]
-    rhs: Callable[..., tuple[float, Mapping]]
+    lhs: Callable[..., Any]
+    rhs: Callable[..., Any]
 
     def __post_init__(self) -> None:
         if not self.grid:
             raise DomainError(f"identity {self.id!r} has an empty grid")
-        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
-            raise DomainError(f"identity {self.id!r} tolerance must be positive")
+        positive_real(self.tolerance, f"identity {self.id!r} tolerance")
         if self.tolerance_mode not in _MODES:
             raise DomainError(
                 f"identity {self.id!r} tolerance_mode must be one of {_MODES}"
@@ -111,19 +114,30 @@ class CheckRecord:
 
     ``passed`` is True/False for evaluated points and None for skipped ones
     (where the numeric fields are None as well and ``reason`` says why).
+    The defaults describe a skipped record.
     """
 
     identity_id: str
     params: tuple
-    lhs_value: float | None
-    rhs_value: float | None
-    abs_err: float | None
-    rel_err: float | None
-    effective_tol: float | None
-    passed: bool | None
-    skipped: bool
-    reason: str | None
-    diagnostics: Mapping
+    lhs_value: float | None = None
+    rhs_value: float | None = None
+    abs_err: float | None = None
+    rel_err: float | None = None
+    effective_tol: float | None = None
+    passed: bool | None = None
+    skipped: bool = True
+    reason: str | None = None
+    diagnostics: Mapping = field(default_factory=dict)
+
+
+# Report columns as (name, CheckRecord field): every field but the trailing
+# diagnostics, in declaration order, three under a shorter name.  The
+# diagnostics follow: an object in JSON, one CSV column per _DIAG_KEYS entry.
+_COLUMNS = tuple(
+    ({"lhs_value": "lhs", "rhs_value": "rhs", "passed": "pass"}.get(f.name, f.name), f.name)
+    for f in fields(CheckRecord)[:-1]
+)
+_column_values = operator.attrgetter(*(f for _, f in _COLUMNS))  # record -> tuple
 
 
 @dataclass(frozen=True)
@@ -140,7 +154,7 @@ class SuiteReport:
 
 
 def _route(result) -> tuple[float, Mapping]:
-    """A route's value plus the ``_DIAG_KEYS`` attributes its result carries.
+    """An evaluator's value plus the ``_DIAG_KEYS`` attributes its result carries.
 
     Bare floats (reference functions) carry none; series, quadrature and
     limit results carry their own subset.
@@ -169,23 +183,19 @@ def _pairs_lt(values: Sequence[float]) -> tuple[tuple[float, float], ...]:
     )
 
 
-def _eq2_route(route: str) -> tuple[float, Mapping]:
-    return _route(lm.gamma_pole_limit() if route == "pole" else lm.gamma_derivative_at_1())
-
-
-def _log_moment_form(u: float) -> tuple[float, Mapping]:
+def _log_moment_form(u: float) -> qd.QuadratureResult:
     res = qd.log_kernel_moment(u)
-    return _route(replace(res, value=u * res.value + 1.0 / u))
+    return replace(res, value=u * res.value + 1.0 / u)
 
 
-def _neg_n_log_moment(n: float) -> tuple[float, Mapping]:
-    res = qd.log_kernel_moment(float(n))
-    return _route(replace(res, value=-float(n) * res.value))
+def _neg_n_log_moment(n: float) -> qd.QuadratureResult:
+    res = qd.log_kernel_moment(n)
+    return replace(res, value=-n * res.value)
 
 
-def _eq3_rhs(u: float) -> tuple[float, Mapping]:
-    value, diag = _log_moment_form(u)
-    return -cs.EULER_GAMMA - value, diag
+def _eq3_rhs(u: float) -> qd.QuadratureResult:
+    res = _log_moment_form(u)
+    return replace(res, value=-cs.EULER_GAMMA - res.value)
 
 
 @functools.cache
@@ -199,8 +209,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=_pairs_lt((0.1, 0.5, 1.0, 2.5, 7.0)),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u, v: _route(cs.beta(u, v)),
-            rhs=lambda u, v: _route(cs.beta(v, u)),
+            lhs=lambda u, v: cs.beta(u, v),
+            rhs=lambda u, v: cs.beta(v, u),
         ),
         IdentitySpec(
             id="RECUR",
@@ -209,8 +219,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u, v) for u in _U7 for v in _V3),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u, v: _route(cs.beta(u, v + 1.0)),
-            rhs=lambda u, v: _route(v / (u + v) * cs.beta(u, v)),
+            lhs=lambda u, v: cs.beta(u, v + 1.0),
+            rhs=lambda u, v: v / (u + v) * cs.beta(u, v),
         ),
         IdentitySpec(
             id="BU1",
@@ -219,8 +229,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: _route(cs.beta(u, 1.0)),
-            rhs=lambda u: _route(1.0 / u),
+            lhs=lambda u: cs.beta(u, 1.0),
+            rhs=lambda u: 1.0 / u,
         ),
         IdentitySpec(
             id="POCH",
@@ -229,8 +239,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((x, n) for x in (0.3, 1.5, 4.0) for n in range(0, 11)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=lambda x, n: _route(cs.rising(x, n)),
-            rhs=lambda x, n: _route(cs.gamma(x + n) / cs.gamma(x)),
+            lhs=lambda x, n: cs.rising(x, n),
+            rhs=lambda x, n: cs.gamma(x + n) / cs.gamma(x),
         ),
         IdentitySpec(
             id="EQ1",
@@ -239,7 +249,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-7,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: _route(lm.beta_pole_limit(u)),
+            lhs=lambda u: lm.beta_pole_limit(u),
             rhs=_log_moment_form,
         ),
         IdentitySpec(
@@ -249,8 +259,10 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=(("pole",), ("lhopital",)),
             tolerance=1e-7,
             tolerance_mode=ABSOLUTE,
-            lhs=_eq2_route,
-            rhs=lambda route: _route(-cs.euler_gamma()),
+            lhs=lambda route: (
+                lm.gamma_pole_limit() if route == "pole" else lm.gamma_derivative_at_1()
+            ),
+            rhs=lambda route: -cs.euler_gamma(),
         ),
         IdentitySpec(
             id="EQ3",
@@ -259,7 +271,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: _route(cs.digamma(u)),
+            lhs=lambda u: cs.digamma(u),
             rhs=_eq3_rhs,
         ),
         IdentitySpec(
@@ -270,7 +282,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
             lhs=_neg_n_log_moment,
-            rhs=lambda u: _route(cs.EULER_GAMMA + cs.digamma(u + 1.0)),
+            rhs=lambda u: cs.EULER_GAMMA + cs.digamma(u + 1.0),
         ),
         IdentitySpec(
             id="EQ4H",
@@ -280,7 +292,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
             lhs=_neg_n_log_moment,
-            rhs=lambda n: _route(cs.harmonic(n)),
+            rhs=lambda n: cs.harmonic(n),
         ),
         IdentitySpec(
             id="EQ4B",
@@ -289,8 +301,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: _route(qd.digamma_integral(u)),
-            rhs=lambda u: _route(cs.EULER_GAMMA + cs.digamma(u + 1.0)),
+            lhs=lambda u: qd.digamma_integral(u),
+            rhs=lambda u: cs.EULER_GAMMA + cs.digamma(u + 1.0),
         ),
         IdentitySpec(
             id="EQ5",
@@ -299,8 +311,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u, v) for u in _U7 for v in _V3),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u, v: _route(sr.beta_series(u, v, _SUITE_SERIES)),
-            rhs=lambda u, v: _route(qd.beta_integral(u, v)),
+            lhs=lambda u, v: sr.beta_series(u, v, _SUITE_SERIES),
+            rhs=lambda u, v: qd.beta_integral(u, v),
         ),
         IdentitySpec(
             id="EQ6",
@@ -309,8 +321,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: _route(sr.beta_limit_series(u, _SUITE_SERIES)),
-            rhs=lambda u: _route(lm.beta_pole_limit(u)),
+            lhs=lambda u: sr.beta_limit_series(u, _SUITE_SERIES),
+            rhs=lambda u: lm.beta_pole_limit(u),
         ),
         IdentitySpec(
             id="EQ7",
@@ -319,8 +331,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: _route(sr.digamma_series(u, _SUITE_SERIES)),
-            rhs=lambda u: _route(cs.digamma(u)),
+            lhs=lambda u: sr.digamma_series(u, _SUITE_SERIES),
+            rhs=lambda u: cs.digamma(u),
         ),
         IdentitySpec(
             id="EQ7H",
@@ -329,8 +341,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((0.5,),),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: _route(cs.digamma(u)),
-            rhs=lambda u: _route(-cs.EULER_GAMMA - 2.0 * math.log(2.0)),
+            lhs=lambda u: cs.digamma(u),
+            rhs=lambda u: -cs.EULER_GAMMA - 2.0 * math.log(2.0),
         ),
         IdentitySpec(
             id="LOG2",
@@ -339,8 +351,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((),),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda: _route(sr.log2_series(_SUITE_SERIES)),
-            rhs=lambda: _route(math.log(2.0)),
+            lhs=lambda: sr.log2_series(_SUITE_SERIES),
+            rhs=lambda: math.log(2.0),
         ),
         IdentitySpec(
             id="EQ8",
@@ -349,8 +361,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((float(m), 1.0) for m in range(1, 11)) + ((0.0, 2.5), (0.5, 0.5)),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda x, a: _route(sr.norlund_diff(x, a, _SUITE_SERIES)),
-            rhs=lambda x, a: _route(cs.digamma(x + a) - cs.digamma(a)),
+            lhs=lambda x, a: sr.norlund_diff(x, a, _SUITE_SERIES),
+            rhs=lambda x, a: cs.digamma(x + a) - cs.digamma(a),
         ),
         IdentitySpec(
             id="EQ9",
@@ -359,8 +371,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((0.25,), (0.5,), (0.75,)),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: _route(sr.trigamma_series(u, _SUITE_SERIES)),
-            rhs=lambda u: _route(cs.trigamma(u)),
+            lhs=lambda u: sr.trigamma_series(u, _SUITE_SERIES),
+            rhs=lambda u: cs.trigamma(u),
         ),
         IdentitySpec(
             id="EQ10",
@@ -369,8 +381,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=5e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda conv: _route(sr.trigamma_half_series(conv, _SUITE_SERIES)),
-            rhs=lambda conv: _route(cs.trigamma(0.5)),
+            lhs=lambda conv: sr.trigamma_half_series(conv, _SUITE_SERIES),
+            rhs=lambda conv: cs.trigamma(0.5),
         ),
         IdentitySpec(
             id="EQ11",
@@ -379,8 +391,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=2e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda conv: _route(sr.zeta2_series(conv, _SUITE_SERIES)),
-            rhs=lambda conv: _route(cs.riemann_zeta(2.0)),
+            lhs=lambda conv: sr.zeta2_series(conv, _SUITE_SERIES),
+            rhs=lambda conv: cs.riemann_zeta(2.0),
         ),
         IdentitySpec(
             id="DUP",
@@ -389,8 +401,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((t,) for t in (0.25, 0.5, 1.0, 2.0, 5.0, 10.0)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=lambda t: _route(cs.gamma(t) * cs.gamma(t + 0.5)),
-            rhs=lambda t: _route(math.sqrt(math.pi) * 2.0 ** (1.0 - 2.0 * t) * cs.gamma(2.0 * t)),
+            lhs=lambda t: cs.gamma(t) * cs.gamma(t + 0.5),
+            rhs=lambda t: math.sqrt(math.pi) * 2.0 ** (1.0 - 2.0 * t) * cs.gamma(2.0 * t),
         ),
         IdentitySpec(
             id="GHALF",
@@ -399,8 +411,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((n,) for n in range(1, 11)),
             tolerance=1e-12,
             tolerance_mode=RELATIVE,
-            lhs=lambda n: _route(cs.gamma_half(n)),
-            rhs=lambda n: _route(cs.gamma(n + 0.5)),
+            lhs=lambda n: cs.gamma_half(n),
+            rhs=lambda n: cs.gamma(n + 0.5),
         ),
         IdentitySpec(
             id="BHALF",
@@ -409,8 +421,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((n,) for n in range(1, 11)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=lambda n: _route(cs.beta_half(n)),
-            rhs=lambda n: _route(cs.beta(float(n), 0.5)),
+            lhs=lambda n: cs.beta_half(n),
+            rhs=lambda n: cs.beta(n, 0.5),
         ),
         IdentitySpec(
             id="ZHALF",
@@ -419,8 +431,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((float(s),) for s in (2, 3, 4, 6)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=lambda s: _route(cs.hurwitz_zeta(s, 0.5)),
-            rhs=lambda s: _route((2.0**s - 1.0) * cs.riemann_zeta(s)),
+            lhs=lambda s: cs.hurwitz_zeta(s, 0.5),
+            rhs=lambda s: (2.0**s - 1.0) * cs.riemann_zeta(s),
         ),
         IdentitySpec(
             id="PSIM",
@@ -429,8 +441,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((x,) for x in (0.5, 1.0, 2.0, 5.0)),
             tolerance=1e-6,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda x: _route(cs.polygamma(1, x)),
-            rhs=lambda x: _route(
+            lhs=lambda x: cs.polygamma(1, x),
+            rhs=lambda x: (
                 (cs.digamma(x + _FD_STEP) - cs.digamma(x - _FD_STEP)) / (2.0 * _FD_STEP)
             ),
         ),
@@ -456,31 +468,15 @@ def run_identity(
     Domain errors, overflow, and refinement-cap signals from either side
     yield a skipped record with the reason attached; they never propagate.
     """
-    tol = spec.tolerance if tolerance is None else float(tolerance)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise DomainError(f"tolerance must be a positive finite real, got {tolerance!r}")
+    tol = spec.tolerance if tolerance is None else positive_real(tolerance, "tolerance")
     points = spec.grid if grid is None else tuple(tuple(p) for p in grid)
     records = []
     for params in points:
         try:
-            lhs_value, lhs_diag = spec.lhs(*params)
-            rhs_value, rhs_diag = spec.rhs(*params)
+            lhs_value, lhs_diag = _route(spec.lhs(*params))
+            rhs_value, rhs_diag = _route(spec.rhs(*params))
         except _SKIP_ERRORS as exc:
-            records.append(
-                CheckRecord(
-                    identity_id=spec.id,
-                    params=params,
-                    lhs_value=None,
-                    rhs_value=None,
-                    abs_err=None,
-                    rel_err=None,
-                    effective_tol=None,
-                    passed=None,
-                    skipped=True,
-                    reason=f"{type(exc).__name__}: {exc}",
-                    diagnostics={},
-                )
-            )
+            records.append(CheckRecord(spec.id, params, reason=f"{type(exc).__name__}: {exc}"))
             continue
         diag = _merge_diag(lhs_diag, rhs_diag)
         abs_err = abs(lhs_value - rhs_value)
@@ -503,7 +499,6 @@ def run_identity(
                 effective_tol=effective,
                 passed=abs_err <= effective,
                 skipped=False,
-                reason=None,
                 diagnostics=diag,
             )
         )
@@ -512,15 +507,9 @@ def run_identity(
 
 def _literal_observation(spec: IdentitySpec) -> Mapping:
     """EQ10 / EQ11 evaluated under the literal convention (inner k from 1)."""
-    value, _ = spec.lhs(sr.LITERAL)
-    reference, _ = spec.rhs(sr.LITERAL)
-    return {
-        "identity_id": spec.id,
-        "convention": sr.LITERAL,
-        "value": value,
-        "reference": reference,
-        "abs_difference": abs(value - reference),
-    }
+    value, _ = _route(spec.lhs(sr.LITERAL))
+    reference, _ = _route(spec.rhs(sr.LITERAL))
+    return dict(zip(_INFO_KEYS, (spec.id, sr.LITERAL, value, reference, abs(value - reference))))
 
 
 def run_suite(
@@ -582,47 +571,35 @@ def run_suite(
 
 
 def _fmt(value) -> str:
-    """Deterministic scalar formatting: 17 significant digits for floats."""
+    """Deterministic text of a CSV or table cell: 17 significant digits for
+    floats, ``;`` between the entries of a params tuple."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
+    if isinstance(value, tuple):
+        return ";".join(_fmt(p) for p in value)
     return str(value)
 
 
-def _json_scalar(value) -> str:
+def _json_value(value) -> str:
+    """JSON text of a scalar or a params tuple."""
     if value is None:
         return "null"
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(value, tuple):
+        return "[" + ", ".join(_json_value(p) for p in value) + "]"
     return _fmt(value)
 
 
 def _json_record(record: CheckRecord) -> str:
-    diag = record.diagnostics
-    diag_body = ", ".join(
-        f'"{key}": {_json_scalar(diag.get(key))}' for key in _DIAG_KEYS
-    )
-    params = ", ".join(_json_scalar(p) for p in record.params)
-    fields = [
-        f'"identity_id": {_json_scalar(record.identity_id)}',
-        f'"params": [{params}]',
-        f'"lhs": {_json_scalar(record.lhs_value)}',
-        f'"rhs": {_json_scalar(record.rhs_value)}',
-        f'"abs_err": {_json_scalar(record.abs_err)}',
-        f'"rel_err": {_json_scalar(record.rel_err)}',
-        f'"effective_tol": {_json_scalar(record.effective_tol)}',
-        f'"pass": {_json_scalar(record.passed)}',
-        f'"skipped": {_json_scalar(record.skipped)}',
-        f'"reason": {_json_scalar(record.reason)}',
-        f'"diagnostics": {{{diag_body}}}',
-    ]
-    return "{" + ", ".join(fields) + "}"
-
-
-_INFO_KEYS = ("identity_id", "convention", "value", "reference", "abs_difference")
+    values = _column_values(record)
+    cells = [f'"{name}": {_json_value(v)}' for (name, _), v in zip(_COLUMNS, values)]
+    diag = ", ".join(f'"{k}": {_json_value(record.diagnostics.get(k))}' for k in _DIAG_KEYS)
+    return "{" + ", ".join(cells) + f', "diagnostics": {{{diag}}}}}'
 
 
 def _json_array(key: str, items: list[str], end: str) -> list[str]:
@@ -636,7 +613,7 @@ def _render_json(report: SuiteReport) -> bytes:
     counts = report.counts
     lines = [
         "{",
-        f'  "tool_version": {_json_scalar(report.tool_version)},',
+        f'  "tool_version": {_json_value(report.tool_version)},',
         '  "counts": {'
         + f'"total": {counts["total"]}, "passed": {counts["passed"]}, '
         + f'"failed": {counts["failed"]}, "skipped": {counts["skipped"]}'
@@ -644,7 +621,7 @@ def _render_json(report: SuiteReport) -> bytes:
     ]
     lines += _json_array("records", [_json_record(r) for r in report.records], ",")
     info = [
-        "{" + ", ".join(f'"{k}": {_json_scalar(obs.get(k))}' for k in _INFO_KEYS) + "}"
+        "{" + ", ".join(f'"{k}": {_json_value(obs.get(k))}' for k in _INFO_KEYS) + "}"
         for obs in report.informational
     ]
     lines += _json_array("informational", info, "")
@@ -652,66 +629,30 @@ def _render_json(report: SuiteReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-_CSV_HEADER = (
-    "identity_id",
-    "params",
-    "lhs",
-    "rhs",
-    "abs_err",
-    "rel_err",
-    "effective_tol",
-    "pass",
-    "skipped",
-    "reason",
-    "terms_used",
-    "tail_estimate",
-    "levels_used",
-    "table_depth",
-)
-
-
 def _render_csv(report: SuiteReport) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
+    writer.writerow([name for name, _ in _COLUMNS] + list(_DIAG_KEYS))
     for r in report.records:
-        writer.writerow(
-            [
-                r.identity_id,
-                ";".join(_fmt(p) for p in r.params),
-                _fmt(r.lhs_value),
-                _fmt(r.rhs_value),
-                _fmt(r.abs_err),
-                _fmt(r.rel_err),
-                _fmt(r.effective_tol),
-                _fmt(r.passed),
-                _fmt(r.skipped),
-                r.reason or "",
-            ]
-            + [_fmt(r.diagnostics.get(key)) for key in _DIAG_KEYS]
-        )
+        diag = [_fmt(r.diagnostics.get(key)) for key in _DIAG_KEYS]
+        writer.writerow([_fmt(v) for v in _column_values(r)] + diag)
     return buf.getvalue().encode("utf-8")
 
 
 def _render_table(report: SuiteReport) -> bytes:
-    headers = ("identity", "params", "lhs", "rhs", "abs_err", "effective_tol", "status")
+    shown = [
+        col for col in _COLUMNS
+        if col[1] in ("params", "lhs_value", "rhs_value", "abs_err", "effective_tol")
+    ]
+    headers = ("identity",) + tuple(name for name, _ in shown) + ("status",)
     rows = []
     for r in report.records:
         if r.skipped:
             status = "skip"
         else:
             status = "pass" if r.passed else "FAIL"
-        rows.append(
-            (
-                r.identity_id,
-                ";".join(_fmt(p) for p in r.params),
-                _fmt(r.lhs_value),
-                _fmt(r.rhs_value),
-                _fmt(r.abs_err),
-                _fmt(r.effective_tol),
-                status,
-            )
-        )
+        cells = tuple(_fmt(getattr(r, attr)) for _, attr in shown)
+        rows.append((r.identity_id,) + cells + (status,))
     widths = [
         max(len(h), max((len(row[i]) for row in rows), default=0))
         for i, h in enumerate(headers)

@@ -117,6 +117,22 @@ def test_eval_integer_argument_enforced(capsys):
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "--x", "1e-310"),
+        ("beta", "--x", "1e-310", "--x2", "0.5"),
+        ("trigamma", "--x", "1e-310"),
+        ("hurwitz_zeta", "--x", "2", "--x2", "1e-310"),
+    ],
+)
+def test_eval_overflow_exits_2_with_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflows double precision" in err
+
+
 def test_eval_domain_error(capsys):
     code, _, err = run_cli(capsys, "eval", "gamma", "--x", "-1")
     assert code == 2

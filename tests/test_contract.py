@@ -1,0 +1,162 @@
+"""The error contract over the public surface.
+
+Every public function of core_special, series, quadrature and limits either
+returns finite doubles or raises a ``BetalabError`` subclass.  Starting from
+one valid call per function, each numeric argument is replaced in turn by a
+value that is not a finite int or float; none may be accepted or leak a
+builtin exception.  The functions are found from each module's ``__all__``,
+so a new public function fails here until it gets a valid call below.
+"""
+
+from __future__ import annotations
+
+import inspect
+import math
+
+import pytest
+
+from betalab import core_special as cs
+from betalab import limits as lm
+from betalab import quadrature as qd
+from betalab import series as sr
+from betalab.errors import BetalabError, OverflowRangeError
+
+CTRL = sr.SeriesControl(max_terms=50)
+
+# One valid call per public function: (positional args, keyword args).
+VALID_CALLS = {
+    "lgamma": ((2.5,), {}),
+    "gamma": ((2.5,), {}),
+    "beta": ((0.5, 1.5), {}),
+    "digamma": ((2.5,), {}),
+    "hurwitz_zeta": ((2.5, 0.5), {}),
+    "riemann_zeta": ((3.0,), {}),
+    "polygamma": ((2, 1.5), {}),
+    "trigamma": ((1.5,), {}),
+    "rising": ((1.5, 3), {}),
+    "falling": ((1.5, 3), {}),
+    "central_binom": ((5,), {}),
+    "harmonic": ((5,), {}),
+    "odd_harmonic": ((5,), {}),
+    "euler_gamma": ((), {}),
+    "gamma_half": ((3,), {}),
+    "beta_half": ((3,), {}),
+    "beta_series": ((0.5, 1.5, CTRL), {}),
+    "beta_limit_series": ((0.5, CTRL), {}),
+    "digamma_series": ((2.5, CTRL), {}),
+    "log2_series": ((CTRL,), {}),
+    "norlund_diff": ((0.5, 1.5, CTRL), {}),
+    "trigamma_series": ((0.5, CTRL), {}),
+    "trigamma_half_series": ((sr.CORRECTED, CTRL), {}),
+    "zeta2_series": ((sr.CORRECTED, CTRL), {}),
+    "trace": (("beta", {"u": 0.5, "v": 1.5}, CTRL), {"every": 10}),
+    "integrate01": ((lambda t: t,), {"tol": 1e-8, "max_level": 6}),
+    "beta_integral": ((0.5, 1.5), {"tol": 1e-8}),
+    "log_kernel_moment": ((1.5,), {"tol": 1e-8}),
+    "digamma_integral": ((1.5,), {"tol": 1e-8}),
+    "richardson_limit": ((lambda h: 1.0 + h,), {"h0": 0.5, "depth": 4}),
+    "gamma_pole_limit": ((), {"depth": 4, "h0": 0.5}),
+    "gamma_derivative_at_1": ((), {"depth": 4, "h0": 0.5}),
+    "beta_pole_limit": ((1.5,), {"depth": 4, "h0": 0.25}),
+    "scaled_beta_limits": ((1.5,), {"depth": 4, "h0": 0.25}),
+}
+
+# Not a finite int or float: text, numeric text, nothing, a bool, an int
+# beyond double range, and nan.
+BAD_VALUES = ("abc", "2", None, True, 10**400, math.nan)
+
+
+def _public_functions(module) -> list:
+    return [n for n in module.__all__ if inspect.isfunction(getattr(module, n))]
+
+
+PUBLIC = [
+    (module, name) for module in (cs, sr, qd, lm) for name in _public_functions(module)
+]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _substituted(args: tuple, kwargs: dict):
+    """Each call with one numeric argument (or ``params`` entry) made bad."""
+    for bad in BAD_VALUES:
+        for i, arg in enumerate(args):
+            if _is_number(arg):
+                yield f"arg {i} = {bad!r:.20}", args[:i] + (bad,) + args[i + 1 :], kwargs
+            elif isinstance(arg, dict):  # trace()'s series parameters
+                for key in arg:
+                    bad_args = args[:i] + ({**arg, key: bad},) + args[i + 1 :]
+                    yield f"params[{key!r}] = {bad!r:.20}", bad_args, kwargs
+        for key, value in kwargs.items():
+            if _is_number(value):
+                yield f"{key} = {bad!r:.20}", args, {**kwargs, key: bad}
+
+
+def _finite(result) -> bool:
+    """True if a float, a result object, or every item of a tuple of them is finite."""
+    if isinstance(result, tuple):  # route pairs, trace() output and its rows
+        return all(_finite(item) for item in result)
+    return math.isfinite(getattr(result, "value", result))
+
+
+@pytest.mark.parametrize("module, name", PUBLIC, ids=[name for _, name in PUBLIC])
+def test_numeric_arguments_are_finite_ints_or_floats(module, name):
+    func = getattr(module, name)
+    args, kwargs = VALID_CALLS[name]
+    assert _finite(func(*args, **kwargs))
+    accepted = []
+    for label, bad_args, bad_kwargs in _substituted(args, kwargs):
+        try:
+            result = func(*bad_args, **bad_kwargs)
+        except BetalabError:
+            continue
+        except Exception as exc:  # a builtin exception leaked
+            accepted.append(f"{label}: {type(exc).__name__}: {exc}")
+        else:
+            accepted.append(f"{label}: returned {result!r:.60}")
+    assert not accepted, f"{name}: " + "; ".join(accepted)
+
+
+@pytest.mark.parametrize("field", ["max_terms", "tol"])
+@pytest.mark.parametrize(
+    "bad", BAD_VALUES, ids=["str", "numeric-str", "none", "bool", "huge-int", "nan"]
+)
+def test_series_control_fields_are_checked(field, bad):
+    with pytest.raises(BetalabError):
+        sr.SeriesControl(**{field: bad})
+
+
+def test_integrate01_rejects_non_integer_max_level():
+    with pytest.raises(BetalabError):
+        qd.integrate01(lambda t: t, max_level="x")
+
+
+# --- edge values: a finite double or OverflowRangeError, never inf/nan -----
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (cs.gamma, (1e-310,)),
+        (cs.beta, (1e-310, 0.5)),
+        (cs.trigamma, (1e-310,)),
+        (cs.hurwitz_zeta, (2.0, 1e-310)),
+        (cs.lgamma, (1.7e308,)),
+        (cs.digamma, (5e-324,)),
+        (cs.polygamma, (160, 0.2)),
+    ],
+    ids=[
+        "gamma-tiny", "beta-tiny", "trigamma-tiny", "hurwitz-tiny",
+        "lgamma-huge", "digamma-subnormal", "polygamma-high-order",
+    ],
+)
+def test_true_overflow_raises_overflow_range_error(func, args):
+    with pytest.raises(OverflowRangeError):
+        func(*args)
+
+
+@pytest.mark.parametrize("s", [1e300, 1.7e308])
+def test_riemann_zeta_of_huge_s_is_one(s):
+    assert cs.riemann_zeta(s) == 1.0

@@ -364,6 +364,12 @@ def test_trace_rejects_missing_params():
         bl.trace("beta", {"u": 1.0})
 
 
+@pytest.mark.parametrize("params", [None, 3, ["u", "v"]])
+def test_trace_rejects_non_mapping_params(params):
+    with pytest.raises(DomainError, match=r"takes parameters \['u', 'v'\]"):
+        bl.trace("beta", params)
+
+
 # --- gamma constant consistency -------------------------------------------
 
 

@@ -230,11 +230,48 @@ def test_formats_agree_on_counts(full_report):
     )
     assert payload["counts"]["total"] == len(csv_rows) - 1
     assert payload["counts"] == full_report.counts
+    # Record by record: the CSV and table cells are the same strings, and the
+    # JSON values are the numbers those cells spell.
+    shared = ("params", "lhs", "rhs", "abs_err", "effective_tol")
+    header, rows = csv_rows[0], csv_rows[1:]
+    table_lines = bl.render_report(full_report, "table").decode().splitlines()
+    starts, pos = [], 0  # column offsets, read off the dashed rule under the header
+    for dashes in table_lines[1].split("  "):
+        starts.append(pos)
+        pos += len(dashes) + 2
+
+    def table_row(line):
+        return [line[a:b].strip() for a, b in zip(starts, starts[1:] + [None])]
+
+    table_header = table_row(table_lines[0])
+    assert table_header[1:6] == list(shared)
+    for record, row, line in zip(payload["records"], rows, table_lines[2:]):
+        if record["skipped"]:
+            continue
+        cells = dict(zip(header, row))
+        table_cells = dict(zip(table_header, table_row(line)))
+        assert table_cells["identity"] == cells["identity_id"] == record["identity_id"]
+        for name in shared:
+            assert table_cells[name] == cells[name], (record["identity_id"], name)
+        for name in shared[1:]:
+            assert record[name] == float(cells[name]), (record["identity_id"], name)
+        params = cells["params"].split(";") if cells["params"] else []
+        assert len(params) == len(record["params"])
+        for value, cell in zip(record["params"], params):
+            assert value == (cell if isinstance(value, str) else float(cell))
 
 
 def test_render_rejects_unknown_format(full_report):
     with pytest.raises(DomainError):
         bl.render_report(full_report, "yaml")
+
+
+def test_overflowing_point_becomes_a_skipped_record():
+    spec = next(s for s in bl.builtin_registry() if s.id == "SYM")
+    (record,) = bl.run_identity(spec, grid=[(1e-310, 0.5)])
+    assert record.skipped is True
+    assert record.passed is None
+    assert record.reason.startswith("OverflowRangeError:")
 
 
 def test_skipped_record_renders_with_null_pass():
