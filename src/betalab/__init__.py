@@ -14,148 +14,21 @@ hidden state, and bit-for-bit reproducible output.
 
 from __future__ import annotations
 
-from .core_special import (
-    EULER_GAMMA,
-    beta,
-    beta_half,
-    central_binom,
-    digamma,
-    euler_gamma,
-    falling,
-    gamma,
-    gamma_half,
-    harmonic,
-    hurwitz_zeta,
-    lgamma,
-    odd_harmonic,
-    polygamma,
-    riemann_zeta,
-    rising,
-    trigamma,
-)
-from .errors import (
-    BetalabError,
-    DomainError,
-    EvaluationError,
-    NonConvergenceError,
-    OverflowRangeError,
-    UnknownIdentityError,
-)
-from .limits import (
-    LimitResult,
-    beta_pole_limit,
-    gamma_derivative_at_1,
-    gamma_pole_limit,
-    richardson_limit,
-    scaled_beta_limits,
-)
-from .quadrature import (
-    QuadratureResult,
-    beta_integral,
-    digamma_integral,
-    integrate01,
-    log_kernel_moment,
-)
-from .series import (
-    CONVENTIONS,
-    CORRECTED,
-    EXACT_TERMINATION,
-    LITERAL,
-    MAX_TERMS,
-    TOLERANCE_MET,
-    SeriesControl,
-    SeriesResult,
-    TraceRow,
-    beta_limit_series,
-    beta_series,
-    digamma_series,
-    log2_series,
-    norlund_diff,
-    trace,
-    trigamma_half_series,
-    trigamma_series,
-    zeta2_series,
-)
-from .verify import (
-    TOOL_VERSION,
-    CheckRecord,
-    IdentitySpec,
-    SuiteReport,
-    builtin_registry,
-    render_report,
-    run_identity,
-    run_suite,
-)
+# The top level republishes each module's __all__, the one list of its public names.
+from . import core_special, errors, limits, quadrature, series, verify
+from .core_special import *
+from .errors import *
+from .limits import *
+from .quadrature import *
+from .series import *
+from .verify import *
 
-__version__ = TOOL_VERSION
+__version__ = verify.TOOL_VERSION
 
-__all__ = [
-    "__version__",
-    # constants
-    "EULER_GAMMA",
-    "TOOL_VERSION",
-    "CONVENTIONS",
-    "CORRECTED",
-    "LITERAL",
-    "EXACT_TERMINATION",
-    "TOLERANCE_MET",
-    "MAX_TERMS",
-    # errors
-    "BetalabError",
-    "DomainError",
-    "EvaluationError",
-    "NonConvergenceError",
-    "OverflowRangeError",
-    "UnknownIdentityError",
-    # reference special functions
-    "beta",
-    "beta_half",
-    "central_binom",
-    "digamma",
-    "euler_gamma",
-    "falling",
-    "gamma",
-    "gamma_half",
-    "harmonic",
-    "hurwitz_zeta",
-    "lgamma",
-    "odd_harmonic",
-    "polygamma",
-    "riemann_zeta",
-    "rising",
-    "trigamma",
-    # series engine
-    "SeriesControl",
-    "SeriesResult",
-    "TraceRow",
-    "beta_limit_series",
-    "beta_series",
-    "digamma_series",
-    "log2_series",
-    "norlund_diff",
-    "trace",
-    "trigamma_half_series",
-    "trigamma_series",
-    "zeta2_series",
-    # quadrature
-    "QuadratureResult",
-    "beta_integral",
-    "digamma_integral",
-    "integrate01",
-    "log_kernel_moment",
-    # limits
-    "LimitResult",
-    "beta_pole_limit",
-    "gamma_derivative_at_1",
-    "gamma_pole_limit",
-    "richardson_limit",
-    "scaled_beta_limits",
-    # verification
-    "CheckRecord",
-    "IdentitySpec",
-    "SuiteReport",
-    "builtin_registry",
-    "render_report",
-    "run_identity",
-    "run_suite",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += core_special.__all__
+__all__ += series.__all__
+__all__ += quadrature.__all__
+__all__ += limits.__all__
+__all__ += verify.__all__

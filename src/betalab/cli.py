@@ -18,6 +18,7 @@ there are no config files or environment variables.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
@@ -54,34 +55,42 @@ def _print_result(res, width: int, prefix: str = "") -> None:
 # --- argument collection -------------------------------------------------
 
 
+def _required(func: Callable) -> list[inspect.Parameter]:
+    """``func``'s parameters without a default, in order: what the CLI must be given."""
+    params = inspect.signature(func, eval_str=True).parameters.values()
+    return [p for p in params if p.default is p.empty]
+
+
 def _collect(
     options: Mapping,
     where: str,
-    signature: Sequence[tuple[str, Callable]],
+    wanted: Mapping[str, Callable | None],
     flags: Sequence[str],
     defaults: Mapping | None = None,
 ) -> list:
-    """Converted values of ``signature``'s ``(flag, converter)`` pairs, in order.
+    """Values of the ``wanted`` flags, in order.
 
-    Every flag of ``flags`` outside the signature must be absent; every flag
-    in it must be given or have an entry in ``defaults``.
+    ``wanted`` maps a flag to ``int`` or ``float`` if its value is still text
+    (eval's), else to None.  Every flag of ``flags`` outside ``wanted`` must
+    be absent; every wanted flag must be given or have an entry in ``defaults``.
     """
-    wanted = [flag for flag, _ in signature]
     for flag in flags:
         if options.get(flag) is not None and flag not in wanted:
             raise DomainError(f"{where} takes no --{flag}")
     args = []
-    for flag, conv in signature:
-        raw = options.get(flag)
-        if raw is None:
-            raw = (defaults or {}).get(flag)
-        if raw is None:
+    for flag, conv in wanted.items():
+        value = options.get(flag)
+        if value is None:
+            value = (defaults or {}).get(flag)
+        if value is None:
             raise DomainError(f"{where} requires --{flag}")
-        try:
-            args.append(conv(raw))
-        except ValueError:
-            kind = "an integer" if conv is int else "a number"
-            raise DomainError(f"--{flag} must be {kind}, got {raw!r}") from None
+        if conv is not None:
+            try:
+                value = conv(value)
+            except ValueError:
+                kind = "an integer" if conv is int else "a number"
+                raise DomainError(f"--{flag} must be {kind}, got {value!r}") from None
+        args.append(value)
     return args
 
 
@@ -92,46 +101,33 @@ def _given(options: Mapping, *names: str) -> dict:
 
 # --- eval -----------------------------------------------------------------
 
-# function name -> (callable, ((flag, converter), ...)) in positional order
-_EVAL_TABLE = {
-    "lgamma": (cs.lgamma, (("x", float),)),
-    "gamma": (cs.gamma, (("x", float),)),
-    "beta": (cs.beta, (("x", float), ("x2", float))),
-    "digamma": (cs.digamma, (("x", float),)),
-    "trigamma": (cs.trigamma, (("x", float),)),
-    "polygamma": (cs.polygamma, (("x", int), ("x2", float))),
-    "hurwitz_zeta": (cs.hurwitz_zeta, (("x", float), ("x2", float))),
-    "riemann_zeta": (cs.riemann_zeta, (("x", float),)),
-    "rising": (cs.rising, (("x", float), ("x2", int))),
-    "falling": (cs.falling, (("x", float), ("x2", int))),
-    "central_binom": (cs.central_binom, (("x", int),)),
-    "harmonic": (cs.harmonic, (("x", int),)),
-    "odd_harmonic": (cs.odd_harmonic, (("x", int),)),
-    "euler_gamma": (cs.euler_gamma, ()),
-    "gamma_half": (cs.gamma_half, (("x", int),)),
-    "beta_half": (cs.beta_half, (("x", int),)),
-}
+# Every public function of core_special, its parameters given by position.
+_EVAL = sorted(name for name in cs.__all__ if callable(getattr(cs, name)))
+_EVAL_FLAGS = ("x", "x2")
 
 
 def _run_eval(options: Mapping) -> int:
     name = options["function"]
-    func, signature = _EVAL_TABLE[name]
-    print(_g(func(*_collect(options, f"eval {name}", signature, ("x", "x2")))))
+    func = getattr(cs, name)
+    kinds = {f: int if p.annotation is int else float for f, p in zip(_EVAL_FLAGS, _required(func))}
+    print(_g(func(*_collect(options, f"eval {name}", kinds, _EVAL_FLAGS))))
     return 0
 
 
 # --- series ---------------------------------------------------------------
 
-# series flag -> converter; the series themselves and their flags are sr.SERIES
-_SERIES_FLAGS = {"u": float, "v": float, "a": float, "xarg": float, "convention": str}
+# The series' parameter flags; each series takes those its term source names.
+_SERIES_PARAM_FLAGS = ("u", "v", "a", "xarg", "convention")
+_FLAG_OF = {"x": "xarg"}  # norlund's x keeps its established --xarg flag
 
 
 def _run_series(options: Mapping) -> int:
     name = options["name"]
-    pairs = sr.SERIES[name][1]
-    signature = [(flag, _SERIES_FLAGS[flag]) for flag, _ in pairs]
+    params = [p.name for p in _required(sr.SERIES[name])]
+    flags = [_FLAG_OF.get(param, param) for param in params]
     values = _collect(
-        options, f"series {name}", signature, _SERIES_FLAGS, {"convention": sr.CORRECTED}
+        options, f"series {name}", dict.fromkeys(flags), _SERIES_PARAM_FLAGS,
+        {"convention": sr.CORRECTED},
     )
     every = options["every"]
     if every < 0:
@@ -140,9 +136,7 @@ def _run_series(options: Mapping) -> int:
         **_given(options, "max_terms", "tol"),
         tail_correction=not options["no_tail_correction"],
     )
-    result, rows = sr.trace(
-        name, {param: value for (_, param), value in zip(pairs, values)}, ctrl, every
-    )
+    result, rows = sr.trace(name, dict(zip(params, values)), ctrl, every)
     if rows:
         print(f"{'n':>10}  {'term':>24}  {'partial_sum':>24}  {'tail_estimate':>24}")
         for row in rows:
@@ -169,40 +163,42 @@ def _run_series(options: Mapping) -> int:
 
 # --- integrate ------------------------------------------------------------
 
-# kernel -> (quadrature routine, flags of its positional parameters)
+# kernel -> quadrature routine; its parameters without defaults are its flags
 _KERNELS = {
-    "beta": (qd.beta_integral, ("u", "v")),
-    "digamma": (qd.digamma_integral, ("u",)),
-    "log-kernel": (qd.log_kernel_moment, ("u",)),
+    "beta": qd.beta_integral,
+    "digamma": qd.digamma_integral,
+    "log-kernel": qd.log_kernel_moment,
 }
 
 
 def _run_integrate(options: Mapping) -> int:
     kernel = options["kernel"]
-    func, flags = _KERNELS[kernel]
+    func = _KERNELS[kernel]
+    flags = [p.name for p in _required(func)]
     if any(options[flag] is None for flag in flags):  # one message names them all
         needed = " and ".join(f"--{flag}" for flag in flags)
         raise DomainError(f"integrate {kernel} requires {needed}")
-    args = _collect(options, f"integrate {kernel}", [(f, float) for f in flags], ("u", "v"))
+    args = _collect(options, f"integrate {kernel}", dict.fromkeys(flags), ("u", "v"))
     _print_result(func(*args, **_given(options, "tol")), 14)
     return 0
 
 
 # --- limit ----------------------------------------------------------------
 
-# limit -> (routine, flags of its positional parameters, one print prefix per result)
+# limit -> (routine, one print prefix per result); flags as for _KERNELS
 _LIMITS = {
-    "beta-pole": (lm.beta_pole_limit, ("u",), ("",)),
-    "gamma-derivative": (lm.gamma_derivative_at_1, (), ("",)),
-    "gamma-pole": (lm.gamma_pole_limit, (), ("",)),
-    "scaled-beta": (lm.scaled_beta_limits, ("u",), ("via_log_gamma  ", "via_recurrence ")),
+    "beta-pole": (lm.beta_pole_limit, ("",)),
+    "gamma-derivative": (lm.gamma_derivative_at_1, ("",)),
+    "gamma-pole": (lm.gamma_pole_limit, ("",)),
+    "scaled-beta": (lm.scaled_beta_limits, ("via_log_gamma  ", "via_recurrence ")),
 }
 
 
 def _run_limit(options: Mapping) -> int:
     name = options["name"]
-    func, flags, prefixes = _LIMITS[name]
-    args = _collect(options, f"limit {name}", [(f, float) for f in flags], ("u",))
+    func, prefixes = _LIMITS[name]
+    flags = dict.fromkeys(p.name for p in _required(func))
+    args = _collect(options, f"limit {name}", flags, ("u",))
     results = func(*args, **_given(options, "depth", "h0"))
     if not isinstance(results, tuple):
         results = (results,)
@@ -243,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a reference special function")
-    p_eval.add_argument("function", choices=sorted(_EVAL_TABLE))
+    p_eval.add_argument("function", choices=_EVAL)
     p_eval.add_argument("--x", help="first argument")
     p_eval.add_argument("--x2", help="second argument (two-argument functions)")
 

@@ -74,6 +74,8 @@ _HURWITZ_COEFFS = tuple(
     num / (den * math.factorial(2 * j)) for j, (num, den) in enumerate(_BERNOULLI, start=1)
 )
 
+_MAX_HARMONIC_N = 10**6  # the harmonic sums add one term per unit of n
+
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -246,27 +248,38 @@ def trigamma(x: float) -> float:
 def rising(x: float, n: int) -> float:
     """Rising factorial ``x (x+1) ... (x+n-1)``; empty product is 1.
 
-    Exact zero when a factor vanishes; raises if the product overflows.
+    An exact signed zero when a factor vanishes, even after an overflow; raises
+    :class:`OverflowRangeError` as soon as the product overflows, so no n loops long.
     """
     n = integer(n, "n", 0)
     x = finite_real(x, "x")
+    if x <= 0.0 and x == math.floor(x) and -x < n:
+        # The factor x + (-x) is +0.0, after -x negative and before positive factors.
+        return -0.0 if int(-x) % 2 else 0.0
     p = 1.0
     for k in range(n):
         p *= x + k
-    if math.isinf(p):
-        raise OverflowRangeError(f"rising({x}, {n}) overflows double precision")
+        if math.isinf(p):
+            raise OverflowRangeError(f"rising({x}, {n}) overflows double precision")
     return p
 
 
 def falling(x: float, n: int) -> float:
-    """Falling factorial ``x (x-1) ... (x-n+1)``; empty product is 1."""
+    """Falling factorial ``x (x-1) ... (x-n+1)``; empty product is 1.
+
+    Zeros and overflow as for :func:`rising`.
+    """
     n = integer(n, "n", 0)
     x = finite_real(x, "x")
+    if x >= 0.0 and x == math.floor(x) and x < n:
+        # The factor x - x has x's sign; the n - 1 - x factors after it are negative.
+        zero = math.copysign(0.0, x)
+        return -zero if (n - 1 - int(x)) % 2 else zero
     p = 1.0
     for k in range(n):
         p *= x - k
-    if math.isinf(p):
-        raise OverflowRangeError(f"falling({x}, {n}) overflows double precision")
+        if math.isinf(p):
+            raise OverflowRangeError(f"falling({x}, {n}) overflows double precision")
     return p
 
 
@@ -288,8 +301,8 @@ def central_binom(n: int) -> float:
 
 
 def harmonic(n: int) -> float:
-    """Harmonic number ``H_n = sum_{k=1}^{n} 1/k``, summed in increasing k."""
-    n = integer(n, "n", 0)
+    """Harmonic number ``H_n = sum_{k=1}^{n} 1/k`` for n <= 10**6, summed in increasing k."""
+    n = integer(n, "n", 0, _MAX_HARMONIC_N)
     total = 0.0
     for k in range(1, n + 1):
         total += 1.0 / k
@@ -297,8 +310,8 @@ def harmonic(n: int) -> float:
 
 
 def odd_harmonic(n: int) -> float:
-    """``sum_{k=0}^{n-1} 1/(2k+1)``: reciprocals of the first n odd numbers."""
-    n = integer(n, "n", 0)
+    """``sum_{k=0}^{n-1} 1/(2k+1)``: reciprocals of the first n odd numbers, n <= 10**6."""
+    n = integer(n, "n", 0, _MAX_HARMONIC_N)
     total = 0.0
     for k in range(n):
         total += 1.0 / (2 * k + 1)

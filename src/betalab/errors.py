@@ -8,6 +8,15 @@ ValueError`` style handling keeps working.
 
 from __future__ import annotations
 
+__all__ = [
+    "BetalabError",
+    "DomainError",
+    "OverflowRangeError",
+    "EvaluationError",
+    "NonConvergenceError",
+    "UnknownIdentityError",
+]
+
 
 class BetalabError(Exception):
     """Base class for all errors raised by betalab."""

@@ -27,6 +27,7 @@ conventions.  The two differ by exactly ``4 log 2``.
 
 from __future__ import annotations
 
+import inspect
 import math
 from array import array
 from dataclasses import dataclass
@@ -67,6 +68,7 @@ CONVENTIONS = (LITERAL, CORRECTED)
 
 _MIN_FIT_TERMS = 8  # no tail fit before this many recorded magnitudes
 _MIN_DECAY = 1.05  # power-law exponent below which the tail model is unusable
+_MAX_DIGAMMA_U = 1_000_000  # digamma's argument reduction takes one step per unit of u
 
 
 @dataclass(frozen=True)
@@ -128,11 +130,11 @@ def _tail_fit(mags: array, n: int, last: float) -> float:
 
 
 def _run(
-    name: str, params: dict, ctrl: SeriesControl | None, every: int = 0
+    summand: _Summand, ctrl: SeriesControl | None, every: int = 0
 ) -> tuple[SeriesResult, tuple[TraceRow, ...]]:
-    """Sum series ``name`` of :data:`SERIES` under ``ctrl``; see module docstring.
+    """Sum a validated series under ``ctrl``; see module docstring.
 
-    The term source turns ``params`` into ``base + sum(terms) / div``.  ``div``
+    The engine sums ``base + sum(terms) / div``.  ``div``
     divides rather than scales because ``x * (1/3)`` and ``x / 3`` differ for
     about a third of doubles, and zeta2 must stay exactly one third of its
     parent series.  Each generated term is a ``(term, residual)`` pair:
@@ -141,8 +143,11 @@ def _run(
     remainder of computing it, folded into the compensated accumulator so
     that exactness contracts survive heavy cancellation.
     """
-    terms, base, div, stop_on_zero, reductions = SERIES[name][0](**params)
-    ctrl = ctrl or _DEFAULT_CTRL
+    terms, base, div, stop_on_zero, reductions = summand
+    if ctrl is None:
+        ctrl = _DEFAULT_CTRL
+    elif not isinstance(ctrl, SeriesControl):
+        raise DomainError(f"ctrl must be a SeriesControl or None, got {ctrl!r}")
     tol = ctrl.tol
     max_terms = ctrl.max_terms
     tail_fit = _tail_fit
@@ -306,6 +311,8 @@ def _beta_limit(u: float) -> _Summand:
 
 def _digamma(u: float) -> _Summand:
     y = positive_real(u, "u")
+    if y > _MAX_DIGAMMA_U:
+        raise DomainError(f"digamma_series supports u <= {_MAX_DIGAMMA_U}, got {u!r}")
     acc = 0.0
     reductions = 0
     while y > 1.0:
@@ -334,30 +341,30 @@ def _trigamma(u: float) -> _Summand:
     return _Summand(_trigamma_terms(u))
 
 
-def _trigamma_half(convention: str, div: float = 1.0) -> _Summand:
+def _trigamma_half(convention: str) -> _Summand:
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     return _Summand(
         _trigamma_half_terms(include_k0=(convention == CORRECTED)),
-        div=div,
         stop_on_zero=False,  # the literal convention's first term is 0 but later ones are not
     )
 
 
-# The one list of series: name -> (term source, ((CLI flag, parameter), ...)).
-# The public functions, trace() and the CLI all read it.
-SERIES: dict[str, tuple[Callable[..., _Summand], tuple[tuple[str, str], ...]]] = {
-    "beta": (_beta, (("u", "u"), ("v", "v"))),
-    "beta-limit": (_beta_limit, (("u", "u"),)),
-    "digamma": (_digamma, (("u", "u"),)),
-    "log2": (_log2, ()),
-    "norlund": (_norlund, (("xarg", "x"), ("a", "a"))),
-    "trigamma": (_trigamma, (("u", "u"),)),
-    "trigamma-half": (_trigamma_half, (("convention", "convention"),)),
-    "zeta2": (
-        lambda convention: _trigamma_half(convention, div=3.0),
-        (("convention", "convention"),),
-    ),
+def _zeta2(convention: str) -> _Summand:
+    return _trigamma_half(convention)._replace(div=3.0)
+
+
+# The one list of series: name -> term source.  trace() looks a series up here,
+# and the CLI reads each series' parameters from its term source's signature.
+SERIES: dict[str, Callable[..., _Summand]] = {
+    "beta": _beta,
+    "beta-limit": _beta_limit,
+    "digamma": _digamma,
+    "log2": _log2,
+    "norlund": _norlund,
+    "trigamma": _trigamma,
+    "trigamma-half": _trigamma_half,
+    "zeta2": _zeta2,
 }
 
 
@@ -369,27 +376,27 @@ def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> Series
 
     Terminates exactly for positive integer u (the rising factor vanishes).
     """
-    return _run("beta", {"u": u, "v": v}, ctrl)[0]
+    return _run(_beta(u, v), ctrl)[0]
 
 
 def beta_limit_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
     """``sum_{n>=1} (1-u)_n / (n n!)``: the v->0 limit of ``B(u,v) - 1/v``."""
-    return _run("beta-limit", {"u": u}, ctrl)[0]
+    return _run(_beta_limit(u), ctrl)[0]
 
 
 def digamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
     """psi(u) as ``-gamma - sum_{n>=1} (1-u)_n / (n n!)``.
 
     The series converges for u in (0, 1]; larger arguments are first reduced
-    with ``psi(y+1) = psi(y) + 1/y`` and the number of reduction steps is
-    reported in ``reductions`` (0 means the pure series path was used).
+    with ``psi(y+1) = psi(y) + 1/y``, one step per unit, so u <= 1e6.  The
+    number of steps is reported in ``reductions`` (0: the pure series path).
     """
-    return _run("digamma", {"u": u}, ctrl)[0]
+    return _run(_digamma(u), ctrl)[0]
 
 
 def log2_series(ctrl: SeriesControl | None = None) -> SeriesResult:
     """log 2 as ``sum_{n>=1} C(2n,n) / (n 2^{2n+1})`` (terms ~ n^-1.5)."""
-    return _run("log2", {}, ctrl)[0]
+    return _run(_log2(), ctrl)[0]
 
 
 def norlund_diff(x: float, a: float, ctrl: SeriesControl | None = None) -> SeriesResult:
@@ -398,7 +405,7 @@ def norlund_diff(x: float, a: float, ctrl: SeriesControl | None = None) -> Serie
     Requires ``a > 0`` and ``x + a > 0``; terminates exactly for integer
     x >= 0 (falling factor vanishes at k = x + 1).
     """
-    return _run("norlund", {"x": x, "a": a}, ctrl)[0]
+    return _run(_norlund(x, a), ctrl)[0]
 
 
 def trigamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
@@ -407,7 +414,7 @@ def trigamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult
     Term n is ``(1/(n n!)) (1-u)_n [psi(n+1-u) - psi(1-u)]`` with the bracket
     maintained incrementally (adds ``1/(n-u)`` per step).
     """
-    return _run("trigamma", {"u": u}, ctrl)[0]
+    return _run(_trigamma(u), ctrl)[0]
 
 
 def trigamma_half_series(convention: str, ctrl: SeriesControl | None = None) -> SeriesResult:
@@ -416,12 +423,12 @@ def trigamma_half_series(convention: str, ctrl: SeriesControl | None = None) -> 
     ``convention`` picks the inner sum's lower index: ``corrected`` starts at
     k = 0 (sums to pi^2/2), ``literal`` starts at k = 1 (lands 4 log 2 lower).
     """
-    return _run("trigamma-half", {"convention": convention}, ctrl)[0]
+    return _run(_trigamma_half(convention), ctrl)[0]
 
 
 def zeta2_series(convention: str, ctrl: SeriesControl | None = None) -> SeriesResult:
     """zeta(2) as one third of the trigamma-at-one-half series."""
-    return _run("zeta2", {"convention": convention}, ctrl)[0]
+    return _run(_zeta2(convention), ctrl)[0]
 
 
 def trace(
@@ -430,12 +437,14 @@ def trace(
     """Run series ``name`` with ``params``, recording a row every ``every`` terms.
 
     Raises :class:`DomainError` for an unknown name, for ``params`` that is
-    not a mapping whose keys are exactly the series' parameters (see
-    :data:`SERIES`), or for an ``every`` that is not an integer >= 0.
+    not a mapping whose keys are exactly the parameters of the series' term
+    source in :data:`SERIES`, for an ``every`` that is not an integer >= 0,
+    or for a ``ctrl`` that is not a SeriesControl or None.
     """
     if name not in SERIES:
         raise DomainError(f"unknown series {name!r}; choose from {sorted(SERIES)}")
-    expected = [param for _, param in SERIES[name][1]]
+    source = SERIES[name]
+    expected = list(inspect.signature(source).parameters)
     if not isinstance(params, Mapping) or set(params) != set(expected):
         raise DomainError(f"series {name!r} takes parameters {expected}, got {params!r}")
-    return _run(name, params, ctrl, integer(every, "every", 0))
+    return _run(source(**params), ctrl, integer(every, "every", 0))

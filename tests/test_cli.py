@@ -133,6 +133,16 @@ def test_eval_overflow_exits_2_with_error_line(capsys, argv):
     assert err.startswith("error:") and "overflows double precision" in err
 
 
+def test_eval_factorial_with_a_vanishing_factor_prints_zero(capsys):
+    # The factors before the zero overflow; the product is still exactly 0.
+    assert run_cli(capsys, "eval", "rising", "--x", "-400", "--x2", "500") == (
+        0, "0\n", ""
+    )
+    assert run_cli(capsys, "eval", "falling", "--x", "400", "--x2", "500") == (
+        0, "-0\n", ""
+    )
+
+
 def test_eval_domain_error(capsys):
     code, _, err = run_cli(capsys, "eval", "gamma", "--x", "-1")
     assert code == 2

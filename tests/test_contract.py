@@ -3,7 +3,8 @@
 Every public function of core_special, series, quadrature and limits either
 returns finite doubles or raises a ``BetalabError`` subclass.  Starting from
 one valid call per function, each numeric argument is replaced in turn by a
-value that is not a finite int or float; none may be accepted or leak a
+value that is not a finite int or float, and each series ``ctrl`` by one
+that is not a ``SeriesControl`` or None; none may be accepted or leak a
 builtin exception.  The functions are found from each module's ``__all__``,
 so a new public function fails here until it gets a valid call below.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import time
 
 import pytest
 
@@ -19,7 +21,7 @@ from betalab import core_special as cs
 from betalab import limits as lm
 from betalab import quadrature as qd
 from betalab import series as sr
-from betalab.errors import BetalabError, OverflowRangeError
+from betalab.errors import BetalabError, DomainError, OverflowRangeError
 
 CTRL = sr.SeriesControl(max_terms=50)
 
@@ -65,6 +67,9 @@ VALID_CALLS = {
 # beyond double range, and nan.
 BAD_VALUES = ("abc", "2", None, True, 10**400, math.nan)
 
+# Not a SeriesControl or None: a falsy and a truthy int, text, a bool, a mapping.
+BAD_CTRLS = (0, 5, "abc", True, {"tol": 1e-3})
+
 
 def _public_functions(module) -> list:
     return [n for n in module.__all__ if inspect.isfunction(getattr(module, n))]
@@ -92,6 +97,10 @@ def _substituted(args: tuple, kwargs: dict):
         for key, value in kwargs.items():
             if _is_number(value):
                 yield f"{key} = {bad!r:.20}", args, {**kwargs, key: bad}
+    for i, arg in enumerate(args):
+        if isinstance(arg, sr.SeriesControl):
+            for bad in BAD_CTRLS:
+                yield f"ctrl = {bad!r:.20}", args[:i] + (bad,) + args[i + 1 :], kwargs
 
 
 def _finite(result) -> bool:
@@ -160,3 +169,70 @@ def test_true_overflow_raises_overflow_range_error(func, args):
 @pytest.mark.parametrize("s", [1e300, 1.7e308])
 def test_riemann_zeta_of_huge_s_is_one(s):
     assert cs.riemann_zeta(s) == 1.0
+
+
+# --- products and sums over n: exact zeros, bounded loops -------------------
+
+
+def _product(x: float, n: int, factor) -> float:
+    """The plain left-to-right product of ``factor(x, k)``, k < n."""
+    p = 1.0
+    for k in range(n):
+        p *= factor(x, k)
+    return p
+
+
+FACTORIALS = [(cs.rising, lambda x, k: x + k), (cs.falling, lambda x, k: x - k)]
+FACTORIAL_XS = [-0.0, 0.0, 0.3, -0.3] + [k / 2 for k in range(-80, 81)] + [-400.0, 400.0]
+
+
+@pytest.mark.parametrize("func, factor", FACTORIALS, ids=["rising", "falling"])
+def test_factorials_keep_every_finite_product_and_zero_the_rest(func, factor):
+    for x in FACTORIAL_XS:
+        for n in list(range(0, 60)) + [169, 170, 171, 500]:
+            expected = _product(x, n, factor)
+            try:
+                got = func(x, n)
+            except OverflowRangeError:
+                assert math.isinf(expected), (x, n)
+                continue
+            if math.isnan(expected):  # inf * 0: a factor vanished after an overflow
+                assert got == 0.0, (x, n)
+            else:  # the same bits, down to the sign of a zero
+                assert (got, math.copysign(1.0, got)) == (
+                    expected, math.copysign(1.0, expected)
+                ), (x, n)
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: cs.harmonic(10**15), DomainError),
+        (lambda: cs.odd_harmonic(10**15), DomainError),
+        (lambda: sr.digamma_series(1e15), DomainError),
+        (lambda: cs.rising(0.0, 10**15), 0.0),
+        (lambda: cs.rising(0.5, 10**15), OverflowRangeError),
+        (lambda: cs.falling(0.5, 10**15), OverflowRangeError),
+        (lambda: cs.rising(-400.0, 500), 0.0),
+        (lambda: cs.falling(400.0, 500), 0.0),
+    ],
+    ids=[
+        "harmonic", "odd_harmonic", "digamma_series", "rising-zero", "rising-overflow",
+        "falling-overflow", "rising-zero-after-overflow", "falling-zero-after-overflow",
+    ],
+)
+def test_huge_counts_return_or_raise_within_a_second(call, outcome):
+    start = time.perf_counter()
+    if isinstance(outcome, float):
+        assert call() == outcome
+    else:
+        with pytest.raises(outcome):
+            call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_count_caps_admit_their_bound():
+    assert cs.odd_harmonic(10**6) > cs.odd_harmonic(10**6 - 1)
+    assert sr.digamma_series(1e6, CTRL).reductions == 999_999
+    with pytest.raises(DomainError, match="u <= 1000000"):
+        sr.digamma_series(1e6 + 1, CTRL)

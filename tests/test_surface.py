@@ -1,0 +1,161 @@
+"""The public surface is described once.
+
+Each module's ``__all__`` is the one list of its public names, and the package
+root republishes those lists.  Each routine's signature is the one list of
+its parameters: through the CLI, every eval function, series, kernel and
+limit takes exactly its parameters without defaults, with their int/float
+kinds.
+"""
+
+from __future__ import annotations
+
+import inspect
+import re
+
+import pytest
+
+import betalab as bl
+from betalab import cli, errors
+from betalab import core_special as cs
+from betalab import limits as lm
+from betalab import quadrature as qd
+from betalab import series as sr
+from betalab import verify as vf
+
+MODULES = (errors, cs, sr, qd, lm, vf)
+
+# The CLI names of the kernels and limits, and the routine each one runs.
+KERNELS = {
+    "beta": qd.beta_integral,
+    "digamma": qd.digamma_integral,
+    "log-kernel": qd.log_kernel_moment,
+}
+LIMITS = {
+    "beta-pole": lm.beta_pole_limit,
+    "gamma-derivative": lm.gamma_derivative_at_1,
+    "gamma-pole": lm.gamma_pole_limit,
+    "scaled-beta": lm.scaled_beta_limits,
+}
+EVAL_FUNCTIONS = [name for name in cs.__all__ if inspect.isfunction(getattr(cs, name))]
+
+
+def _required(func) -> list[inspect.Parameter]:
+    params = inspect.signature(func, eval_str=True).parameters.values()
+    return [p for p in params if p.default is p.empty]
+
+
+def _run(capsys, argv: list) -> tuple[int, str, str]:
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _argv(prefix: list, values: dict) -> list:
+    """``prefix`` followed by ``--flag text`` for each entry of ``values``."""
+    return prefix + [item for flag, text in values.items() for item in (f"--{flag}", text)]
+
+
+# --- the package root ---------------------------------------------------------
+
+
+def test_package_root_republishes_each_module_all():
+    assert bl.__all__ == ["__version__"] + [name for m in MODULES for name in m.__all__]
+    assert len(set(bl.__all__)) == len(bl.__all__)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(bl, name) is getattr(module, name), name
+    assert bl.__version__ == vf.TOOL_VERSION
+
+
+def test_errors_export_exactly_the_exception_classes():
+    classes = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.BetalabError)
+    }
+    assert set(errors.__all__) == classes
+    assert len(classes) == 6
+
+
+# --- the CLI ------------------------------------------------------------------
+
+
+def _choices(capsys, subcommand: str) -> set:
+    """The choices that ``subcommand --help`` lists under its positional argument."""
+    code, out, _ = _run(capsys, [subcommand, "--help"])
+    assert code == 0
+    return set(re.search(r"^\s*\{([^}]*)\}", out, re.MULTILINE).group(1).split(","))
+
+
+def test_cli_offers_exactly_the_routines(capsys):
+    assert _choices(capsys, "eval") == set(EVAL_FUNCTIONS)
+    assert _choices(capsys, "series") == set(sr.SERIES)
+    assert _choices(capsys, "integrate") == set(KERNELS)
+    assert _choices(capsys, "limit") == set(LIMITS)
+
+
+def _check_takes_exactly(capsys, prefix: list, given: dict, flags: tuple, defaulted=()):
+    """``prefix`` runs with the ``given`` flags, needs each and refuses the others.
+
+    A flag in ``defaulted`` may be left out: the CLI supplies its default.
+    """
+    code, _, err = _run(capsys, _argv(prefix, given))
+    assert code == 0, (prefix, err)
+    for flag in given:
+        code, _, err = _run(capsys, _argv(prefix, {f: t for f, t in given.items() if f != flag}))
+        if flag in defaulted:
+            assert code == 0, (prefix, flag, err)
+        else:
+            assert code == 2 and "requires" in err and f"--{flag}" in err, (prefix, flag, err)
+    for flag in flags:
+        if flag not in given:
+            extra = "literal" if flag == "convention" else "1"
+            code, _, err = _run(capsys, _argv(prefix, {**given, flag: extra}))
+            assert code == 2 and f"takes no --{flag}" in err, (prefix, flag, err)
+
+
+@pytest.mark.parametrize("name", EVAL_FUNCTIONS)
+def test_eval_takes_the_functions_parameters_by_position(capsys, name):
+    func = getattr(cs, name)
+    params = _required(func)
+    assert len(params) <= 2
+    kinds = [p.annotation for p in params]
+    assert set(kinds) <= {int, float}
+    given = dict(zip(("x", "x2"), ["2" if kind is int else "2.5" for kind in kinds]))
+    _check_takes_exactly(capsys, ["eval", name], given, ("x", "x2"))
+    code, out, _ = _run(capsys, _argv(["eval", name], given))
+    assert code == 0 and float(out) == func(*(kind(t) for kind, t in zip(kinds, given.values())))
+    for flag, kind in zip(given, kinds):
+        if kind is int:  # a fractional value for an int parameter is refused
+            code, _, err = _run(capsys, _argv(["eval", name], {**given, flag: "2.5"}))
+            assert code == 2 and f"--{flag} must be an integer" in err
+
+
+SERIES_FLAGS = ("u", "v", "a", "xarg", "convention")
+
+
+@pytest.mark.parametrize("name", sorted(sr.SERIES))
+def test_series_takes_its_term_sources_parameters(capsys, name):
+    params = _required(sr.SERIES[name])
+    flags = ["xarg" if p.name == "x" else p.name for p in params]  # norlund's x is --xarg
+    given = {flag: "literal" if flag == "convention" else "0.5" for flag in flags}
+    prefix = ["series", name, "--max-terms", "20"]
+    _check_takes_exactly(capsys, prefix, given, SERIES_FLAGS, defaulted=("convention",))
+    options = cli.parse(_argv(prefix, given)).options
+    assert [type(options[flag]) for flag in flags] == [p.annotation for p in params]
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_integrate_takes_the_kernels_parameters(capsys, kernel):
+    params = _required(KERNELS[kernel])
+    assert {p.annotation for p in params} == {float}
+    given = {p.name: "1.5" for p in params}
+    _check_takes_exactly(capsys, ["integrate", kernel, "--tol", "1e-6"], given, ("u", "v"))
+
+
+@pytest.mark.parametrize("name", sorted(LIMITS))
+def test_limit_takes_the_routines_parameters(capsys, name):
+    params = _required(LIMITS[name])
+    assert {p.annotation for p in params} <= {float}
+    given = {p.name: "1.5" for p in params}
+    _check_takes_exactly(capsys, ["limit", name, "--depth", "4"], given, ("u",))
