@@ -7,8 +7,8 @@ limits), and ``verify`` (the identity suite with table/json/csv reports).
 
 Exit codes: 0 success (and all identities passing), 1 verification failures,
 2 usage or domain errors, 3 non-convergence (quadrature refinement cap, or a
-series run that hit ``--max-terms`` with its estimated tail still above an
-explicitly requested ``--tol``).
+series run that stopped at ``max_terms`` or ``precision_limit`` with its
+estimated tail still above an explicitly requested ``--tol``).
 
 Every printed number uses 17 significant digits, so parsing it back yields
 the exact double that was computed.  All behaviour is controlled by flags;
@@ -149,11 +149,11 @@ def _run_series(options: Mapping) -> int:
     explicit_tol = options["tol"]
     if (
         explicit_tol is not None
-        and result.termination == sr.MAX_TERMS
+        and result.termination in (sr.MAX_TERMS, sr.PRECISION_LIMIT)
         and result.tail_estimate > explicit_tol
     ):
         print(
-            f"error: series stopped at max_terms with estimated tail "
+            f"error: series stopped at {result.termination} with estimated tail "
             f"{_g(result.tail_estimate)} above tol {_g(explicit_tol)}",
             file=sys.stderr,
         )
@@ -243,7 +243,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", help="first argument")
     p_eval.add_argument("--x2", help="second argument (two-argument functions)")
 
-    p_series = sub.add_parser("series", help="sum a slowly convergent series")
+    p_series = sub.add_parser(
+        "series",
+        help="sum a slowly convergent series",
+        description="Sum a slowly convergent series.  beta, beta-limit, digamma, log2 and "
+        "norlund, when infinite, are Levin-u extrapolated from their first few dozen "
+        "terms, and tail_estimate is the residual of the best transform; trigamma, "
+        "trigamma-half, zeta2 and every --no-tail-correction run use a power-law tail "
+        f"estimate.  termination is one of {', '.join(sr.TERMINATIONS)}.",
+    )
     p_series.add_argument("name", choices=sorted(sr.SERIES))
     p_series.add_argument("--u", type=float, help="series parameter u")
     p_series.add_argument("--v", type=float, help="series parameter v")
@@ -257,14 +265,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument(
         "--max-terms", type=int, help=f"term cap (default {sr.SeriesControl.max_terms})"
     )
-    p_series.add_argument("--tol", type=float, help="stop when estimated tail <= tol")
+    p_series.add_argument(
+        "--tol",
+        type=float,
+        help=f"stop when estimated tail <= tol (default {sr.SeriesControl.tol:g}); "
+        "if given, a run that stops above it exits 3",
+    )
     p_series.add_argument(
         "--every", type=int, default=0, help="print a table row every N terms"
     )
     p_series.add_argument(
         "--no-tail-correction",
         action="store_true",
-        help="report the raw partial sum as the value",
+        help="report the raw partial sum as the value (power-law path, no extrapolation)",
     )
 
     p_int = sub.add_parser("integrate", help="tanh-sinh integration of a kernel")

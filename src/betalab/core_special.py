@@ -75,18 +75,39 @@ _HURWITZ_COEFFS = tuple(
 )
 
 _MAX_HARMONIC_N = 10**6  # the harmonic sums add one term per unit of n
+# From here beta's lgamma(big) - lgamma(big + small) would cancel ~1e-12 of B
+# away (all of it by 1e16), so it takes the Stirling difference instead.
+_BETA_STIRLING_MIN = 1e4
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _stirling_lgamma(x: float) -> float:
-    """Stirling series for log Gamma, accurate to ~1 ulp for x >= 10."""
+def _stirling_corr(x: float) -> float:
+    """The Bernoulli part of Stirling's series, ``sum_k B_2k / (2k (2k-1) x^(2k-1))``."""
     w = 1.0 / (x * x)
     s = _STIRLING[5]
     for c in (_STIRLING[4], _STIRLING[3], _STIRLING[2], _STIRLING[1], _STIRLING[0]):
         s = s * w + c
-    return (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + s / x
+    return s / x
+
+
+def _stirling_lgamma(x: float) -> float:
+    """Stirling series for log Gamma, accurate to ~1 ulp for x >= 10."""
+    return (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + _stirling_corr(x)
+
+
+def _lgamma_diff(x: float, y: float) -> float:
+    """``lgamma(x) - lgamma(x + y)`` for x >= 10, from Stirling's series term by term.
+
+    The leading terms are combined through ``log1p(y/x)`` before they are
+    subtracted, so the difference keeps its digits when x dwarfs y, where
+    the two log-gammas agree in all of theirs.
+    """
+    xy = x + y
+    return -(x - 0.5) * math.log1p(y / x) - y * math.log(xy) + y + (
+        _stirling_corr(x) - _stirling_corr(xy)
+    )
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
@@ -192,14 +213,20 @@ def beta(u: float, v: float) -> float:
     """Euler beta ``Gamma(u)Gamma(v)/Gamma(u+v)`` via log-gamma differences.
 
     Small integer arguments take the exact-factorial route, so e.g.
-    ``beta(2, 3)`` is the correctly rounded double of 1/12.
+    ``beta(2, 3)`` is the correctly rounded double of 1/12.  Once the larger
+    argument reaches 1e4, ``lgamma(big) - lgamma(big + small)`` is taken as
+    one Stirling difference, so e.g. ``beta(1e306, 0.5)`` is ~1.8e-153.
     """
     u = positive_real(u, "u")
     v = positive_real(v, "v")
     if u == math.floor(u) and v == math.floor(v) and u + v <= 21.0:
         # (u-1)!(v-1)! <= 10!*9! fits exactly in a double; one rounding total.
         return gamma(u) * gamma(v) / gamma(u + v)
-    log_beta = lgamma(u) + lgamma(v) - lgamma(u + v)
+    small, big = (u, v) if u <= v else (v, u)
+    if big >= _BETA_STIRLING_MIN:
+        log_beta = lgamma(small) + _lgamma_diff(big, small)
+    else:
+        log_beta = lgamma(u) + lgamma(v) - lgamma(u + v)
     try:
         return math.exp(log_beta)
     except OverflowError:

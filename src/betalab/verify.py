@@ -61,7 +61,7 @@ __all__ = [
     "render_report",
 ]
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"

@@ -154,7 +154,8 @@ def test_eval_domain_error(capsys):
 
 def test_series_trace_table_shape(capsys):
     code, out, _ = run_cli(
-        capsys, "series", "digamma", "--u", "0.5", "--max-terms", "1000", "--every", "100"
+        capsys, "series", "digamma", "--u", "0.5", "--max-terms", "1000", "--every", "100",
+        "--no-tail-correction",
     )
     assert code == 0
     lines = out.splitlines()
@@ -196,10 +197,23 @@ def test_series_explicit_tol_unmet_exits_3(capsys):
     code, out, err = run_cli(
         capsys,
         "series", "digamma", "--u", "0.5", "--max-terms", "1000", "--tol", "1e-8",
+        "--no-tail-correction",
     )
     assert code == 3
     assert "above tol" in err
     assert "termination      = max_terms" in out
+
+
+def test_series_extrapolation_short_of_tol_exits_3(capsys):
+    code, out, err = run_cli(capsys, "series", "digamma", "--u", "0.5", "--tol", "1e-12")
+    assert code == 3
+    assert "termination      = precision_limit" in out
+    assert err.startswith("error: series stopped at precision_limit with estimated tail ")
+    assert "above tol 9.9999999999999998e-13" in err
+    # Without --tol the same run is exploratory.
+    code, out, err = run_cli(capsys, "series", "digamma", "--u", "0.5")
+    assert (code, err) == (0, "")
+    assert "termination      = precision_limit" in out
 
 
 def test_series_explicit_tol_met_exits_0(capsys):

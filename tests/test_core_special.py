@@ -117,6 +117,29 @@ def test_beta_matches_mpmath(u, v):
     assert rel_err(bl.beta(u, v), reference) <= 1e-12
 
 
+# One argument at 1e4 and above: lgamma(big) - lgamma(big + small) used to cancel
+# away the digits of B (beta(1e17, 0.5) was 1.0) or overflow (beta(1e306, 0.5)).
+@pytest.mark.parametrize("big", [1e4, 3e5, 1e8, 1e16, 1e17, 1e100, 1e306, 1.7e308])
+@pytest.mark.parametrize("small", [1e-300, 1e-3, 0.5, 2.0, 7.5])
+def test_beta_with_one_huge_argument_matches_mpmath(big, small):
+    # u + v is exact only with as many digits as big has; 50 more for the result.
+    with mpmath.workdps(50 + int(math.log10(big))):
+        reference = mpmath.beta(mpmath.mpf(big), mpmath.mpf(small))
+    # log B is good to ~eps per unit of its largest parts
+    allowed = 1e-15 * (1.0 + abs(math.lgamma(small)) + small * math.log(big))
+    for u, v in ((big, small), (small, big)):
+        value = bl.beta(u, v)
+        if reference < 2.0**-1074:  # B underflows; it must not raise
+            assert value == 0.0
+        else:
+            assert float(abs(value - reference) / reference) <= allowed, (u, v, value)
+
+
+@pytest.mark.parametrize("u,v", [(9999.5, 0.5), (9999.0, 9999.0), (0.3, 7000.0), (250.5, 12.0)])
+def test_beta_below_1e4_keeps_the_log_gamma_route(u, v):
+    assert bl.beta(u, v) == math.exp(bl.lgamma(u) + bl.lgamma(v) - bl.lgamma(u + v))
+
+
 # --- digamma / polygamma --------------------------------------------------
 
 

@@ -1,0 +1,188 @@
+"""The Levin path of the series engine: honest residuals, small work, reductions.
+
+References come from mpmath at 30 digits; mpmath appears only in the tests.
+"""
+
+from __future__ import annotations
+
+import math
+
+import mpmath
+import pytest
+
+import betalab as bl
+from betalab.errors import DomainError
+
+mpmath.mp.dps = 30
+
+ACCELERATED = ("beta", "beta-limit", "digamma", "log2", "norlund")
+
+
+def _geometric(lo: float, hi: float, n: int) -> list[float]:
+    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+
+
+def _reference(name: str, params: dict):
+    if name == "beta":
+        return mpmath.beta(params["u"], params["v"])
+    if name == "beta-limit":  # sum (1-u)_n / (n n!) = -(psi(u) + gamma)
+        return -(mpmath.digamma(params["u"]) + mpmath.euler)
+    if name == "digamma":
+        return mpmath.digamma(params["u"])
+    if name == "log2":
+        return mpmath.log(2)
+    return mpmath.digamma(params["x"] + params["a"]) - mpmath.digamma(params["a"])
+
+
+# A deterministic grid over the seeded suite's ranges: EQ5 u in [0.25, 5],
+# v in [0.5, 2.5]; EQ6/EQ7 u in [0.25, 5]; EQ8 x in [0, 10], a in [0.5, 2.5];
+# LOG2; and arguments just above (and, for Norlund's x, below) integers.
+_U = _geometric(0.25, 5.0, 11)
+_NEAR = [m + eps for m in range(1, 6) for eps in (1e-12, 1e-6, 1e-4, 0.046, 0.5)]
+GRID = (
+    [("beta", {"u": u, "v": v}) for u in _U + _NEAR for v in (0.5, 0.9, 1.4, 2.0, 2.5)]
+    + [(name, {"u": u}) for name in ("beta-limit", "digamma") for u in _U + _NEAR]
+    + [
+        ("norlund", {"x": x, "a": a})
+        for x in [0.0, 0.3, 1.7, 2.5, 4.1, 6.6, 8.2, 9.9, 10.0]
+        + [m + eps for m in range(1, 10, 2) for eps in (-1e-6, 1e-6, 0.046)]
+        for a in (0.5, 1.2, 2.5)
+    ]
+    + [("log2", {})]
+)
+
+
+def test_residual_bounds_the_real_error_on_the_suite_ranges():
+    failures = []
+    extrapolated = 0
+    for name, params in GRID:
+        res, _ = bl.trace(name, params)
+        err = float(abs(mpmath.mpf(res.value) - _reference(name, params)))
+        if res.termination == bl.EXACT_TERMINATION:
+            ok = err <= 1e-13 * max(1.0, abs(res.value))
+        else:
+            extrapolated += 1
+            ok = (
+                err <= res.tail_estimate
+                and err <= 1e-6
+                and res.terms_used <= 64
+                and res.termination in (bl.TOLERANCE_MET, bl.PRECISION_LIMIT)
+                and (res.termination != bl.TOLERANCE_MET or res.tail_estimate <= 1e-10)
+            )
+        if not ok:
+            failures.append((name, params, res, err))
+    assert extrapolated > 300
+    assert not failures, failures[:5]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("norlund", {"x": 4.999999999999, "a": 2.5}),  # successive transforms all equal
+        ("beta", {"u": 7504.201411157739, "v": 0.010541629583875122}),  # 7,499 reductions
+    ],
+)
+def test_residual_covers_the_rounding_the_transforms_cannot_see(name, params):
+    res, _ = bl.trace(name, params)
+    assert float(abs(mpmath.mpf(res.value) - _reference(name, params))) <= res.tail_estimate
+
+
+@pytest.mark.parametrize("name", ACCELERATED)
+def test_tail_correction_off_keeps_the_power_law_engine(name):
+    params = {"beta": {"u": 0.5, "v": 0.5}, "norlund": {"x": 0.5, "a": 0.5}, "log2": {}}.get(
+        name, {"u": 0.5}
+    )
+    ctrl = bl.SeriesControl(max_terms=1_000, tail_correction=False)
+    res, rows = bl.trace(name, params, ctrl, every=1)
+    assert (res.termination, res.terms_used, len(rows)) == (bl.MAX_TERMS, 1_000, 1_000)
+    assert res.value == res.raw_partial_sum == rows[-1].partial_sum
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("beta", {"u": 8.0, "v": 2.5}),
+        ("beta", {"u": 50.0, "v": 0.5}),
+        ("beta-limit", {"u": 7.0}),
+        ("digamma", {"u": 6.0}),
+        ("norlund", {"x": 9.0, "a": 0.5}),
+    ],
+)
+def test_finite_series_are_summed_without_extrapolation(name, params):
+    # The same engine and bits as with tail correction off: the tail is 0 there.
+    res, rows = bl.trace(name, params, every=1)
+    plain, plain_rows = bl.trace(name, params, bl.SeriesControl(tail_correction=False), every=1)
+    assert res.termination == bl.EXACT_TERMINATION
+    assert (res, rows) == (plain, plain_rows)
+
+
+def test_tolerance_met_means_the_residual_is_within_tol():
+    expected = float(mpmath.digamma(3.7) - mpmath.digamma(1.0))
+    for tol in (1e-4, 1e-7, 1e-10):
+        res = bl.norlund_diff(2.7, 1.0, bl.SeriesControl(tol=tol))
+        assert res.termination == bl.TOLERANCE_MET
+        assert abs(res.value - expected) <= res.tail_estimate <= tol
+
+
+def test_precision_limit_reports_the_best_transform():
+    res, rows = bl.trace("log2", {}, bl.SeriesControl(tol=1e-15), every=1)
+    assert res.termination == bl.PRECISION_LIMIT
+    assert len(rows) == res.terms_used <= 40
+    assert res.tail_estimate == min(row.tail_estimate for row in rows if row.tail_estimate > 0.0)
+    assert res.raw_partial_sum == rows[-1].partial_sum
+    assert abs(res.value - math.log(2.0)) <= res.tail_estimate
+
+
+def test_max_terms_still_caps_the_levin_path():
+    res = bl.log2_series(bl.SeriesControl(max_terms=6))
+    assert (res.termination, res.terms_used) == (bl.MAX_TERMS, 6)
+    assert abs(res.value - math.log(2.0)) <= res.tail_estimate
+    short = bl.log2_series(bl.SeriesControl(max_terms=3))  # no residual before 4 terms
+    assert (short.value, short.tail_estimate) == (short.raw_partial_sum, 0.0)
+
+
+# --- beta_series argument reduction ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "u, v, reductions",
+    [
+        (60.5, 0.5, 55),  # was 17% off
+        (200.5, 0.5, 195),  # was 4.8e40 with tolerance_met
+        (1000.25, 1.5, 995),
+        (60.0, 0.5, 10),  # integers above 50 step down to 50, then end exactly
+        (200.0, 2.5, 150),
+    ],
+)
+def test_beta_series_reduces_large_u(u, v, reductions):
+    res = bl.beta_series(u, v)
+    reference = mpmath.beta(u, v)
+    assert res.reductions == reductions
+    assert float(abs(res.value - reference) / reference) <= 1e-12
+    if res.termination != bl.EXACT_TERMINATION:
+        assert float(abs(res.value - reference)) <= res.tail_estimate
+
+
+@pytest.mark.parametrize(
+    "u, v, reductions",
+    [
+        (7.5, 40.0, 40),  # u into (5, 6], then v into (0, 2]
+        (0.3, 1000.7, 999),  # unreduced, beta(0.5, 1e6) was 1.8e-3 off with a 6e-10 residual
+        (8.0, 40.0, 0),  # a finite series keeps its v
+    ],
+)
+def test_beta_series_reduces_large_v_of_an_infinite_series(u, v, reductions):
+    res = bl.beta_series(u, v)
+    reference = mpmath.beta(u, v)
+    assert res.reductions == reductions
+    assert float(abs(res.value - reference) / reference) <= 1e-7
+    if res.termination != bl.EXACT_TERMINATION:
+        assert float(abs(res.value - reference)) <= res.tail_estimate
+
+
+def test_beta_series_reduction_caps():
+    with pytest.raises(DomainError, match="beta_series supports u <= 1000000"):
+        bl.beta_series(1e6 + 0.5, 1.0)
+    with pytest.raises(DomainError, match="beta_series supports v <= 1000000"):
+        bl.beta_series(0.5, 2e6)
+    assert bl.beta_series(3.0, 2e6).termination == bl.EXACT_TERMINATION

@@ -59,6 +59,15 @@ def test_full_suite_all_pass(full_report):
     }
 
 
+def test_extrapolated_series_checks_stay_within_their_work_budget(full_report):
+    # These series ran 100,000 terms per check before Levin extrapolation.
+    records = [
+        r for r in full_report.records if r.identity_id in ("EQ5", "EQ6", "EQ7", "EQ8", "LOG2")
+    ]
+    assert len(records) == 21 + 7 + 7 + 12 + 1
+    assert max(r.diagnostics["terms_used"] for r in records) <= 64
+
+
 def test_records_sorted_by_identity_id(full_report):
     ids = [record.identity_id for record in full_report.records]
     assert ids == sorted(ids)
