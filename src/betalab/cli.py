@@ -248,9 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sum a slowly convergent series",
         description="Sum a slowly convergent series.  beta, beta-limit, digamma, log2 and "
         "norlund, when infinite, are Levin-u extrapolated from their first few dozen "
-        "terms, and tail_estimate is the residual of the best transform; trigamma, "
-        "trigamma-half, zeta2 and every --no-tail-correction run use a power-law tail "
-        f"estimate.  termination is one of {', '.join(sr.TERMINATIONS)}.",
+        "terms; trigamma, trigamma-half and zeta2 are Levin-Sidi d2 extrapolated from "
+        "at most 1,477 terms.  There tail_estimate is the residual of the best "
+        "transform; every --no-tail-correction run uses a power-law tail estimate.  "
+        f"termination is one of {', '.join(sr.TERMINATIONS)}.",
     )
     p_series.add_argument("name", choices=sorted(sr.SERIES))
     p_series.add_argument("--u", type=float, help="series parameter u")

@@ -184,32 +184,33 @@ def test_c07_norlund_difference_harmonic_and_half():
 def test_c08_trigamma_series_family_and_convention_gap():
     failures = []
     worst = 0.0
+    # Each error must be within its own tail estimate and a fixed bound.
     for u in (0.25, 0.5, 0.75):
         res = bl.trigamma_series(u)
         err = abs(res.value - bl.trigamma(u))
         worst = max(worst, err)
-        if err > 1e-4 + res.tail_estimate:
+        if err > min(1e-8, res.tail_estimate):
             failures.append(f"u={u} err={err:.2e}")
     half_corr = bl.trigamma_half_series(convention=bl.CORRECTED)
     err_half = abs(half_corr.value - math.pi ** 2 / 2.0)
-    if err_half > 5e-4 + half_corr.tail_estimate:
+    if err_half > min(1e-10, half_corr.tail_estimate):
         failures.append(f"trigamma-half err={err_half:.2e}")
     z2 = bl.zeta2_series(convention=bl.CORRECTED)
     err_z2 = abs(z2.value - zeta_oracle(2))
     assert abs(zeta_oracle(2) - 1.6449340668) < 5e-11
-    if err_z2 > 2e-4 + z2.tail_estimate:
+    if err_z2 > min(1e-10, z2.tail_estimate):
         failures.append(f"zeta2 err={err_z2:.2e}")
     half_lit = bl.trigamma_half_series(convention=bl.LITERAL)
     gap = half_corr.value - half_lit.value
     err_gap = abs(gap - 4.0 * log2_oracle())
-    if err_gap > 1e-4:
+    if err_gap > 1e-10:
         failures.append(f"convention gap err={err_gap:.2e}")
     _report(
         not failures,
-        f"C8 trigamma-family series: worst trigamma err {worst:.2e} (tail-aware "
-        f"1e-4); half-argument err {err_half:.2e} (tail-aware 5e-4); zeta(2) err "
-        f"{err_z2:.2e} (tail-aware 2e-4); corrected-literal gap vs 4 log 2 err "
-        f"{err_gap:.2e} (tol 1e-4)",
+        f"C8 trigamma-family series: worst trigamma err {worst:.2e} (within its "
+        f"tail estimate and 1e-8); half-argument err {err_half:.2e} and zeta(2) err "
+        f"{err_z2:.2e} (within their tail estimates and 1e-10); corrected-literal "
+        f"gap vs 4 log 2 err {err_gap:.2e} (tol 1e-10)",
         failures,
     )
 

@@ -87,11 +87,14 @@ def test_residual_covers_the_rounding_the_transforms_cannot_see(name, params):
     assert float(abs(mpmath.mpf(res.value) - _reference(name, params))) <= res.tail_estimate
 
 
-@pytest.mark.parametrize("name", ACCELERATED)
+@pytest.mark.parametrize("name", ACCELERATED + ("trigamma", "zeta2"))
 def test_tail_correction_off_keeps_the_power_law_engine(name):
-    params = {"beta": {"u": 0.5, "v": 0.5}, "norlund": {"x": 0.5, "a": 0.5}, "log2": {}}.get(
-        name, {"u": 0.5}
-    )
+    params = {
+        "beta": {"u": 0.5, "v": 0.5},
+        "norlund": {"x": 0.5, "a": 0.5},
+        "log2": {},
+        "zeta2": {"convention": bl.LITERAL},
+    }.get(name, {"u": 0.5})
     ctrl = bl.SeriesControl(max_terms=1_000, tail_correction=False)
     res, rows = bl.trace(name, params, ctrl, every=1)
     assert (res.termination, res.terms_used, len(rows)) == (bl.MAX_TERMS, 1_000, 1_000)
@@ -141,7 +144,7 @@ def test_max_terms_still_caps_the_levin_path():
     assert (short.value, short.tail_estimate) == (short.raw_partial_sum, 0.0)
 
 
-# --- beta_series argument reduction ------------------------------------------
+# --- argument reduction ------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -151,7 +154,7 @@ def test_max_terms_still_caps_the_levin_path():
         (200.5, 0.5, 195),  # was 4.8e40 with tolerance_met
         (1000.25, 1.5, 995),
         (60.0, 0.5, 10),  # integers above 50 step down to 50, then end exactly
-        (200.0, 2.5, 150),
+        (200.0, 2.5, 151),  # and then v steps into (0, 2]
     ],
 )
 def test_beta_series_reduces_large_u(u, v, reductions):
@@ -168,7 +171,6 @@ def test_beta_series_reduces_large_u(u, v, reductions):
     [
         (7.5, 40.0, 40),  # u into (5, 6], then v into (0, 2]
         (0.3, 1000.7, 999),  # unreduced, beta(0.5, 1e6) was 1.8e-3 off with a 6e-10 residual
-        (8.0, 40.0, 0),  # a finite series keeps its v
     ],
 )
 def test_beta_series_reduces_large_v_of_an_infinite_series(u, v, reductions):
@@ -180,9 +182,57 @@ def test_beta_series_reduces_large_v_of_an_infinite_series(u, v, reductions):
         assert float(abs(res.value - reference)) <= res.tail_estimate
 
 
+@pytest.mark.parametrize(
+    "u, v, reductions",
+    [
+        (8.0, 40.0, 38),  # unreduced, 9.6e-10 relative off
+        (8.0, 200.0, 198),  # unreduced, 1.6e-4 relative off
+        (50.0, 1000.0, 998),  # unreduced, 100% off
+        (1.0, 1000.5, 0),  # the empty sum B(1, v) = 1/v keeps its v
+    ],
+)
+def test_beta_series_reduces_large_v_of_a_finite_series(u, v, reductions):
+    # The finite sum cancels against its base 1/v, whose rounding it cannot see.
+    res = bl.beta_series(u, v)
+    assert (res.termination, res.reductions) == (bl.EXACT_TERMINATION, reductions)
+    reference = mpmath.beta(u, v)
+    assert float(abs(res.value - reference) / reference) <= 1e-13
+
+
 def test_beta_series_reduction_caps():
     with pytest.raises(DomainError, match="beta_series supports u <= 1000000"):
         bl.beta_series(1e6 + 0.5, 1.0)
     with pytest.raises(DomainError, match="beta_series supports v <= 1000000"):
         bl.beta_series(0.5, 2e6)
     assert bl.beta_series(3.0, 2e6).termination == bl.EXACT_TERMINATION
+
+
+@pytest.mark.parametrize(
+    "name, params, reductions",
+    [
+        ("beta-limit", {"u": 50.0}, 0),  # inside the exact range: the plain finite sum
+        ("beta-limit", {"u": 60.0}, 10),  # unreduced, 7e-3 relative off
+        ("beta-limit", {"u": 80.0}, 30),  # unreduced, 18891.65 (true -4.95)
+        ("beta-limit", {"u": 1000.0}, 950),
+        ("beta-limit", {"u": 80.5}, 75),  # into (5, 6]; unreduced, 1e-6 relative off
+        ("norlund", {"x": 10.0, "a": 0.5}, 0),  # inside the exact range
+        ("norlund", {"x": 20.0, "a": 0.5}, 10),  # unreduced, 8e-13 relative off
+        ("norlund", {"x": 80.0, "a": 0.5}, 70),  # unreduced, 2.5e6 (true 6.35)
+        ("norlund", {"x": 1000.0, "a": 0.01}, 990),
+        ("norlund", {"x": 80.5, "a": 2.5}, 71),  # into (9, 10]; unreduced, 2e-8 relative off
+    ],
+)
+def test_beta_limit_and_norlund_reduce_large_arguments(name, params, reductions):
+    res, _ = bl.trace(name, params)
+    reference = _reference(name, params)
+    assert res.reductions == reductions
+    assert float(abs(res.value - reference) / abs(reference)) <= 1e-12
+    if res.termination != bl.EXACT_TERMINATION:
+        assert float(abs(res.value - reference)) <= res.tail_estimate
+
+
+def test_beta_limit_and_norlund_reduction_caps():
+    with pytest.raises(DomainError, match="beta_limit_series supports u <= 1000000"):
+        bl.beta_limit_series(1e6 + 0.5)
+    with pytest.raises(DomainError, match="norlund_diff supports x <= 1000000"):
+        bl.norlund_diff(2e6, 1.0)

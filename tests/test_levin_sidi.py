@@ -1,0 +1,110 @@
+"""The d2 path of the series engine: the trigamma family's honest residuals.
+
+References come from mpmath at 30 digits; mpmath appears only in the tests.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import mpmath
+import pytest
+
+import betalab as bl
+from betalab import series as sr
+
+mpmath.mp.dps = 30
+
+ORDER_CAP_TERMS = 1477  # the 19th geometric sample, where order 9 is solved
+
+
+def _geometric(lo: float, hi: float, n: int) -> list[float]:
+    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+
+
+def _reference(name: str, params: dict):
+    if name == "trigamma":
+        return mpmath.psi(1, params["u"])
+    half = mpmath.pi**2 / 2
+    if params["convention"] == bl.LITERAL:
+        half -= 4 * mpmath.log(2)
+    return half if name == "trigamma-half" else half / 3
+
+
+GRID = [("trigamma", {"u": u}) for u in _geometric(0.02, 0.99, 16) + [0.25, 0.5, 0.75]] + [
+    (name, {"convention": c}) for name in ("trigamma-half", "zeta2") for c in bl.CONVENTIONS
+]
+
+
+def _error(name: str, params: dict, value: float) -> float:
+    return float(abs(mpmath.mpf(value) - _reference(name, params)))
+
+
+@pytest.mark.parametrize("name, params", GRID)
+def test_residual_bounds_the_real_error(name, params):
+    res, _ = bl.trace(name, params)
+    assert _error(name, params, res.value) <= res.tail_estimate
+    assert res.termination in (bl.TOLERANCE_MET, bl.PRECISION_LIMIT)
+    if res.termination == bl.TOLERANCE_MET:
+        assert res.tail_estimate <= bl.SeriesControl().tol
+    assert res.terms_used <= ORDER_CAP_TERMS
+    # EQ9's seeded grids draw u from [0.25, 0.75]; EQ10 and EQ11 are single points.
+    if name != "trigamma" or 0.25 <= params["u"] <= 0.75:
+        assert res.tail_estimate <= 1e-6
+
+
+@pytest.mark.parametrize("u", [0.005, 0.01, 0.02, 0.05])
+def test_small_u_ends_in_precision_limit(u):
+    res = bl.trigamma_series(u)
+    assert (res.termination, res.terms_used) == (bl.PRECISION_LIMIT, ORDER_CAP_TERMS)
+    assert _error("trigamma", {"u": u}, res.value) <= res.tail_estimate
+
+
+def test_tolerance_met_means_the_residual_is_within_tol():
+    for tol in (1e-3, 1e-4, 1e-6):
+        res = bl.trigamma_series(0.75, bl.SeriesControl(tol=tol))
+        assert res.termination == bl.TOLERANCE_MET
+        assert res.terms_used < ORDER_CAP_TERMS
+        assert _error("trigamma", {"u": 0.75}, res.value) <= res.tail_estimate <= tol
+
+
+def test_precision_limit_reports_the_best_transform():
+    res, rows = bl.trace("trigamma", {"u": 0.25}, every=1)
+    assert res.termination == bl.PRECISION_LIMIT
+    assert len(rows) == res.terms_used == ORDER_CAP_TERMS
+    assert res.tail_estimate == min(row.tail_estimate for row in rows if row.tail_estimate > 0.0)
+    assert res.raw_partial_sum == rows[-1].partial_sum
+
+
+def test_max_terms_still_caps_the_d2_path():
+    res = bl.trigamma_series(0.5, bl.SeriesControl(max_terms=100))
+    assert (res.termination, res.terms_used) == (bl.MAX_TERMS, 100)
+    assert _error("trigamma", {"u": 0.5}, res.value) <= res.tail_estimate
+    short = bl.trigamma_series(0.5, bl.SeriesControl(max_terms=10))  # no residual before order 3
+    assert (short.value, short.tail_estimate) == (short.raw_partial_sum, 0.0)
+
+
+def test_a_zero_first_term_does_not_end_the_sum():
+    res, rows = bl.trace("trigamma-half", {"convention": bl.LITERAL}, every=1)
+    assert rows[0].term == 0.0
+    assert (res.termination, res.terms_used) == (bl.PRECISION_LIMIT, ORDER_CAP_TERMS)
+
+
+@pytest.mark.parametrize(
+    "terms, exact",
+    [
+        (sr._trigamma_terms(0.3), lambda n: mpmath.rf(0.7, n) / (n * mpmath.factorial(n))
+         * (mpmath.digamma(n + 0.7) - mpmath.digamma(0.7))),
+        (sr._trigamma_half_terms(include_k0=False), lambda n: 2 * mpmath.binomial(2 * n, n)
+         / (n * mpmath.mpf(4) ** n) * sum(mpmath.mpf(1) / (2 * k + 1) for k in range(1, n))),
+    ],
+    ids=["trigamma", "trigamma-half-literal"],
+)
+def test_differences_come_from_the_recurrence(terms, exact):
+    # a_{n+1} - a_n as accurate, relative to itself, as a_n is: subtracting
+    # two rounded terms would add a few ulps of a_n, about n times more.
+    for n, (term, diff) in enumerate(itertools.islice(terms, 2000), 1):
+        if n in (2, 10, 100, 1000, 2000):
+            term_error = float(abs(term - exact(n)) / abs(exact(n)))
+            want = exact(n + 1) - exact(n)
+            assert float(abs(diff - want) / abs(want)) <= 2.0 * term_error + 1e-15, n

@@ -249,8 +249,12 @@ def test_norlund_domain():
 
 @pytest.mark.parametrize("u", [0.25, 0.5, 0.75])
 def test_trigamma_series_tail_aware_accuracy(u):
+    # The d2 residual bounds the error by itself (measured 2.1e-7 at u = 0.25,
+    # where the error is 9.7e-10).
     res = bl.trigamma_series(u, CTRL_1E5)
-    assert abs(res.value - bl.trigamma(u)) <= 1e-4 + res.tail_estimate
+    err = abs(res.value - bl.trigamma(u))
+    assert err <= res.tail_estimate <= 1e-6
+    assert err <= 1e-8
 
 
 def test_trigamma_series_domain_is_open_unit_interval():
@@ -276,7 +280,7 @@ def test_trigamma_series_agrees_with_half_variant_termwise():
 
 def test_trigamma_half_corrected_value():
     res = bl.trigamma_half_series(bl.CORRECTED, CTRL_1E5)
-    assert abs(res.value - math.pi**2 / 2.0) <= 5e-4 + res.tail_estimate
+    assert abs(res.value - math.pi**2 / 2.0) <= res.tail_estimate <= 1e-9
 
 
 def test_trigamma_half_literal_first_term_vanishes():
@@ -310,20 +314,20 @@ def test_zeta2_series_is_one_third_of_half_series():
 
 def test_zeta2_series_corrected_value():
     res = bl.zeta2_series(bl.CORRECTED, CTRL_1E5)
-    assert abs(res.value - zeta_oracle(2.0)) <= 2e-4 + res.tail_estimate
+    assert abs(res.value - zeta_oracle(2.0)) <= res.tail_estimate <= 1e-9
 
 
 def test_convention_difference_is_four_log_two():
-    # At the default 10^6-term budget the two tail-corrected sums differ by
-    # 4 log 2 to within 1e-4 (measured 6.9e-5; the gap scales like the
-    # estimator's own N^{-1/2} bias, so a 10^5-term run only reaches 3.3e-4).
+    # The d2 path stops at its order cap after 1,477 terms, where the two sums
+    # differ by 4 log 2 to within 2.6e-12; a 1,000-term budget (order 8)
+    # still reaches 3.9e-11.
     corrected = bl.trigamma_half_series(bl.CORRECTED)
     literal = bl.trigamma_half_series(bl.LITERAL)
     diff = corrected.value - literal.value
-    assert abs(diff - 4.0 * log2_oracle()) <= 1e-4
-    short_c = bl.trigamma_half_series(bl.CORRECTED, CTRL_1E5)
-    short_l = bl.trigamma_half_series(bl.LITERAL, CTRL_1E5)
-    assert abs((short_c.value - short_l.value) - 4.0 * log2_oracle()) <= 5e-4
+    assert abs(diff - 4.0 * log2_oracle()) <= 1e-10
+    short_c = bl.trigamma_half_series(bl.CORRECTED, CTRL_1E3)
+    short_l = bl.trigamma_half_series(bl.LITERAL, CTRL_1E3)
+    assert abs((short_c.value - short_l.value) - 4.0 * log2_oracle()) <= 1e-9
 
 
 # --- trace dispatch -------------------------------------------------------
