@@ -249,8 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sum a slowly convergent series.  beta, beta-limit, digamma, log2 and "
         "norlund, when infinite, are Levin-u extrapolated from their first few dozen "
         "terms; trigamma, trigamma-half and zeta2 are Levin-Sidi d2 extrapolated from "
-        "at most 1,477 terms.  There tail_estimate is the residual of the best "
-        "transform; every --no-tail-correction run uses a power-law tail estimate.  "
+        "at most 1,477 terms.  tail_estimate bounds the error of value; it is 0 on "
+        "exact termination and before a first estimate exists.  "
         f"termination is one of {', '.join(sr.TERMINATIONS)}.",
     )
     p_series.add_argument("name", choices=sorted(sr.SERIES))
@@ -278,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument(
         "--no-tail-correction",
         action="store_true",
-        help="report the raw partial sum as the value (power-law path, no extrapolation)",
+        help="sum to --max-terms and report the raw partial sum as the value, "
+        "with tail_estimate bounding its distance to the extrapolated limit",
     )
 
     p_int = sub.add_parser("integrate", help="tanh-sinh integration of a kernel")

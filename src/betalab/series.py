@@ -1,13 +1,16 @@
-"""Slowly convergent series: Levin-u or d2 extrapolation, or a power-law tail model.
+"""Slowly convergent series: one compensated summation loop, two accelerators.
 
 Each series here is summed in ascending order with compensated (Kahan-
 Babuska) accumulation, terms produced by a ratio recurrence (no per-term
-gamma or factorial evaluations).  Three engines turn the partial sums into a
-value.
+gamma or factorial evaluations).  One loop sums every series.  An infinite
+series also names an accelerator, which the loop hands the partial sum at the
+indices it samples; a sample may yield a transform, an estimate of the limit,
+with a residual that bounds its error.  The loop keeps the transform with the
+smallest residual.
 
-*Levin path* (``beta``, ``beta-limit``, ``digamma``, ``log2`` and
-``norlund`` whenever the series is infinite).  The partial sums s_0, s_1, ...
-feed Levin's u-transform (Levin 1973; Weniger 1989) with beta = 1 and the
+*Levin-u* (``beta``, ``beta-limit``, ``digamma``, ``log2`` and ``norlund``
+whenever the series is infinite) samples every partial sum s_0, s_1, ... and
+takes Levin's u-transform (Levin 1973; Weniger 1989) with beta = 1 and the
 remainder estimates ``omega_j = (j + 1) a_j``:
 
     L_k = sum_j c_j s_j / sum_j c_j,
@@ -16,14 +19,11 @@ remainder estimates ``omega_j = (j + 1) a_j``:
 The residual after K terms is 8 times the largest of the last three
 differences between successive transforms; measured against 40-digit
 references it bounds the real error of the transform (plain differences
-under-read it by up to three orders of magnitude).  The run stops with
-``tolerance_met`` once the residual is at most ``ctrl.tol``, and with
-``precision_limit`` once six transforms in a row found no smaller residual or
-40 terms were taken: past that point the transform only amplifies rounding.
-``value`` is then the transform with the smallest residual and
-``tail_estimate`` that residual.
+under-read it by up to three orders of magnitude).  It is done once six
+transforms in a row found no smaller residual or 40 terms were taken: past
+that point the transform only amplifies rounding.
 
-*d2 path* (the trigamma family: ``trigamma``, ``trigamma-half``, ``zeta2``).
+*d2* (the trigamma family: ``trigamma``, ``trigamma-half``, ``zeta2``).
 Their terms, a hypergeometric factor times a harmonic-type bracket, satisfy a
 linear recurrence of order 2 and converge logarithmically, which Levin-u
 cannot extrapolate.  The Levin-Sidi d2 transformation (Levin & Sidi 1981;
@@ -37,31 +37,25 @@ nu solves the 2 nu + 1 equations, one per sample l = 0..2 nu,
 i = 0..nu-1, for ``d`` by Gaussian elimination with partial pivoting.  The
 residual is 8 times the larger of the last two differences between successive
 orders, never below 8 ulps of the transform; measured against 30-digit
-references on u in (0, 1) it bounds the real error.  The run stops with
-``tolerance_met`` once the residual is at most ``ctrl.tol``, and with
-``precision_limit`` at order 9, after 1,477 terms: past it rounding in the
-solve grows faster than the transform gains (order 10 would take 3,325 terms).
-Near u -> 0 the series gets hard, and the run ends there with a
-``precision_limit`` residual well above ``ctrl.tol``.  ``value`` and
-``tail_estimate`` are chosen as on the Levin path.
+references on u in (0, 1) it bounds the real error.  It is done at order 9,
+after 1,477 terms: past it rounding in the solve grows faster than the
+transform gains (order 10 would take 3,325 terms).  Near u -> 0 the series
+gets hard, and its residual there stays well above ``ctrl.tol``.
 
-*Power-law path* (every finite series, and every series under
-``tail_correction=False``).  The engine fits a power law to the recorded term
-magnitudes,
-
-    p_hat = log2(a_{N/2} / a_N),        tail ~= a_N * N / (p_hat - 1),
-
-and, when ``p_hat > 1.05`` and tail correction is on, adds that estimate to
-the partial sum.  It stops with ``tolerance_met`` when the estimated tail fell
-to ``ctrl.tol``; that estimate is the size of a correction, not a bound.
+Under tail correction (the default) a run stops with ``tolerance_met`` once
+the best residual is at most ``ctrl.tol``, and with ``precision_limit`` when
+its accelerator is done; ``value`` is the best transform and
+``tail_estimate`` its residual.  Without it the accelerator runs to its own
+end while the loop sums on, and ``value`` is the plain compensated sum, with
+``tail_estimate = |best transform - value| + residual``, a bound on
+``|value - limit|`` by the triangle inequality.
 
 A run stops with ``exact_termination`` when a term is exactly zero (a
 rising/falling factor vanished, so all later terms vanish too; such finite
-series always take the power-law path, whose tail estimate is 0 there), and
-with ``max_terms`` at ``ctrl.max_terms``.  Finite sums cancel more as their
-argument grows, so beta, beta-limit and Norlund first reduce large arguments
-by their recurrences, one step per unit, and count the steps in
-``reductions``.
+series name no accelerator), and with ``max_terms`` at ``ctrl.max_terms``.
+Finite sums cancel more as their argument grows, so beta, beta-limit and
+Norlund first reduce large arguments by their recurrences, one step per unit,
+and count the steps in ``reductions``.
 
 Two series families sum an inner reciprocal-odd sum whose published lower
 index is ambiguous by one; both readings are first-class here as the
@@ -73,7 +67,6 @@ from __future__ import annotations
 
 import inspect
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -114,8 +107,6 @@ LITERAL = "literal"
 CORRECTED = "corrected"
 CONVENTIONS = (LITERAL, CORRECTED)
 
-_MIN_FIT_TERMS = 8  # no tail fit before this many recorded magnitudes
-_MIN_DECAY = 1.05  # power-law exponent below which the tail model is unusable
 _MAX_REDUCED = 1_000_000  # the argument reductions take one step per unit
 # Integer u up to here keeps the exact finite sums of beta and beta-limit: their
 # binomial terms, times the next factor, stay below 2**53, so the sums carry no
@@ -129,11 +120,11 @@ _U_MAX = 6.0
 # Integer x through 10 sums to 4e-16 relative at a = 0.5 (8e-13 at x = 20).
 _NORLUND_X_MAX = 10.0
 
-_LEVIN_MAX_TERMS = 40  # the order cap of the Levin path
-_LEVIN_PATIENCE = 6  # transforms in a row without a smaller residual before it stops
+_LEVIN_MAX_TERMS = 40  # the order cap of Levin-u
+_LEVIN_PATIENCE = 6  # transforms in a row without a smaller residual before it is done
 _RESIDUAL_FACTOR = 8.0  # residual = 8 x the largest of the last few transform differences
 _EPS = 2.0**-52  # one ulp of 1.0
-# The order cap of the d2 path: order 9 takes 19 samples, the last at term 1,477.
+# The order cap of d2: order 9 takes 19 samples, the last at term 1,477.
 # Order 10 would take 3,325 terms to gain one to two digits of residual.
 _D2_MAX_ORDER = 9
 _GPS_RATIO = 1.5  # d2 samples at R_l = max(R_{l-1} + 1, floor(1.5**l))
@@ -156,17 +147,18 @@ class SeriesControl:
 class SeriesResult:
     """Outcome of a series summation.
 
-    ``value`` is the best transform on the Levin and d2 paths, the
-    tail-corrected sum when power-law correction applies, otherwise
-    ``raw_partial_sum``, the plain compensated sum of the terms used.
-    ``tail_estimate`` is the Levin or d2 residual, which bounds the error of
-    ``value``, or the magnitude of the power-law tail estimate; it is 0 on
-    exact termination and before any estimate exists (four terms for Levin,
-    order 3 or 11 terms for d2, eight for the tail fit).  ``termination`` is
-    one of ``exact_termination``, ``tolerance_met``, ``precision_limit``
-    (Levin and d2 paths only) and ``max_terms``.  ``reductions`` counts
-    argument-reduction recurrence steps taken before summing (beta,
-    beta-limit, digamma and Norlund; 0 means the pure series path).
+    ``value`` is the transform with the smallest residual under tail
+    correction, otherwise, or while no transform has a residual,
+    ``raw_partial_sum``: the plain compensated sum of the terms used.
+    ``tail_estimate`` bounds ``|value - limit|``.  It is 0 only on exact
+    termination and before a first transform has a residual: four terms for
+    Levin-u, order 3 or 11 terms for d2, and never for a finite series, which
+    has no accelerator, so one cut short by ``max_terms`` reports 0 too.
+    ``termination`` is one of ``exact_termination``, ``tolerance_met`` and
+    ``precision_limit`` (under tail correction only) and ``max_terms``.
+    ``reductions`` counts argument-reduction recurrence steps taken before
+    summing (beta, beta-limit, digamma and Norlund; 0 means the pure series
+    path).
     """
 
     value: float
@@ -189,20 +181,6 @@ class TraceRow(NamedTuple):
 _DEFAULT_CTRL = SeriesControl()
 
 
-def _tail_fit(mags: array, n: int, last: float) -> float:
-    """Signed tail estimate from the recorded magnitudes, or 0 if unusable."""
-    if n < _MIN_FIT_TERMS:
-        return 0.0
-    a_half = mags[n // 2 - 1]
-    a_n = mags[n - 1]
-    if a_n <= 0.0 or a_half <= a_n:
-        return 0.0
-    p_hat = math.log2(a_half / a_n)
-    if p_hat <= _MIN_DECAY:
-        return 0.0
-    return last * (n / (p_hat - 1.0))
-
-
 def _levin_u(sums: list[float], inv_omega: list[float]) -> float:
     """Levin's u-transform of the partial sums ``s_0..s_k``; see module docstring.
 
@@ -223,76 +201,50 @@ def _levin_u(sums: list[float], inv_omega: list[float]) -> float:
     return num / den if den != 0.0 else math.inf
 
 
-def _run_levin(
-    summand: _Summand, ctrl: SeriesControl, every: int
-) -> tuple[SeriesResult, tuple[TraceRow, ...]]:
-    """The Levin path of :func:`_run`; see module docstring.
+class _Levin:
+    """Levin-u, sampled at every term; see module docstring.
 
     Transforms and residuals are taken on the operation's scale,
-    ``base + L / div``, so ``tolerance_met`` means ``tail_estimate <= tol``.
-    The residual never falls below a rounding bound: a few ulps of the value
-    and ``base``, plus a few more per argument-reduction step, whose rounding
-    the transforms cannot see.
+    ``base + L / div``.  The residual never falls below a rounding bound: a
+    few ulps of the value and ``base``, plus a few more per
+    argument-reduction step, whose rounding the transforms cannot see.
     """
-    terms, base, div, _, reductions, _, _ = summand
-    tol = ctrl.tol
-    max_terms = ctrl.max_terms
-    ulps = (8.0 + 4.0 * reductions) * _EPS  # the rounding bound's share of |value| + |base|
-    sums: list[float] = []
-    inv_omega: list[float] = []
-    values: list[float] = []
-    s = 0.0
-    comp = 0.0
-    n = 0
-    first = 1.0
-    best = math.nan  # the value with the smallest residual so far
-    best_residual = math.inf
-    best_n = 0
-    residual = 0.0
-    termination = MAX_TERMS
-    rows: list[TraceRow] = []
-    for term, resid in terms:
-        if term == 0.0:  # an underflow, as finite series take the power-law path
-            termination = EXACT_TERMINATION
-            best_n = 0
-            break
-        if not math.isfinite(term):
-            raise OverflowRangeError(f"series term {n + 1} overflows double precision")
-        n += 1
-        t = s + term
-        if abs(s) >= abs(term):
-            comp += (s - t) + term
-        else:
-            comp += (term - t) + s
-        s = t
-        comp += resid
-        sums.append(s + comp)
+
+    def __init__(self, base: float, div: float, reductions: int) -> None:
+        self.base = base
+        self.div = div
+        self.ulps = (8.0 + 4.0 * reductions) * _EPS  # the rounding bound's share of |value| + |base|
+        self.sums: list[float] = []
+        self.inv_omega: list[float] = []
+        self.values: list[float] = []
+        self.first = 1.0
+        self.best_residual = math.inf
+        self.best_n = 0
+
+    def sample(
+        self, n: int, partial: float, term: float, _rest: float
+    ) -> tuple[int, tuple[float, float] | None]:
+        """Take s_n; return the next index to sample (0 once done) and a
+        ``(transform, residual)`` estimate or None."""
+        self.sums.append(partial)
         if n == 1:
-            first = term
-        inv_omega.append(first / (n * term))  # scaled by a_1, so tiny terms cannot overflow
-        transform = _levin_u(sums, inv_omega)
+            self.first = term
+        self.inv_omega.append(self.first / (n * term))  # scaled by a_1, so tiny terms cannot overflow
+        estimate = None
+        transform = _levin_u(self.sums, self.inv_omega)
         if math.isfinite(transform):  # else this order is singular: skip it
-            values.append(base + transform / div)
+            values = self.values
+            values.append(self.base + transform / self.div)
             if len(values) >= 4:
                 v1, v2, v3, v4 = values[-4:]
                 spread = max(abs(v4 - v3), abs(v3 - v2), abs(v2 - v1))
-                residual = max(_RESIDUAL_FACTOR * spread, ulps * (abs(v4) + abs(base)))
-                if residual < best_residual:
-                    best, best_residual, best_n = v4, residual, n
-        if every > 0 and n % every == 0:
-            rows.append(TraceRow(n, term / div, base + (s + comp) / div, residual))
-        if best_n and residual <= tol:
-            termination = TOLERANCE_MET
-            break
-        if n >= max_terms:
-            break
-        if n >= _LEVIN_MAX_TERMS or n - best_n >= _LEVIN_PATIENCE:
-            termination = PRECISION_LIMIT
-            break
-    raw = base + (s + comp) / div
-    if best_n == 0:  # exact termination, or stopped before a residual existed
-        return SeriesResult(raw, raw, 0.0, n, termination, reductions), tuple(rows)
-    return SeriesResult(best, raw, best_residual, n, termination, reductions), tuple(rows)
+                residual = max(_RESIDUAL_FACTOR * spread, self.ulps * (abs(v4) + abs(self.base)))
+                estimate = (v4, residual)
+                if residual < self.best_residual:
+                    self.best_residual, self.best_n = residual, n
+        if n >= _LEVIN_MAX_TERMS or n - self.best_n >= _LEVIN_PATIENCE:
+            return 0, estimate
+        return n + 1, estimate
 
 
 def _last_unknown(m: list[list[float]]) -> float:
@@ -347,66 +299,44 @@ def _d2_transform(samples: list[tuple[int, float, float, float]]) -> float:
     return _last_unknown(m)
 
 
-def _run_d2(
-    summand: _Summand, ctrl: SeriesControl, every: int
-) -> tuple[SeriesResult, tuple[TraceRow, ...]]:
-    """The d2 path of :func:`_run`; see module docstring.
+class _D2:
+    """The Levin-Sidi d2 transform, sampled at R_l; see module docstring.
 
     Transforms and residuals are taken on the sum's scale and then divided by
-    ``|div|``, so that zeta2 stays an exact third of trigamma-half; so
-    ``tolerance_met`` means ``tail_estimate <= tol``.
+    ``|div|``, so that zeta2 stays an exact third of trigamma-half.
     """
-    terms, base, div, _, reductions, _, _ = summand
-    scale = abs(div)
-    tol = ctrl.tol
-    max_terms = ctrl.max_terms
-    samples: list[tuple[int, float, float, float]] = []
-    transforms: list[float] = []
-    next_sample = 1
-    s = 0.0
-    comp = 0.0
-    n = 0
-    best = math.nan  # the value with the smallest residual so far
-    best_residual = math.inf
-    best_n = 0
-    residual = 0.0
-    termination = MAX_TERMS
-    rows: list[TraceRow] = []
-    for term, diff in terms:
-        n += 1
-        t = s + term
-        if abs(s) >= abs(term):
-            comp += (s - t) + term
-        else:
-            comp += (term - t) + s
-        s = t
-        if n == next_sample:
-            samples.append((n, s + comp, term, diff))
-            next_sample = max(n + 1, int(_GPS_RATIO ** len(samples)))
-            if len(samples) % 2 == 1 and len(samples) > 1:
-                transform = _d2_transform(samples)
-                if math.isfinite(transform):  # else this order is singular: skip it
-                    transforms.append(transform)
-                    if len(transforms) >= 3:
-                        d1, d2, d3 = transforms[-3:]
-                        spread = max(abs(d3 - d2), abs(d2 - d1))
-                        residual = _RESIDUAL_FACTOR * max(spread, _EPS * abs(d3)) / scale
-                        if residual < best_residual:
-                            best, best_residual, best_n = base + d3 / div, residual, n
-        if every > 0 and n % every == 0:
-            rows.append(TraceRow(n, term / div, base + (s + comp) / div, residual))
-        if best_n and residual <= tol:
-            termination = TOLERANCE_MET
-            break
-        if n >= max_terms:
-            break
+
+    def __init__(self, base: float, div: float, reductions: int) -> None:
+        self.base = base
+        self.div = div
+        self.samples: list[tuple[int, float, float, float]] = []
+        self.transforms: list[float] = []
+
+    def sample(
+        self, n: int, partial: float, term: float, diff: float
+    ) -> tuple[int, tuple[float, float] | None]:
+        """Take S_n and ``diff = a_{n+1} - a_n``; return as :meth:`_Levin.sample`."""
+        samples = self.samples
+        samples.append((n, partial, term, diff))
+        estimate = None
+        if len(samples) % 2 == 1 and len(samples) > 1:
+            transform = _d2_transform(samples)
+            if math.isfinite(transform):  # else this order is singular: skip it
+                transforms = self.transforms
+                transforms.append(transform)
+                if len(transforms) >= 3:
+                    d1, d2, d3 = transforms[-3:]
+                    spread = max(abs(d3 - d2), abs(d2 - d1))
+                    residual = _RESIDUAL_FACTOR * max(spread, _EPS * abs(d3)) / abs(self.div)
+                    estimate = (self.base + d3 / self.div, residual)
         if len(samples) > 2 * _D2_MAX_ORDER:
-            termination = PRECISION_LIMIT
-            break
-    raw = base + (s + comp) / div
-    if best_n == 0:  # stopped before a residual existed
-        return SeriesResult(raw, raw, 0.0, n, termination, reductions), tuple(rows)
-    return SeriesResult(best, raw, best_residual, n, termination, reductions), tuple(rows)
+            return 0, estimate
+        return max(n + 1, int(_GPS_RATIO ** len(samples))), estimate
+
+
+def _bound(raw: float, best: float, residual: float) -> float:
+    """``|best - raw| + residual``, which bounds ``|raw - limit|``; 0 without a residual."""
+    return abs(best - raw) + residual if residual < math.inf else 0.0
 
 
 def _run(
@@ -414,46 +344,47 @@ def _run(
 ) -> tuple[SeriesResult, tuple[TraceRow, ...]]:
     """Sum a validated series under ``ctrl``; see module docstring.
 
-    The engine sums ``base + sum(terms) / div``.  ``div``
-    divides rather than scales because ``x * (1/3)`` and ``x / 3`` differ for
-    about a third of doubles, and zeta2 must stay exactly one third of its
-    parent series.  Each generated term is a ``(term, residual)`` pair:
-    ``term`` is the rounded double driving all bookkeeping (counting, zero
-    detection, the tail model, trace rows) and ``residual`` is the sub-ulp
-    remainder of computing it, folded into the compensated accumulator so
-    that exactness contracts survive heavy cancellation.  An ``accelerate``
-    series under tail correction takes the Levin path (:func:`_run_levin`), a
-    ``d2`` series the d2 path (:func:`_run_d2`), whose pairs hold the term's
-    forward difference instead; every other run takes the power-law path
-    below.
+    The loop sums ``base + sum(terms) / div``.  ``div`` divides rather than
+    scales because ``x * (1/3)`` and ``x / 3`` differ for about a third of
+    doubles, and zeta2 must stay exactly one third of its parent series.
+    Each generated term is a ``(term, rest)`` pair: ``term`` is the rounded
+    double driving all bookkeeping (counting, zero detection, the
+    accelerator, trace rows) and ``rest`` is the sub-ulp remainder of
+    computing it, folded into the compensated accumulator so that exactness
+    contracts survive heavy cancellation.  For d2 ``rest`` is instead the
+    forward difference ``a_{n+1} - a_n``, which only the accelerator reads.
+    Trace rows carry the current residual under tail correction, and the
+    bound on the partial sum without it.
     """
     if ctrl is None:
         ctrl = _DEFAULT_CTRL
     elif not isinstance(ctrl, SeriesControl):
         raise DomainError(f"ctrl must be a SeriesControl or None, got {ctrl!r}")
-    if summand.accelerate and ctrl.tail_correction:
-        return _run_levin(summand, ctrl, every)
-    if summand.d2:
-        if ctrl.tail_correction:
-            return _run_d2(summand, ctrl, every)
-        summand = summand._replace(terms=((a, 0.0) for a, _ in summand.terms))
-    terms, base, div, stop_on_zero, reductions, _, _ = summand
-    tol = ctrl.tol
+    terms, base, div, stop_on_zero, reductions, accelerator = summand
+    correct = ctrl.tail_correction
+    tol = ctrl.tol if correct else -math.inf  # without tail correction only max_terms stops
     max_terms = ctrl.max_terms
-    tail_fit = _tail_fit
-    mags = array("d")
-    record = mags.append
+    stop_n = max_terms  # lowered to n when the accelerator is done under tail correction
+    fold = accelerator is not _D2
+    next_sample = 0  # the next index the accelerator samples; 0: none
+    if accelerator is not None:
+        accel = accelerator(base, div, reductions)
+        next_sample = 1
     s = 0.0
     comp = 0.0
     n = 0
-    tail = 0.0
+    best = math.nan  # the transform with the smallest residual so far
+    best_residual = math.inf
+    residual = 0.0  # the latest transform's
     termination = MAX_TERMS
     rows: list[TraceRow] = []
-    for term, resid in terms:
+    for term, rest in terms:
         if term == 0.0 and stop_on_zero:
             termination = EXACT_TERMINATION
-            tail = 0.0
+            best_residual = math.inf  # the sum is exact
             break
+        if not math.isfinite(term):
+            raise OverflowRangeError(f"series term {n + 1} overflows double precision")
         n += 1
         t = s + term
         if abs(s) >= abs(term):
@@ -461,23 +392,35 @@ def _run(
         else:
             comp += (term - t) + s
         s = t
-        if resid != 0.0:
-            comp += resid
-        record(abs(term))
-        tail = tail_fit(mags, n, term)
-        if every > 0 and n % every == 0:
-            rows.append(TraceRow(n, term / div, base + (s + comp) / div, abs(tail / div)))
-        if tail != 0.0 and abs(tail) <= tol:
+        if fold:
+            comp += rest
+        if n == next_sample:
+            next_sample, estimate = accel.sample(n, s + comp, term, rest)
+            if estimate is not None:
+                transform, residual = estimate
+                if residual < best_residual:
+                    best, best_residual = transform, residual
+            if not next_sample and correct:
+                stop_n = n
+        if every and n % every == 0:
+            partial = base + (s + comp) / div
+            tail = residual if correct else _bound(partial, best, best_residual)
+            rows.append(TraceRow(n, term / div, partial, tail))
+        if best_residual <= tol:
             termination = TOLERANCE_MET
             break
-        if n >= max_terms:
+        if n >= stop_n:
+            if n < max_terms:
+                termination = PRECISION_LIMIT
             break
-    raw_series = s + comp
-    raw = base + raw_series / div
-    value = raw
-    if ctrl.tail_correction and tail != 0.0:  # never on exact termination: tail is 0 there
-        value = base + (raw_series + tail) / div
-    return SeriesResult(value, raw, abs(tail / div), n, termination, reductions), tuple(rows)
+    raw = base + (s + comp) / div
+    if correct and best_residual < math.inf:
+        value, tail = best, best_residual
+    else:
+        value, tail = raw, _bound(raw, best, best_residual)
+    if not math.isfinite(value):
+        raise OverflowRangeError("series value overflows double precision")
+    return SeriesResult(value, raw, tail, n, termination, reductions), tuple(rows)
 
 
 # --- term generators (all infinite; ratio recurrences only) ---------------
@@ -552,7 +495,7 @@ def _norlund_terms(x: float, a: float) -> Iterator[tuple[float, float]]:
         yield (q, rest) if k % 2 == 1 else (-q, -rest)
 
 
-# The trigamma family's generators yield (a_n, a_{n+1} - a_n) for the d2 path.
+# The trigamma family's generators yield (a_n, a_{n+1} - a_n) for d2.
 # The difference comes from the recurrence, as accurate relative to itself as
 # a_n is; subtracting two rounded terms would add a few ulps of a_n, about n
 # times more, and cost the transform one to two digits.
@@ -582,15 +525,16 @@ def _trigamma_half_terms(include_k0: bool) -> Iterator[tuple[float, float]]:
         yield (2.0 * c / n) * inner, c * (n - inner * (3 * n + 2)) / (n * (n + 1.0) ** 2)
 
 
-# --- term sources: validate parameters, say what the engine sums ---------
+# --- term sources: validate parameters, say what the loop sums -----------
 
 
 class _Summand(NamedTuple):
-    """A validated series: the engine sums ``base + sum(terms) / div``.
+    """A validated series: the loop sums ``base + sum(terms) / div``.
 
-    ``accelerate`` marks an infinite series that Levin-u extrapolates, ``d2``
-    one that the d2 transform extrapolates; the terms of a ``d2`` series come
-    as ``(a_n, a_{n+1} - a_n)`` pairs and carry no rounding remainder.
+    ``accelerator`` is the class that extrapolates an infinite series,
+    :class:`_Levin` or :class:`_D2`, and None for a finite one.  The terms
+    of a d2 series come as ``(a_n, a_{n+1} - a_n)`` pairs and carry no
+    rounding remainder.
     """
 
     terms: Iterator[tuple[float, float]]
@@ -598,8 +542,7 @@ class _Summand(NamedTuple):
     div: float = 1.0
     stop_on_zero: bool = True
     reductions: int = 0
-    accelerate: bool = False
-    d2: bool = False
+    accelerator: type[_Levin] | type[_D2] | None = None
 
 
 def _check_reducible(name: str, param: str, value: float) -> None:
@@ -620,19 +563,17 @@ def _beta(u: float, v: float) -> _Summand:
         u -= 1.0
         div *= (u + v) / u
         reductions += 1
-    infinite = not u.is_integer()
-    if infinite:
+    # A finite sum cancels against its base 1/v as v grows, unless it is
+    # empty: B(1, v) = 1/v keeps any v.
+    if u != 1.0:
         _check_reducible("beta_series", "v", v)
-    # A finite sum cancels against its base 1/v as v grows, unless it is empty
-    # (u = 1); above the cap it keeps its v, as the loop is bounded.
-    if u != 1.0 and v <= _MAX_REDUCED:
         while v > 2.0:
             v -= 1.0
             div *= (u + v) / v
             reductions += 1
     return _Summand(
         _shifted_ratio_terms(u, v), base=1.0 / (v * div), div=div,
-        reductions=reductions, accelerate=infinite,
+        reductions=reductions, accelerator=None if u.is_integer() else _Levin,
     )
 
 
@@ -652,7 +593,8 @@ def _beta_limit(u: float) -> _Summand:
         acc -= 1.0 / u
         reductions += 1
     return _Summand(
-        _limit_terms(u), base=acc, reductions=reductions, accelerate=not u.is_integer()
+        _limit_terms(u), base=acc, reductions=reductions,
+        accelerator=None if u.is_integer() else _Levin,
     )
 
 
@@ -669,12 +611,12 @@ def _digamma(u: float) -> _Summand:
         reductions += 1
     return _Summand(
         _limit_terms(y), base=acc - EULER_GAMMA, div=-1.0, reductions=reductions,
-        accelerate=y != 1.0,
+        accelerator=None if y == 1.0 else _Levin,
     )
 
 
 def _log2() -> _Summand:
-    return _Summand(_log2_terms(), accelerate=True)
+    return _Summand(_log2_terms(), accelerator=_Levin)
 
 
 def _norlund(x: float, a: float) -> _Summand:
@@ -692,7 +634,7 @@ def _norlund(x: float, a: float) -> _Summand:
         reductions += 1
     return _Summand(
         _norlund_terms(x, a), base=acc, reductions=reductions,
-        accelerate=not (x >= 0.0 and x.is_integer()),
+        accelerator=None if x >= 0.0 and x.is_integer() else _Levin,
     )
 
 
@@ -700,7 +642,7 @@ def _trigamma(u: float) -> _Summand:
     u = finite_real(u, "u")
     if not 0.0 < u < 1.0:
         raise DomainError(f"trigamma_series requires 0 < u < 1, got {u!r}")
-    return _Summand(_trigamma_terms(u), d2=True)
+    return _Summand(_trigamma_terms(u), accelerator=_D2)
 
 
 def _trigamma_half(convention: str) -> _Summand:
@@ -709,7 +651,7 @@ def _trigamma_half(convention: str) -> _Summand:
     return _Summand(
         _trigamma_half_terms(include_k0=(convention == CORRECTED)),
         stop_on_zero=False,  # the literal convention's first term is 0 but later ones are not
-        d2=True,
+        accelerator=_D2,
     )
 
 
@@ -740,9 +682,8 @@ def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> Series
     Terminates exactly for positive integer u (the rising factor vanishes).
     Other u above 6, and integer u above 50, are first reduced one step per
     unit with ``B(u, v) = B(u-1, v) (u-1)/(u+v-1)``, so u <= 1e6; v above 2
-    is then reduced alike, so v <= 1e6 when the series is infinite.  A finite
-    series keeps a v above 1e6, and u = 1 (B = 1/v) keeps any v.
-    ``reductions`` counts the steps.
+    is then reduced alike, so v <= 1e6 as well, except at u = 1, whose empty
+    sum B = 1/v keeps any v.  ``reductions`` counts the steps.
     """
     return _run(_beta(u, v), ctrl)[0]
 

@@ -8,8 +8,8 @@ parameter grid, and a tolerance with one of three modes.
 * ``relative`` - pass iff ``|lhs - rhs| <= tol * max(|lhs|, |rhs|)``; used
   where values span orders of magnitude (Pochhammer products, duplication).
 * ``tail_aware`` - pass iff ``|lhs - rhs| <= tol + tail_estimate``; used for
-  the algebraically convergent series, whose summation engine reports a
-  residual that bounds the error of its extrapolated value.
+  the algebraically convergent series, whose ``tail_estimate`` bounds the
+  error of their value.
 
 Evaluator errors (domain violations, overflow, refinement caps) become
 *skipped* records carrying the reason - the suite never aborts and never
@@ -70,11 +70,6 @@ _MODES = (ABSOLUTE, RELATIVE, TAIL_AWARE)
 _DIAG_KEYS = ("terms_used", "tail_estimate", "levels_used", "table_depth")
 # Keys of an informational entry, in report order.
 _INFO_KEYS = ("identity_id", "convention", "value", "reference", "abs_difference")
-
-# One shared control for the suite's series.  Each of them stops long before
-# max_terms: the Levin path within 40 terms, the d2 path (EQ9-EQ11) at 1,477,
-# a finite sum at its last term; tail_aware checks add each run's residual.
-_SUITE_SERIES = sr.SeriesControl(max_terms=100_000, tol=1e-10)
 
 _FD_STEP = 1e-5  # central-difference step for the derivative cross-check
 
@@ -200,7 +195,12 @@ def _eq3_rhs(u: float) -> qd.QuadratureResult:
 
 @functools.cache
 def builtin_registry() -> tuple[IdentitySpec, ...]:
-    """The full identity registry, built once and cached."""
+    """The full identity registry, built once and cached.
+
+    Each evaluator looks its route up in the route's module when called, so
+    a wrapper installed on a module after the registry is cached still sees
+    every call.
+    """
     specs = [
         IdentitySpec(
             id="SYM",
@@ -311,7 +311,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u, v) for u in _U7 for v in _V3),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u, v: sr.beta_series(u, v, _SUITE_SERIES),
+            lhs=lambda u, v: sr.beta_series(u, v),
             rhs=lambda u, v: qd.beta_integral(u, v),
         ),
         IdentitySpec(
@@ -321,7 +321,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: sr.beta_limit_series(u, _SUITE_SERIES),
+            lhs=lambda u: sr.beta_limit_series(u),
             rhs=lambda u: lm.beta_pole_limit(u),
         ),
         IdentitySpec(
@@ -331,7 +331,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: sr.digamma_series(u, _SUITE_SERIES),
+            lhs=lambda u: sr.digamma_series(u),
             rhs=lambda u: cs.digamma(u),
         ),
         IdentitySpec(
@@ -351,7 +351,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((),),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda: sr.log2_series(_SUITE_SERIES),
+            lhs=lambda: sr.log2_series(),
             rhs=lambda: math.log(2.0),
         ),
         IdentitySpec(
@@ -361,7 +361,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((float(m), 1.0) for m in range(1, 11)) + ((0.0, 2.5), (0.5, 0.5)),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda x, a: sr.norlund_diff(x, a, _SUITE_SERIES),
+            lhs=lambda x, a: sr.norlund_diff(x, a),
             rhs=lambda x, a: cs.digamma(x + a) - cs.digamma(a),
         ),
         IdentitySpec(
@@ -371,7 +371,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((0.25,), (0.5,), (0.75,)),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: sr.trigamma_series(u, _SUITE_SERIES),
+            lhs=lambda u: sr.trigamma_series(u),
             rhs=lambda u: cs.trigamma(u),
         ),
         IdentitySpec(
@@ -381,7 +381,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=5e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda conv: sr.trigamma_half_series(conv, _SUITE_SERIES),
+            lhs=lambda conv: sr.trigamma_half_series(conv),
             rhs=lambda conv: cs.trigamma(0.5),
         ),
         IdentitySpec(
@@ -391,7 +391,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=2e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda conv: sr.zeta2_series(conv, _SUITE_SERIES),
+            lhs=lambda conv: sr.zeta2_series(conv),
             rhs=lambda conv: cs.riemann_zeta(2.0),
         ),
         IdentitySpec(

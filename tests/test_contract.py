@@ -155,10 +155,13 @@ def test_integrate01_rejects_non_integer_max_level():
         (cs.lgamma, (1.7e308,)),
         (cs.digamma, (5e-324,)),
         (cs.polygamma, (160, 0.2)),
+        (sr.beta_series, (0.5, 1e-310)),  # the base 1/v overflows
+        (sr.beta_series, (0.5, 5e-324)),
     ],
     ids=[
         "gamma-tiny", "beta-tiny", "trigamma-tiny", "hurwitz-tiny",
         "lgamma-huge", "digamma-subnormal", "polygamma-high-order",
+        "beta-series-tiny", "beta-series-subnormal",
     ],
 )
 def test_true_overflow_raises_overflow_range_error(func, args):

@@ -88,7 +88,7 @@ def test_residual_covers_the_rounding_the_transforms_cannot_see(name, params):
 
 
 @pytest.mark.parametrize("name", ACCELERATED + ("trigamma", "zeta2"))
-def test_tail_correction_off_keeps_the_power_law_engine(name):
+def test_tail_correction_off_returns_the_plain_sum_of_max_terms(name):
     params = {
         "beta": {"u": 0.5, "v": 0.5},
         "norlund": {"x": 0.5, "a": 0.5},
@@ -112,7 +112,7 @@ def test_tail_correction_off_keeps_the_power_law_engine(name):
     ],
 )
 def test_finite_series_are_summed_without_extrapolation(name, params):
-    # The same engine and bits as with tail correction off: the tail is 0 there.
+    # The same bits as with tail correction off: no accelerator, no tail.
     res, rows = bl.trace(name, params, every=1)
     plain, plain_rows = bl.trace(name, params, bl.SeriesControl(tail_correction=False), every=1)
     assert res.termination == bl.EXACT_TERMINATION
@@ -202,9 +202,12 @@ def test_beta_series_reduces_large_v_of_a_finite_series(u, v, reductions):
 def test_beta_series_reduction_caps():
     with pytest.raises(DomainError, match="beta_series supports u <= 1000000"):
         bl.beta_series(1e6 + 0.5, 1.0)
-    with pytest.raises(DomainError, match="beta_series supports v <= 1000000"):
-        bl.beta_series(0.5, 2e6)
-    assert bl.beta_series(3.0, 2e6).termination == bl.EXACT_TERMINATION
+    # A finite series reduces v too: unreduced, (3, 2e6) was 7.6e-5 relative
+    # off and (8, 5e6) 100% off, both labelled exact.
+    for u, v in ((0.5, 2e6), (3.0, 2e6), (8.0, 5e6)):
+        with pytest.raises(DomainError, match="beta_series supports v <= 1000000"):
+            bl.beta_series(u, v)
+    assert bl.beta_series(1.0, 2e6).value == 1.0 / 2e6  # the empty sum keeps any v
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Series engines: exact termination, Levin extrapolation, tail correction, conventions."""
+"""Series: exact termination, extrapolation, tail correction, conventions."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import betalab as bl
 from betalab.errors import DomainError
 from betalab.series import SERIES
 from oracles import (
+    catalan_oracle,
     digamma_half_oracle,
     euler_gamma_oracle,
     harmonic_oracle,
@@ -103,7 +104,7 @@ def test_beta_limit_series_matches_pole_limit():
     for u in (0.25, 0.5, 1.0, 2.0, 3.5):
         series = bl.beta_limit_series(u, CTRL_1E5)
         limit = bl.beta_pole_limit(u)
-        assert abs(series.value - limit.value) <= 1e-4 + series.tail_estimate
+        assert abs(series.value - limit.value) <= series.tail_estimate + 1e-10
         assert abs(series.value - limit.value) <= 1e-5  # measured <= 1.1e-6
 
 
@@ -114,7 +115,7 @@ def test_beta_limit_series_matches_pole_limit():
 def test_digamma_series_oracle_equivalence(u):
     res = bl.digamma_series(u, CTRL_1E5)
     assert res.reductions == 0
-    assert abs(res.value - bl.digamma(u)) <= 1e-4
+    assert abs(res.value - bl.digamma(u)) <= res.tail_estimate + 1e-12
 
 
 def test_digamma_series_half_frozen_value():
@@ -152,11 +153,27 @@ def test_digamma_series_tail_correction_helps():
     assert abs(uncorrected.value - reference) > abs(res.value - reference)
 
 
-@pytest.mark.parametrize("caps", [1_000, 10_000, 100_000])
-def test_digamma_series_tail_estimator_factor_of_three(caps):
-    res = bl.digamma_series(0.5, bl.SeriesControl(max_terms=caps, tail_correction=False))
-    true_remainder = abs(digamma_half_oracle() - res.raw_partial_sum)
-    assert res.tail_estimate / 3.0 <= true_remainder <= 3.0 * res.tail_estimate
+UNCORRECTED = {  # digamma(1/2), log 2, B(1/2, 1/2) and trigamma(1/4) with their references
+    "digamma": (lambda ctrl: bl.digamma_series(0.5, ctrl), digamma_half_oracle),
+    "log2": (bl.log2_series, log2_oracle),
+    "beta": (lambda ctrl: bl.beta_series(0.5, 0.5, ctrl), lambda: math.pi),
+    "trigamma": (
+        lambda ctrl: bl.trigamma_series(0.25, ctrl),
+        lambda: math.pi**2 + 8.0 * catalan_oracle(),
+    ),
+}
+
+
+@pytest.mark.parametrize("max_terms", [1_000, 10_000, 100_000])
+@pytest.mark.parametrize("name", UNCORRECTED)
+def test_uncorrected_tail_estimate_bounds_the_error_tightly(name, max_terms):
+    # |best transform - raw| + its residual: measured at most 1.000003 x the error.
+    run, reference = UNCORRECTED[name]
+    res = run(bl.SeriesControl(max_terms=max_terms, tail_correction=False))
+    assert (res.termination, res.terms_used) == (bl.MAX_TERMS, max_terms)
+    assert res.value == res.raw_partial_sum
+    err = abs(res.value - reference())
+    assert err <= res.tail_estimate <= 1.01 * err
 
 
 def test_digamma_series_domain():
@@ -224,7 +241,7 @@ def test_norlund_zero_x_is_empty_sum():
 def test_norlund_half_half():
     res = bl.norlund_diff(0.5, 0.5, CTRL_1E5)
     expected = 2.0 * log2_oracle()  # psi(1) - psi(1/2)
-    assert abs(res.value - expected) <= 1e-4 + res.tail_estimate
+    assert abs(res.value - expected) <= res.tail_estimate + 1e-10
     assert abs(res.value - expected) <= 1e-9  # measured 1.4e-12
 
 
@@ -232,7 +249,7 @@ def test_norlund_matches_digamma_difference():
     for x, a in ((0.5, 1.0), (1.5, 0.5), (2.0, 2.0), (-0.25, 1.0)):
         res = bl.norlund_diff(x, a, CTRL_1E5)
         expected = bl.digamma(x + a) - bl.digamma(a)
-        assert abs(res.value - expected) <= 1e-4 + res.tail_estimate, (x, a)
+        assert abs(res.value - expected) <= res.tail_estimate + 1e-10, (x, a)
 
 
 def test_norlund_domain():

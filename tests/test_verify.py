@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -186,6 +187,25 @@ def test_json_renders_deterministically(full_report):
     data1 = bl.render_report(full_report, "json")
     data2 = bl.render_report(bl.run_suite(), "json")
     assert data1 == data2
+
+
+# sha256 of the built-in suite's report per TOOL_VERSION.  A deliberate change
+# to the report bytes bumps TOOL_VERSION and adds its digests here.
+REPORT_SHA256 = {
+    "0.3.0": {
+        "json": "3d208bc75d01e50474e8e280478bf06a0f6b415344c717d988e92b9b53dbb514",
+        "csv": "1651b52e060050f971f1ed651d4c1a569011845adfa61b46bbbf8b733e24139f",
+        "table": "9ee9e32fce13069ae4aa5412f69cde114fb235b7956528f72b5dd733c3e02b46",
+    },
+}
+
+
+def test_report_bytes_are_pinned_to_the_tool_version(full_report):
+    digests = {
+        fmt: hashlib.sha256(bl.render_report(full_report, fmt)).hexdigest()
+        for fmt in ("json", "csv", "table")
+    }
+    assert digests == REPORT_SHA256[verify.TOOL_VERSION]
 
 
 def test_json_schema_field_order(full_report):
