@@ -7,8 +7,7 @@ limits), and ``verify`` (the identity suite with table/json/csv reports).
 
 Exit codes: 0 success (and all identities passing), 1 verification failures,
 2 usage or domain errors, 3 non-convergence (quadrature refinement cap, or a
-series run that stopped at ``max_terms`` or ``precision_limit`` with its
-estimated tail still above an explicitly requested ``--tol``).
+series run whose ``tail_estimate`` exceeds an explicitly requested ``--tol``).
 
 Every printed number uses 17 significant digits, so parsing it back yields
 the exact double that was computed.  All behaviour is controlled by flags;
@@ -147,11 +146,7 @@ def _run_series(options: Mapping) -> int:
         print()
     _print_result(result, 16)
     explicit_tol = options["tol"]
-    if (
-        explicit_tol is not None
-        and result.termination in (sr.MAX_TERMS, sr.PRECISION_LIMIT)
-        and result.tail_estimate > explicit_tol
-    ):
+    if explicit_tol is not None and result.tail_estimate > explicit_tol:
         print(
             f"error: series stopped at {result.termination} with estimated tail "
             f"{_g(result.tail_estimate)} above tol {_g(explicit_tol)}",
@@ -337,10 +332,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     try:
         inv = parse(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit as exc:  # argparse exits with an int code: 0 after --help, else 2
+        return exc.code
     try:
         return execute(inv)
     except NonConvergenceError as exc:

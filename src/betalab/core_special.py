@@ -83,13 +83,17 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 
 
+def _horner(coeffs: tuple[float, ...], z: float) -> float:
+    """``sum_k coeffs[k] z^k`` by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def _stirling_corr(x: float) -> float:
     """The Bernoulli part of Stirling's series, ``sum_k B_2k / (2k (2k-1) x^(2k-1))``."""
-    w = 1.0 / (x * x)
-    s = _STIRLING[5]
-    for c in (_STIRLING[4], _STIRLING[3], _STIRLING[2], _STIRLING[1], _STIRLING[0]):
-        s = s * w + c
-    return s / x
+    return _horner(_STIRLING, 1.0 / (x * x)) / x
 
 
 def _stirling_lgamma(x: float) -> float:
@@ -157,10 +161,7 @@ _LOG_GAMMA1_COEFFS = (-EULER_GAMMA,) + tuple(
 
 def _log_gamma_1p(z: float) -> float:
     """log Gamma(1+z) for |z| <= 1/2 via the Taylor series around z = 0."""
-    acc = 0.0
-    for c in reversed(_LOG_GAMMA1_COEFFS):
-        acc = acc * z + c
-    return z * acc
+    return z * _horner(_LOG_GAMMA1_COEFFS, z)
 
 
 def lgamma(x: float) -> float:
@@ -242,10 +243,7 @@ def digamma(x: float) -> float:
         shifts.append(1.0 / y)
         y += 1.0
     w = 1.0 / (y * y)
-    s = _DIGAMMA_ASYM[5]
-    for c in (_DIGAMMA_ASYM[4], _DIGAMMA_ASYM[3], _DIGAMMA_ASYM[2], _DIGAMMA_ASYM[1], _DIGAMMA_ASYM[0]):
-        s = s * w + c
-    asym = math.log(y) - 0.5 / y - s * w
+    asym = math.log(y) - 0.5 / y - _horner(_DIGAMMA_ASYM, w) * w
     if not shifts:
         return asym
     value = asym - math.fsum(shifts)

@@ -28,14 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import (
-    DomainError,
-    EvaluationError,
-    NonConvergenceError,
-    finite_real,
-    integer,
-    positive_real,
-)
+from .errors import DomainError, EvaluationError, NonConvergenceError, finite_real, positive_real
 
 __all__ = [
     "QuadratureResult",
@@ -96,20 +89,16 @@ def _build_level(level: int) -> tuple[tuple[float, float, float], ...]:
 
 
 def _refine(
-    g: Callable[[float, float], float],
-    tol: float,
-    max_level: int,
-    interior_only: bool,
+    g: Callable[[float, float], float], tol: float, interior_only: bool
 ) -> QuadratureResult:
     """Run the level refinement for an integrand ``g(t, s)`` with s = 1 - t."""
     tol = positive_real(tol, "tol")
-    max_level = integer(max_level, "max_level", 1, MAX_LEVEL)
     phi: list[float] = []
     evaluations = 0
     prev = math.nan
     total = math.nan
     err = math.inf
-    for level in range(max_level + 1):
+    for level in range(MAX_LEVEL + 1):
         for t, s, w in _build_level(level):
             if interior_only and (t <= 0.0 or t >= 1.0):
                 continue
@@ -125,23 +114,22 @@ def _refine(
                 return QuadratureResult(total, err, level, evaluations)
         prev = total
     raise NonConvergenceError(
-        f"tanh-sinh did not reach tol={tol:g} by level {max_level} "
+        f"tanh-sinh did not reach tol={tol:g} by level {MAX_LEVEL} "
         f"(last difference {err:g})",
-        result=QuadratureResult(total, err, max_level, evaluations),
+        result=QuadratureResult(total, err, MAX_LEVEL, evaluations),
     )
 
 
-def integrate01(
-    f: Callable[[float], float], tol: float = DEFAULT_TOL, max_level: int = MAX_LEVEL
-) -> QuadratureResult:
+def integrate01(f: Callable[[float], float], tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Integrate ``f`` over (0, 1), refining until successive levels agree.
 
-    ``f`` is only ever evaluated strictly inside the interval.  Raises
-    :class:`NonConvergenceError` (with the partial result attached) if the
-    successive-level difference is still above ``tol`` at the level cap, and
-    :class:`EvaluationError` if ``f`` returns a non-finite value.
+    ``f`` is only ever evaluated strictly inside the interval.  Refinement
+    runs from level 0 to the fixed cap ``MAX_LEVEL`` (12), as for every
+    kernel.  Raises :class:`NonConvergenceError` (with the partial result
+    attached) if the successive-level difference is still above ``tol`` at
+    the cap, and :class:`EvaluationError` if ``f`` returns a non-finite value.
     """
-    return _refine(lambda t, s: f(t), tol, max_level, interior_only=True)
+    return _refine(lambda t, s: f(t), tol, interior_only=True)
 
 
 def _log_given(t: float, s: float) -> float:
@@ -164,7 +152,7 @@ def beta_integral(u: float, v: float, tol: float = DEFAULT_TOL) -> QuadratureRes
     def g(t: float, s: float) -> float:
         return math.exp((u - 1.0) * _log_given(t, s) + (v - 1.0) * _log_given(s, t))
 
-    return _refine(g, tol, MAX_LEVEL, interior_only=False)
+    return _refine(g, tol, interior_only=False)
 
 
 def log_kernel_moment(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -179,7 +167,7 @@ def log_kernel_moment(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     def g(t: float, s: float) -> float:
         return math.exp((u - 1.0) * _log_given(t, s)) * _log_given(s, t)
 
-    return _refine(g, tol, MAX_LEVEL, interior_only=False)
+    return _refine(g, tol, interior_only=False)
 
 
 def digamma_integral(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -197,4 +185,4 @@ def digamma_integral(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
             return (1.0 - t**u) / s
         return -math.expm1(u * math.log1p(-s)) / s
 
-    return _refine(g, tol, MAX_LEVEL, interior_only=False)
+    return _refine(g, tol, interior_only=False)

@@ -50,9 +50,12 @@ end while the loop sums on, and ``value`` is the plain compensated sum, with
 ``tail_estimate = |best transform - value| + residual``, a bound on
 ``|value - limit|`` by the triangle inequality.
 
-A run stops with ``exact_termination`` when a term is exactly zero (a
-rising/falling factor vanished, so all later terms vanish too; such finite
-series name no accelerator), and with ``max_terms`` at ``ctrl.max_terms``.
+A run stops with ``max_terms`` at ``ctrl.max_terms``.  Unless it is a d2
+series, it stops with ``exact_termination`` at its first zero term: a
+rising/falling factor vanished, so all later terms vanish too.  (A d2 series
+may open with a zero term: literal trigamma-half and zeta2.)  Such finite
+series name no accelerator; one cut short by ``max_terms`` bounds its error
+by the terms it left out, at most 49.
 Finite sums cancel more as their argument grows, so beta, beta-limit and
 Norlund first reduce large arguments by their recurrences, one step per unit,
 and count the steps in ``reductions``.
@@ -152,8 +155,9 @@ class SeriesResult:
     ``raw_partial_sum``: the plain compensated sum of the terms used.
     ``tail_estimate`` bounds ``|value - limit|``.  It is 0 only on exact
     termination and before a first transform has a residual: four terms for
-    Levin-u, order 3 or 11 terms for d2, and never for a finite series, which
-    has no accelerator, so one cut short by ``max_terms`` reports 0 too.
+    Levin-u, order 3 or 11 terms for d2.  A finite series cut short by
+    ``max_terms`` reports ``sum |terms left out| / |div|`` plus
+    ``(8 + 4 reductions)`` ulps of ``|value| + |base|``.
     ``termination`` is one of ``exact_termination``, ``tolerance_met`` and
     ``precision_limit`` (under tail correction only) and ``max_terms``.
     ``reductions`` counts argument-reduction recurrence steps taken before
@@ -179,6 +183,11 @@ class TraceRow(NamedTuple):
 
 
 _DEFAULT_CTRL = SeriesControl()
+
+
+def _ulps(reductions: int) -> float:
+    """The rounding bound's share of ``|value| + |base|``, growing with the reductions."""
+    return (8.0 + 4.0 * reductions) * _EPS
 
 
 def _levin_u(sums: list[float], inv_omega: list[float]) -> float:
@@ -213,7 +222,7 @@ class _Levin:
     def __init__(self, base: float, div: float, reductions: int) -> None:
         self.base = base
         self.div = div
-        self.ulps = (8.0 + 4.0 * reductions) * _EPS  # the rounding bound's share of |value| + |base|
+        self.ulps = _ulps(reductions)
         self.sums: list[float] = []
         self.inv_omega: list[float] = []
         self.values: list[float] = []
@@ -352,20 +361,20 @@ def _run(
     accelerator, trace rows) and ``rest`` is the sub-ulp remainder of
     computing it, folded into the compensated accumulator so that exactness
     contracts survive heavy cancellation.  For d2 ``rest`` is instead the
-    forward difference ``a_{n+1} - a_n``, which only the accelerator reads.
-    Trace rows carry the current residual under tail correction, and the
-    bound on the partial sum without it.
+    forward difference ``a_{n+1} - a_n``, which only the accelerator reads;
+    there a zero term does not end the run.  Trace rows carry the current
+    residual under tail correction, and the bound on the partial sum without it.
     """
     if ctrl is None:
         ctrl = _DEFAULT_CTRL
     elif not isinstance(ctrl, SeriesControl):
         raise DomainError(f"ctrl must be a SeriesControl or None, got {ctrl!r}")
-    terms, base, div, stop_on_zero, reductions, accelerator = summand
+    terms, base, div, reductions, accelerator = summand
     correct = ctrl.tail_correction
     tol = ctrl.tol if correct else -math.inf  # without tail correction only max_terms stops
     max_terms = ctrl.max_terms
     stop_n = max_terms  # lowered to n when the accelerator is done under tail correction
-    fold = accelerator is not _D2
+    fold = accelerator is not _D2  # rest is a rounding remainder, and 0 ends the sum
     next_sample = 0  # the next index the accelerator samples; 0: none
     if accelerator is not None:
         accel = accelerator(base, div, reductions)
@@ -379,7 +388,7 @@ def _run(
     termination = MAX_TERMS
     rows: list[TraceRow] = []
     for term, rest in terms:
-        if term == 0.0 and stop_on_zero:
+        if term == 0.0 and fold:
             termination = EXACT_TERMINATION
             best_residual = math.inf  # the sum is exact
             break
@@ -418,8 +427,16 @@ def _run(
         value, tail = best, best_residual
     else:
         value, tail = raw, _bound(raw, best, best_residual)
-    if not math.isfinite(value):
-        raise OverflowRangeError("series value overflows double precision")
+    if accelerator is None and termination == MAX_TERMS:
+        # A finite series cut short: bound it by the terms it left out.
+        left = 0.0
+        for term, rest in terms:
+            if term == 0.0 or not math.isfinite(left):
+                break
+            left += abs(term) + abs(rest)
+        tail = left / abs(div) + _ulps(reductions) * (abs(value) + abs(base))
+    if not (math.isfinite(value) and math.isfinite(tail)):
+        raise OverflowRangeError("series value or its error bound overflows double precision")
     return SeriesResult(value, raw, tail, n, termination, reductions), tuple(rows)
 
 
@@ -533,14 +550,13 @@ class _Summand(NamedTuple):
 
     ``accelerator`` is the class that extrapolates an infinite series,
     :class:`_Levin` or :class:`_D2`, and None for a finite one.  The terms
-    of a d2 series come as ``(a_n, a_{n+1} - a_n)`` pairs and carry no
-    rounding remainder.
+    of a d2 series come as ``(a_n, a_{n+1} - a_n)`` pairs, carry no rounding
+    remainder and may be 0; every other series ends at its first zero term.
     """
 
     terms: Iterator[tuple[float, float]]
     base: float = 0.0
     div: float = 1.0
-    stop_on_zero: bool = True
     reductions: int = 0
     accelerator: type[_Levin] | type[_D2] | None = None
 
@@ -648,11 +664,7 @@ def _trigamma(u: float) -> _Summand:
 def _trigamma_half(convention: str) -> _Summand:
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return _Summand(
-        _trigamma_half_terms(include_k0=(convention == CORRECTED)),
-        stop_on_zero=False,  # the literal convention's first term is 0 but later ones are not
-        accelerator=_D2,
-    )
+    return _Summand(_trigamma_half_terms(include_k0=(convention == CORRECTED)), accelerator=_D2)
 
 
 def _zeta2(convention: str) -> _Summand:

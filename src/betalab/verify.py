@@ -201,7 +201,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
     a wrapper installed on a module after the registry is cached still sees
     every call.
     """
-    specs = [
+    return (
         IdentitySpec(
             id="SYM",
             description="B(u, v) = B(v, u)",
@@ -446,11 +446,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
                 (cs.digamma(x + _FD_STEP) - cs.digamma(x - _FD_STEP)) / (2.0 * _FD_STEP)
             ),
         ),
-    ]
-    ids = [spec.id for spec in specs]
-    if len(set(ids)) != len(ids):
-        raise AssertionError("registry ids must be unique")
-    return tuple(specs)
+    )
 
 
 # --- running --------------------------------------------------------------
@@ -465,13 +461,18 @@ def run_identity(
 ) -> list[CheckRecord]:
     """Evaluate one identity over its grid (or an override grid/tolerance).
 
+    The overrides are checked as a registered spec is: an empty grid or a
+    tolerance that is not a finite positive real raises :class:`DomainError`.
     Domain errors, overflow, and refinement-cap signals from either side
     yield a skipped record with the reason attached; they never propagate.
     """
-    tol = spec.tolerance if tolerance is None else positive_real(tolerance, "tolerance")
-    points = spec.grid if grid is None else tuple(tuple(p) for p in grid)
+    if grid is not None:
+        spec = replace(spec, grid=tuple(tuple(p) for p in grid))
+    if tolerance is not None:
+        spec = replace(spec, tolerance=tolerance)
+    tol = float(spec.tolerance)
     records = []
-    for params in points:
+    for params in spec.grid:
         try:
             lhs_value, lhs_diag = _route(spec.lhs(*params))
             rhs_value, rhs_diag = _route(spec.rhs(*params))
@@ -518,27 +519,28 @@ def run_suite(
 ) -> SuiteReport:
     """Run selected identities (default: all) and collect a SuiteReport.
 
-    ``only`` filters by identity id and raises :class:`UnknownIdentityError`
-    before any evaluation if an id is not registered.  ``overrides`` may map
-    an id to ``{"grid": ..., "tolerance": ...}`` keyword overrides for
-    :func:`run_identity`.
+    ``only`` filters by identity id.  ``overrides`` may map an id to
+    ``{"grid": ..., "tolerance": ...}`` keyword overrides for
+    :func:`run_identity`; an id it names need not be selected.  Before any
+    evaluation, an id in either that is not registered raises
+    :class:`UnknownIdentityError`, and an override key other than ``grid``
+    and ``tolerance`` raises :class:`DomainError`.
     """
     registry = builtin_registry()
-    by_id = {spec.id: spec for spec in registry}
-    if only is None:
-        selected = list(registry)
-    else:
-        wanted = list(only)
-        missing = sorted(set(wanted) - set(by_id))
-        if missing:
-            raise UnknownIdentityError(
-                f"unknown identity id(s): {', '.join(missing)}; "
-                f"known ids: {', '.join(sorted(by_id))}"
-            )
-        # Keep one entry per requested id, in registry order.
-        chosen = set(wanted)
-        selected = [spec for spec in registry if spec.id in chosen]
+    known = [spec.id for spec in registry]
     overrides = overrides or {}
+    wanted = set(known if only is None else only)
+    missing = sorted(wanted.union(overrides) - set(known))
+    if missing:
+        raise UnknownIdentityError(
+            f"unknown identity id(s): {', '.join(missing)}; "
+            f"known ids: {', '.join(sorted(known))}"
+        )
+    for identity_id, kw in overrides.items():
+        if not set(kw) <= {"grid", "tolerance"}:
+            raise DomainError(f"{identity_id} overrides take grid and tolerance, got {sorted(kw)}")
+    # One entry per requested id, in registry order.
+    selected = [spec for spec in registry if spec.id in wanted]
     records: list[CheckRecord] = []
     informational: list[Mapping] = []
     for spec in selected:

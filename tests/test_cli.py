@@ -216,6 +216,16 @@ def test_series_extrapolation_short_of_tol_exits_3(capsys):
     assert "termination      = precision_limit" in out
 
 
+def test_series_finite_sum_cut_short_of_tol_exits_3(capsys):
+    argv = ("series", "beta", "--u", "50", "--v", "0.5", "--max-terms", "10")
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-3")
+    assert code == 3
+    assert "termination      = max_terms" in out
+    assert err.startswith("error: series stopped at max_terms with estimated tail ")
+    # Without --tol the same run is exploratory.
+    assert run_cli(capsys, *argv)[::2] == (0, "")
+
+
 def test_series_explicit_tol_met_exits_0(capsys):
     code, _, err = run_cli(
         capsys, "series", "norlund", "--xarg", "0.5", "--a", "0.5", "--tol", "1e-4"

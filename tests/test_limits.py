@@ -124,6 +124,11 @@ def test_beta_pole_limit_domain_cutoff():
         bl.beta_pole_limit(0.05)
 
 
+def test_scaled_beta_limits_domain_cutoff():
+    with pytest.raises(DomainError):
+        bl.scaled_beta_limits(0.05)
+
+
 # --- scaled beta routes ---------------------------------------------------
 
 

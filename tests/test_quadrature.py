@@ -64,10 +64,6 @@ def test_integrate01_tolerance_validation():
         bl.integrate01(lambda t: 1.0, tol=0.0)
     with pytest.raises(DomainError):
         bl.integrate01(lambda t: 1.0, tol=-1e-9)
-    with pytest.raises(DomainError):
-        bl.integrate01(lambda t: 1.0, max_level=0)
-    with pytest.raises(DomainError):
-        bl.integrate01(lambda t: 1.0, max_level=13)
 
 
 def test_integrate01_nonconvergence_attaches_partial():

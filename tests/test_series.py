@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import pytest
 
 import betalab as bl
@@ -259,6 +260,49 @@ def test_norlund_domain():
         bl.norlund_diff(-2.0, 1.0)  # x + a <= 0
     with pytest.raises(DomainError):
         bl.norlund_diff(float("inf"), 1.0)
+
+
+# --- finite series cut short by max_terms ----------------------------------
+
+# Finite series with their 50-digit values: beta at u in {2, 3, 8, 20, 50,
+# 80, 1000} (the last two reduced to u = 50) and v in {0.5, 2.5, 40};
+# beta-limit at u in {2, 7, 30, 50, 80}; Norlund at x in {1, 4, 10, 25, 80}
+# (the last two reduced to x = 10) and a in {0.5, 3, 100}.
+with mpmath.workdps(50):
+    CUT_SHORT = (
+        [
+            ("beta", {"u": float(u), "v": v}, mpmath.beta(u, v))
+            for u in (2, 3, 8, 20, 50, 80, 1000)
+            for v in (0.5, 2.5, 40.0)
+        ]
+        + [
+            ("beta-limit", {"u": float(u)}, -(mpmath.digamma(u) + mpmath.euler))
+            for u in (2, 7, 30, 50, 80)
+        ]
+        + [
+            ("norlund", {"x": float(x), "a": a}, mpmath.digamma(x + a) - mpmath.digamma(a))
+            for x in (1, 4, 10, 25, 80)
+            for a in (0.5, 3.0, 100.0)
+        ]
+    )
+
+
+@mpmath.workdps(50)
+def test_cut_short_finite_series_bound_their_error():
+    runs = 0
+    failures = []
+    for name, params, reference in CUT_SHORT:
+        full, _ = bl.trace(name, params)
+        assert full.termination == bl.EXACT_TERMINATION, (name, params)
+        for cut in range(1, full.terms_used):  # every cut short of the last term
+            res, _ = bl.trace(name, params, bl.SeriesControl(max_terms=cut))
+            assert (res.termination, res.terms_used) == (bl.MAX_TERMS, cut)
+            err = float(abs(mpmath.mpf(res.value) - reference))
+            if not err <= res.tail_estimate:
+                failures.append((name, params, cut, err, res.tail_estimate))
+            runs += 1
+    assert runs == 726
+    assert not failures, failures[:5]
 
 
 # --- trigamma-family series -----------------------------------------------

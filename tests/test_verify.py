@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -42,6 +43,15 @@ def test_registry_specs_are_well_formed():
         assert spec.grid, spec.id
         assert spec.tolerance > 0.0
         assert spec.tolerance_mode in ("absolute", "relative", "tail_aware")
+
+
+@pytest.mark.parametrize(
+    "change", [{"grid": ()}, {"tolerance_mode": "loose"}], ids=["empty-grid", "unknown-mode"]
+)
+def test_identity_spec_rejects_malformed_fields(change):
+    spec = bl.builtin_registry()[0]
+    with pytest.raises(DomainError):
+        verify.IdentitySpec(**{**dataclasses.asdict(spec), **change})
 
 
 def test_registry_is_cached():
@@ -149,6 +159,29 @@ def test_tolerance_override_validation():
         bl.run_identity(spec, tolerance=0.0)
     with pytest.raises(DomainError):
         bl.run_identity(spec, tolerance=-1e-9)
+
+
+def test_empty_grid_override_is_rejected():
+    spec = bl.builtin_registry()[0]
+    with pytest.raises(DomainError, match="empty grid"):
+        bl.run_identity(spec, grid=[])
+    with pytest.raises(DomainError, match="empty grid"):
+        bl.run_suite(overrides={"EQ5": {"grid": []}})
+
+
+def test_override_for_an_unknown_id_is_rejected():
+    with pytest.raises(UnknownIdentityError, match="NOPE"):
+        bl.run_suite(only=["SYM"], overrides={"NOPE": {}})
+
+
+def test_override_with_an_unknown_key_is_rejected():
+    with pytest.raises(DomainError, match="grd"):
+        bl.run_suite(only=["SYM"], overrides={"EQ5": {"grd": [(2.0, 0.5)]}})
+
+
+def test_override_for_an_unselected_id_is_allowed():
+    report = bl.run_suite(only=["BU1"], overrides={"EQ5": {"grid": [(2.0, 0.5)]}})
+    assert {r.identity_id for r in report.records} == {"BU1"}
 
 
 # --- tolerance semantics --------------------------------------------------
@@ -319,3 +352,5 @@ def test_skipped_record_renders_with_null_pass():
     assert "DomainError" in record["reason"]
     csv_text = bl.render_report(report, "csv").decode()
     assert csv_text.count("true") >= 1  # the skipped flag
+    table_row = bl.render_report(report, "table").decode().splitlines()[2]
+    assert table_row.startswith("EQ5") and table_row.endswith("skip")
