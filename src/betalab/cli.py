@@ -4,6 +4,9 @@ Five subcommands expose the package: ``eval`` (reference special functions),
 ``series`` (slowly convergent series with an optional convergence table),
 ``integrate`` (tanh-sinh kernels), ``limit`` (Richardson-extrapolated
 limits), and ``verify`` (the identity suite with table/json/csv reports).
+The first four reach a route by name through one table, ``_ROUTES``; a
+route's flags are exactly its routine's parameters, and those without a
+default are required.
 
 Exit codes: 0 success (and all identities passing), 1 verification failures,
 2 usage or domain errors, 3 non-convergence (quadrature refinement cap, or a
@@ -51,91 +54,91 @@ def _print_result(res, width: int, prefix: str = "") -> None:
         print(f"{prefix}{field.name:<{width}} = {_g(value) if isinstance(value, float) else value}")
 
 
-# --- argument collection -------------------------------------------------
+# --- routes ---------------------------------------------------------------
+
+# command -> route name -> routine, in the order the CLI lists them.
+_ROUTES: dict[str, Mapping[str, Callable]] = {
+    "eval": {name: getattr(cs, name) for name in sorted(cs.__all__) if callable(getattr(cs, name))},
+    "series": sr.SERIES,
+    "integrate": {"beta": qd.beta_integral, "digamma": qd.digamma_integral,
+                  "log-kernel": qd.log_kernel_moment},
+    "limit": {"beta-pole": lm.beta_pole_limit, "gamma-derivative": lm.gamma_derivative_at_1,
+              "gamma-pole": lm.gamma_pole_limit, "scaled-beta": lm.scaled_beta_limits},
+}
 
 
-def _required(func: Callable) -> list[inspect.Parameter]:
-    """``func``'s parameters without a default, in order: what the CLI must be given."""
-    params = inspect.signature(func, eval_str=True).parameters.values()
-    return [p for p in params if p.default is p.empty]
+def _flags(command: str, routine: Callable) -> dict[str, inspect.Parameter]:
+    """flag -> parameter of ``routine``.  eval's flags go by position, Norlund's x
+    is --xarg, and series convention defaults to corrected."""
+    flags = {}
+    for i, param in enumerate(inspect.signature(routine, eval_str=True).parameters.values()):
+        flag = ("x", "x2")[i] if command == "eval" else {"x": "xarg"}.get(param.name, param.name)
+        flags[flag] = param.replace(default=sr.CORRECTED) if param.name == "convention" else param
+    return flags
 
 
-def _collect(
-    options: Mapping,
-    where: str,
-    wanted: Mapping[str, Callable | None],
-    flags: Sequence[str],
-    defaults: Mapping | None = None,
-) -> list:
-    """Values of the ``wanted`` flags, in order.
+# command -> route name -> flag -> parameter; each signature is read once.
+_SIGNATURES = {
+    command: {name: _flags(command, routine) for name, routine in routes.items()}
+    for command, routes in _ROUTES.items()
+}
 
-    ``wanted`` maps a flag to ``int`` or ``float`` if its value is still text
-    (eval's), else to None.  Every flag of ``flags`` outside ``wanted`` must
-    be absent; every wanted flag must be given or have an entry in ``defaults``.
-    """
-    for flag in flags:
-        if options.get(flag) is not None and flag not in wanted:
+
+def _takers(command: str) -> dict[str, dict[str, inspect.Parameter]]:
+    """flag -> {route name: parameter} over the routes of ``command`` that take it."""
+    takers: dict[str, dict[str, inspect.Parameter]] = {}
+    for name, flags in _SIGNATURES[command].items():
+        for flag, param in flags.items():
+            takers.setdefault(flag, {})[name] = param
+    return takers
+
+
+def _arguments(command: str, name: str, options: Mapping) -> dict:
+    """Route ``name``'s keyword arguments: its routine's parameters, each given or
+    defaulted, and converted by annotation (eval's flags are text)."""
+    where = f"{command} {name}"
+    params = _SIGNATURES[command][name]
+    for flag in _takers(command):
+        if options.get(flag) is not None and flag not in params:
             raise DomainError(f"{where} takes no --{flag}")
-    args = []
-    for flag, conv in wanted.items():
+    missing = [f"--{flag}" for flag, p in params.items()
+               if options.get(flag) is None and p.default is p.empty]
+    if missing:
+        raise DomainError(f"{where} requires {' and '.join(missing)}")
+    args = {}
+    for flag, param in params.items():
         value = options.get(flag)
         if value is None:
-            value = (defaults or {}).get(flag)
-        if value is None:
-            raise DomainError(f"{where} requires --{flag}")
-        if conv is not None:
+            value = param.default
+        else:
             try:
-                value = conv(value)
+                value = param.annotation(value)
             except ValueError:
-                kind = "an integer" if conv is int else "a number"
+                kind = "an integer" if param.annotation is int else "a number"
                 raise DomainError(f"--{flag} must be {kind}, got {value!r}") from None
-        args.append(value)
+        args[param.name] = value
     return args
 
 
-def _given(options: Mapping, *names: str) -> dict:
-    """The named options that were given, so the library owns every default."""
-    return {name: options[name] for name in names if options[name] is not None}
-
-
-# --- eval -----------------------------------------------------------------
-
-# Every public function of core_special, its parameters given by position.
-_EVAL = sorted(name for name in cs.__all__ if callable(getattr(cs, name)))
-_EVAL_FLAGS = ("x", "x2")
+# --- handlers -------------------------------------------------------------
 
 
 def _run_eval(options: Mapping) -> int:
     name = options["function"]
-    func = getattr(cs, name)
-    kinds = {f: int if p.annotation is int else float for f, p in zip(_EVAL_FLAGS, _required(func))}
-    print(_g(func(*_collect(options, f"eval {name}", kinds, _EVAL_FLAGS))))
+    print(_g(_ROUTES["eval"][name](**_arguments("eval", name, options))))
     return 0
-
-
-# --- series ---------------------------------------------------------------
-
-# The series' parameter flags; each series takes those its term source names.
-_SERIES_PARAM_FLAGS = ("u", "v", "a", "xarg", "convention")
-_FLAG_OF = {"x": "xarg"}  # norlund's x keeps its established --xarg flag
 
 
 def _run_series(options: Mapping) -> int:
     name = options["name"]
-    params = [p.name for p in _required(sr.SERIES[name])]
-    flags = [_FLAG_OF.get(param, param) for param in params]
-    values = _collect(
-        options, f"series {name}", dict.fromkeys(flags), _SERIES_PARAM_FLAGS,
-        {"convention": sr.CORRECTED},
-    )
-    every = options["every"]
-    if every < 0:
-        raise DomainError(f"--every must be >= 0, got {every}")
+    params = _arguments("series", name, options)
+    explicit_tol = options["tol"]
     ctrl = sr.SeriesControl(
-        **_given(options, "max_terms", "tol"),
+        max_terms=options["max_terms"],
+        tol=sr.SeriesControl.tol if explicit_tol is None else explicit_tol,
         tail_correction=not options["no_tail_correction"],
     )
-    result, rows = sr.trace(name, dict(zip(params, values)), ctrl, every)
+    result, rows = sr.trace(name, params, ctrl, options["every"])
     if rows:
         print(f"{'n':>10}  {'term':>24}  {'partial_sum':>24}  {'tail_estimate':>24}")
         for row in rows:
@@ -145,7 +148,6 @@ def _run_series(options: Mapping) -> int:
             )
         print()
     _print_result(result, 16)
-    explicit_tol = options["tol"]
     if explicit_tol is not None and result.tail_estimate > explicit_tol:
         print(
             f"error: series stopped at {result.termination} with estimated tail "
@@ -156,60 +158,24 @@ def _run_series(options: Mapping) -> int:
     return 0
 
 
-# --- integrate ------------------------------------------------------------
-
-# kernel -> quadrature routine; its parameters without defaults are its flags
-_KERNELS = {
-    "beta": qd.beta_integral,
-    "digamma": qd.digamma_integral,
-    "log-kernel": qd.log_kernel_moment,
-}
+# One print prefix per result, for the routes that return several.
+_PREFIXES = {"scaled-beta": ("via_log_gamma  ", "via_recurrence ")}
 
 
-def _run_integrate(options: Mapping) -> int:
-    kernel = options["kernel"]
-    func = _KERNELS[kernel]
-    flags = [p.name for p in _required(func)]
-    if any(options[flag] is None for flag in flags):  # one message names them all
-        needed = " and ".join(f"--{flag}" for flag in flags)
-        raise DomainError(f"integrate {kernel} requires {needed}")
-    args = _collect(options, f"integrate {kernel}", dict.fromkeys(flags), ("u", "v"))
-    _print_result(func(*args, **_given(options, "tol")), 14)
-    return 0
-
-
-# --- limit ----------------------------------------------------------------
-
-# limit -> (routine, one print prefix per result); flags as for _KERNELS
-_LIMITS = {
-    "beta-pole": (lm.beta_pole_limit, ("",)),
-    "gamma-derivative": (lm.gamma_derivative_at_1, ("",)),
-    "gamma-pole": (lm.gamma_pole_limit, ("",)),
-    "scaled-beta": (lm.scaled_beta_limits, ("via_log_gamma  ", "via_recurrence ")),
-}
-
-
-def _run_limit(options: Mapping) -> int:
-    name = options["name"]
-    func, prefixes = _LIMITS[name]
-    flags = dict.fromkeys(p.name for p in _required(func))
-    args = _collect(options, f"limit {name}", flags, ("u",))
-    results = func(*args, **_given(options, "depth", "h0"))
+def _run_routine(command: str, name: str, options: Mapping) -> int:
+    """Run an integrate or limit route and print each result it returns."""
+    results = _ROUTES[command][name](**_arguments(command, name, options))
     if not isinstance(results, tuple):
         results = (results,)
-    for prefix, res in zip(prefixes, results):
+    for prefix, res in zip(_PREFIXES.get(name, ("",)), results):
         _print_result(res, 14, prefix)
     return 0
 
 
-# --- verify ---------------------------------------------------------------
-
-
 def _run_verify(options: Mapping) -> int:
-    only = None
-    if options.get("only"):
-        tokens = [s.strip() for s in options["only"].split(",") if s.strip()]
-        only = tokens or None
+    only = options.get("only")
+    if only is not None:
+        only = [s.strip() for s in only.split(",") if s.strip()]
     report = vf.run_suite(only=only)
     data = vf.render_report(report, options["format"])
     out = options.get("out")
@@ -225,6 +191,23 @@ def _run_verify(options: Mapping) -> int:
 # --- parsing and dispatch -------------------------------------------------
 
 
+def _add_routes(sub, command: str, dest: str, **kwargs) -> argparse.ArgumentParser:
+    """The ``command`` subparser: a route name, then one flag per routine parameter,
+    whose help names the routes that take it and their default if they share one."""
+    parser = sub.add_parser(command, **kwargs)
+    parser.add_argument(dest, choices=sorted(_ROUTES[command]))
+    for flag, takers in _takers(command).items():
+        param = next(iter(takers.values()))
+        text = "for " + ", ".join(takers)
+        defaults = {p.default for p in takers.values()}
+        if len(defaults) == 1 and param.default is not param.empty:
+            text += f" (default {param.default})"
+        parser.add_argument(
+            f"--{flag}", type=None if command == "eval" else param.annotation, help=text
+        )
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="betalab",
@@ -233,13 +216,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate a reference special function")
-    p_eval.add_argument("function", choices=_EVAL)
-    p_eval.add_argument("--x", help="first argument")
-    p_eval.add_argument("--x2", help="second argument (two-argument functions)")
+    _add_routes(sub, "eval", "function", help="evaluate a reference special function")
 
-    p_series = sub.add_parser(
+    p_series = _add_routes(
+        sub,
         "series",
+        "name",
         help="sum a slowly convergent series",
         description="Sum a slowly convergent series.  beta, beta-limit, digamma, log2 and "
         "norlund, when infinite, are Levin-u extrapolated from their first few dozen "
@@ -248,18 +230,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "exact termination and before a first estimate exists.  "
         f"termination is one of {', '.join(sr.TERMINATIONS)}.",
     )
-    p_series.add_argument("name", choices=sorted(sr.SERIES))
-    p_series.add_argument("--u", type=float, help="series parameter u")
-    p_series.add_argument("--v", type=float, help="series parameter v")
-    p_series.add_argument("--a", type=float, help="difference-series parameter a")
-    p_series.add_argument("--xarg", type=float, help="difference-series parameter x")
     p_series.add_argument(
-        "--convention",
-        choices=sr.CONVENTIONS,
-        help="inner-sum lower index (default: corrected)",
-    )
-    p_series.add_argument(
-        "--max-terms", type=int, help=f"term cap (default {sr.SeriesControl.max_terms})"
+        "--max-terms",
+        type=int,
+        default=sr.SeriesControl.max_terms,
+        help=f"term cap (default {sr.SeriesControl.max_terms})",
     )
     p_series.add_argument(
         "--tol",
@@ -267,9 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"stop when estimated tail <= tol (default {sr.SeriesControl.tol:g}); "
         "if given, a run that stops above it exits 3",
     )
-    p_series.add_argument(
-        "--every", type=int, default=0, help="print a table row every N terms"
-    )
+    p_series.add_argument("--every", type=int, default=0, help="print a table row every N terms")
     p_series.add_argument(
         "--no-tail-correction",
         action="store_true",
@@ -277,27 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "with tail_estimate bounding its distance to the extrapolated limit",
     )
 
-    p_int = sub.add_parser("integrate", help="tanh-sinh integration of a kernel")
-    p_int.add_argument("kernel", choices=sorted(_KERNELS))
-    p_int.add_argument("--u", type=float, help="kernel parameter u")
-    p_int.add_argument("--v", type=float, help="kernel parameter v (beta only)")
-    p_int.add_argument(
-        "--tol", type=float, help=f"refinement tolerance (default {qd.DEFAULT_TOL:g})"
-    )
-
-    p_lim = sub.add_parser("limit", help="Richardson-extrapolated v->0 limits")
-    p_lim.add_argument("name", choices=sorted(_LIMITS))
-    p_lim.add_argument("--u", type=float, help="first beta argument")
-    p_lim.add_argument("--h0", type=float, help="largest sample point (default per op)")
-    p_lim.add_argument(
-        "--depth", type=int, help=f"extrapolation table depth (default {lm.DEFAULT_DEPTH})"
-    )
+    _add_routes(sub, "integrate", "kernel", help="tanh-sinh integration of a kernel")
+    _add_routes(sub, "limit", "name", help="Richardson-extrapolated v->0 limits")
 
     p_ver = sub.add_parser("verify", help="run the identity suite and report")
     p_ver.add_argument("--only", help="comma-separated identity ids (default: all)")
-    p_ver.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table"
-    )
+    p_ver.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_ver.add_argument("--out", help="write the report to this path instead of stdout")
     return parser
 
@@ -305,8 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _HANDLERS = {
     "eval": _run_eval,
     "series": _run_series,
-    "integrate": _run_integrate,
-    "limit": _run_limit,
+    "integrate": lambda options: _run_routine("integrate", options["kernel"], options),
+    "limit": lambda options: _run_routine("limit", options["name"], options),
     "verify": _run_verify,
 }
 

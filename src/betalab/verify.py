@@ -81,7 +81,9 @@ class IdentitySpec:
     ``lhs`` and ``rhs`` are called with a grid tuple unpacked as positional
     arguments and return either a float or a result object with a ``.value``
     and any of the attributes terms_used / tail_estimate / levels_used /
-    table_depth, which become the record's diagnostics.
+    table_depth, which become the record's diagnostics.  A spec needs a
+    non-empty grid without a non-finite float, a finite positive tolerance
+    and a known mode, or it raises :class:`DomainError`.
     """
 
     id: str
@@ -96,6 +98,9 @@ class IdentitySpec:
     def __post_init__(self) -> None:
         if not self.grid:
             raise DomainError(f"identity {self.id!r} has an empty grid")
+        for point in self.grid:
+            if any(isinstance(p, float) and not math.isfinite(p) for p in point):
+                raise DomainError(f"identity {self.id!r} grid point {point!r} is not finite")
         positive_real(self.tolerance, f"identity {self.id!r} tolerance")
         if self.tolerance_mode not in _MODES:
             raise DomainError(
@@ -519,7 +524,8 @@ def run_suite(
 ) -> SuiteReport:
     """Run selected identities (default: all) and collect a SuiteReport.
 
-    ``only`` filters by identity id.  ``overrides`` may map an id to
+    ``only`` filters by identity id; an empty ``only`` raises
+    :class:`DomainError`.  ``overrides`` may map an id to
     ``{"grid": ..., "tolerance": ...}`` keyword overrides for
     :func:`run_identity`; an id it names need not be selected.  Before any
     evaluation, an id in either that is not registered raises
@@ -530,6 +536,8 @@ def run_suite(
     known = [spec.id for spec in registry]
     overrides = overrides or {}
     wanted = set(known if only is None else only)
+    if not wanted:
+        raise DomainError("only must name at least one identity id")
     missing = sorted(wanted.union(overrides) - set(known))
     if missing:
         raise UnknownIdentityError(
@@ -586,12 +594,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# JSON string escapes: the quote, the backslash and U+0000-U+001F.
+_JSON_ESCAPES = str.maketrans(
+    {'"': '\\"', "\\": "\\\\", **{chr(c): f"\\u{c:04x}" for c in range(0x20)}}
+)
+
+
 def _json_value(value) -> str:
     """JSON text of a scalar or a params tuple."""
     if value is None:
         return "null"
     if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return '"' + value.translate(_JSON_ESCAPES) + '"'
     if isinstance(value, tuple):
         return "[" + ", ".join(_json_value(p) for p in value) + "]"
     return _fmt(value)

@@ -242,6 +242,9 @@ def test_series_convention_flag(capsys):
         capsys, "series", "zeta2", "--convention", "literal", "--max-terms", "10000"
     )
     assert code_corr == code_lit == 0
+    assert run_cli(capsys, "series", "trigamma-half", "--convention", "bogus") == (
+        2, "", "error: convention must be one of ('literal', 'corrected'), got 'bogus'\n"
+    )
     value = lambda out: float(
         next(ln for ln in out.splitlines() if ln.startswith("value")).split("=")[1]
     )
@@ -268,7 +271,7 @@ def test_series_validates_control_values(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "series", "log2", "--every", "-5")
     assert code == 2
-    assert "--every" in err
+    assert err == "error: every must be a finite integer >= 0, got -5\n"
 
 
 def test_series_no_tail_correction_flag(capsys):
@@ -309,6 +312,9 @@ def test_integrate_log_kernel(capsys):
 
 def test_integrate_requires_parameters(capsys):
     code, _, err = run_cli(capsys, "integrate", "beta", "--u", "0.5")
+    assert code == 2
+    assert "requires --v" in err and "--u" not in err
+    code, _, err = run_cli(capsys, "integrate", "beta")
     assert code == 2
     assert "requires --u and --v" in err
     code, _, err = run_cli(capsys, "integrate", "digamma", "--u", "1", "--v", "2")
@@ -417,6 +423,13 @@ def test_verify_unknown_id_exits_2(capsys):
     assert code == 2
     assert "unknown identity id" in err
     assert "NOPE" in err
+
+
+@pytest.mark.parametrize("only", [",", ""])
+def test_verify_empty_only_exits_2(capsys, only):
+    code, out, err = run_cli(capsys, "verify", "--only", only)
+    assert (code, out) == (2, "")
+    assert err == "error: only must name at least one identity id\n"
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):

@@ -25,8 +25,6 @@ from oracles import (
     zeta_oracle,
 )
 
-mpmath.mp.dps = 50
-
 # Wide sample grid avoiding only the poles at 0, -1, -2, ...
 WIDE_GRID = [
     0.05, 0.1, 0.25, 0.49, 0.5, 0.51, 0.75, 0.9, 0.99, 1.0, 1.01, 1.5,
@@ -44,13 +42,21 @@ def rel_err(value: float, reference: float) -> float:
 # --- gamma / lgamma -------------------------------------------------------
 
 
+def test_mpmath_precision_is_set_per_reference():
+    # Each module sets mpmath's precision around its own references, so none
+    # is left behind for the references of the modules collected after it.
+    assert mpmath.mp.dps == 15
+
+
 @pytest.mark.parametrize("x", WIDE_GRID)
+@mpmath.workdps(50)
 def test_lgamma_matches_mpmath_to_1e13(x):
     reference = float(mpmath.loggamma(x))
     assert abs(bl.lgamma(x) - reference) <= 1e-13 * max(1.0, abs(reference))
 
 
 @pytest.mark.parametrize("x", WIDE_GRID)
+@mpmath.workdps(50)
 def test_gamma_matches_mpmath(x):
     reference = float(mpmath.gamma(x))
     assert rel_err(bl.gamma(x), reference) <= 1e-13
@@ -112,6 +118,7 @@ def test_beta_pinned_sixth():
 
 
 @pytest.mark.parametrize("u,v", [(0.05, 0.05), (0.5, 12.5), (30.0, 40.0), (1e-3, 5.0)])
+@mpmath.workdps(50)
 def test_beta_matches_mpmath(u, v):
     reference = float(mpmath.beta(u, v))
     assert rel_err(bl.beta(u, v), reference) <= 1e-12
@@ -121,6 +128,7 @@ def test_beta_matches_mpmath(u, v):
 # away the digits of B (beta(1e17, 0.5) was 1.0) or overflow (beta(1e306, 0.5)).
 @pytest.mark.parametrize("big", [1e4, 3e5, 1e8, 1e16, 1e17, 1e100, 1e306, 1.7e308])
 @pytest.mark.parametrize("small", [1e-300, 1e-3, 0.5, 2.0, 7.5])
+@mpmath.workdps(50)
 def test_beta_with_one_huge_argument_matches_mpmath(big, small):
     # u + v is exact only with as many digits as big has; 50 more for the result.
     with mpmath.workdps(50 + int(math.log10(big))):
@@ -166,6 +174,7 @@ def test_digamma_half_step_is_two():
 
 
 @pytest.mark.parametrize("x", WIDE_GRID)
+@mpmath.workdps(50)
 def test_digamma_matches_mpmath(x):
     reference = float(mpmath.digamma(x))
     assert abs(bl.digamma(x) - reference) <= 1e-13 * max(1.0, abs(reference))
@@ -216,6 +225,7 @@ def test_hurwitz_half_relation(s):
 
 @pytest.mark.parametrize("s", [1.5, 2.0, 3.0, 6.0, 12.0])
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 17.0])
+@mpmath.workdps(50)
 def test_hurwitz_zeta_matches_mpmath(s, a):
     reference = float(mpmath.zeta(s, a))
     assert rel_err(bl.hurwitz_zeta(s, a), reference) <= 1e-12

@@ -13,8 +13,6 @@ import pytest
 import betalab as bl
 from betalab.errors import DomainError
 
-mpmath.mp.dps = 30
-
 ACCELERATED = ("beta", "beta-limit", "digamma", "log2", "norlund")
 
 
@@ -52,6 +50,7 @@ GRID = (
 )
 
 
+@mpmath.workdps(30)
 def test_residual_bounds_the_real_error_on_the_suite_ranges():
     failures = []
     extrapolated = 0
@@ -82,6 +81,7 @@ def test_residual_bounds_the_real_error_on_the_suite_ranges():
         ("beta", {"u": 7504.201411157739, "v": 0.010541629583875122}),  # 7,499 reductions
     ],
 )
+@mpmath.workdps(30)
 def test_residual_covers_the_rounding_the_transforms_cannot_see(name, params):
     res, _ = bl.trace(name, params)
     assert float(abs(mpmath.mpf(res.value) - _reference(name, params))) <= res.tail_estimate
@@ -119,6 +119,7 @@ def test_finite_series_are_summed_without_extrapolation(name, params):
     assert (res, rows) == (plain, plain_rows)
 
 
+@mpmath.workdps(30)
 def test_tolerance_met_means_the_residual_is_within_tol():
     expected = float(mpmath.digamma(3.7) - mpmath.digamma(1.0))
     for tol in (1e-4, 1e-7, 1e-10):
@@ -157,6 +158,7 @@ def test_max_terms_still_caps_the_levin_path():
         (200.0, 2.5, 151),  # and then v steps into (0, 2]
     ],
 )
+@mpmath.workdps(30)
 def test_beta_series_reduces_large_u(u, v, reductions):
     res = bl.beta_series(u, v)
     reference = mpmath.beta(u, v)
@@ -173,6 +175,7 @@ def test_beta_series_reduces_large_u(u, v, reductions):
         (0.3, 1000.7, 999),  # unreduced, beta(0.5, 1e6) was 1.8e-3 off with a 6e-10 residual
     ],
 )
+@mpmath.workdps(30)
 def test_beta_series_reduces_large_v_of_an_infinite_series(u, v, reductions):
     res = bl.beta_series(u, v)
     reference = mpmath.beta(u, v)
@@ -191,6 +194,7 @@ def test_beta_series_reduces_large_v_of_an_infinite_series(u, v, reductions):
         (1.0, 1000.5, 0),  # the empty sum B(1, v) = 1/v keeps its v
     ],
 )
+@mpmath.workdps(30)
 def test_beta_series_reduces_large_v_of_a_finite_series(u, v, reductions):
     # The finite sum cancels against its base 1/v, whose rounding it cannot see.
     res = bl.beta_series(u, v)
@@ -225,6 +229,7 @@ def test_beta_series_reduction_caps():
         ("norlund", {"x": 80.5, "a": 2.5}, 71),  # into (9, 10]; unreduced, 2e-8 relative off
     ],
 )
+@mpmath.workdps(30)
 def test_beta_limit_and_norlund_reduce_large_arguments(name, params, reductions):
     res, _ = bl.trace(name, params)
     reference = _reference(name, params)

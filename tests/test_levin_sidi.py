@@ -13,8 +13,6 @@ import pytest
 import betalab as bl
 from betalab import series as sr
 
-mpmath.mp.dps = 30
-
 ORDER_CAP_TERMS = 1477  # the 19th geometric sample, where order 9 is solved
 
 
@@ -41,6 +39,7 @@ def _error(name: str, params: dict, value: float) -> float:
 
 
 @pytest.mark.parametrize("name, params", GRID)
+@mpmath.workdps(30)
 def test_residual_bounds_the_real_error(name, params):
     res, _ = bl.trace(name, params)
     assert _error(name, params, res.value) <= res.tail_estimate
@@ -54,12 +53,14 @@ def test_residual_bounds_the_real_error(name, params):
 
 
 @pytest.mark.parametrize("u", [0.005, 0.01, 0.02, 0.05])
+@mpmath.workdps(30)
 def test_small_u_ends_in_precision_limit(u):
     res = bl.trigamma_series(u)
     assert (res.termination, res.terms_used) == (bl.PRECISION_LIMIT, ORDER_CAP_TERMS)
     assert _error("trigamma", {"u": u}, res.value) <= res.tail_estimate
 
 
+@mpmath.workdps(30)
 def test_tolerance_met_means_the_residual_is_within_tol():
     for tol in (1e-3, 1e-4, 1e-6):
         res = bl.trigamma_series(0.75, bl.SeriesControl(tol=tol))
@@ -76,6 +77,7 @@ def test_precision_limit_reports_the_best_transform():
     assert res.raw_partial_sum == rows[-1].partial_sum
 
 
+@mpmath.workdps(30)
 def test_max_terms_still_caps_the_d2_path():
     res = bl.trigamma_series(0.5, bl.SeriesControl(max_terms=100))
     assert (res.termination, res.terms_used) == (bl.MAX_TERMS, 100)
@@ -100,6 +102,7 @@ def test_a_zero_first_term_does_not_end_the_sum():
     ],
     ids=["trigamma", "trigamma-half-literal"],
 )
+@mpmath.workdps(30)
 def test_differences_come_from_the_recurrence(terms, exact):
     # a_{n+1} - a_n as accurate, relative to itself, as a_n is: subtracting
     # two rounded terms would add a few ulps of a_n, about n times more.

@@ -3,12 +3,14 @@
 Each module's ``__all__`` is the one list of its public names, and the package
 root republishes those lists.  Each routine's signature is the one list of
 its parameters: through the CLI, every eval function, series, kernel and
-limit takes exactly its parameters without defaults, with their int/float
-kinds.
+limit takes exactly its parameters as flags, with their int/float kinds.
+Those without a default are required; the others take the routine's
+default when left out.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import re
 
@@ -159,3 +161,53 @@ def test_limit_takes_the_routines_parameters(capsys, name):
     assert {p.annotation for p in params} <= {float}
     given = {p.name: "1.5" for p in params}
     _check_takes_exactly(capsys, ["limit", name, "--depth", "4"], given, ("u",))
+
+
+@pytest.mark.parametrize(
+    "argv, call",
+    [
+        (["limit", "gamma-pole", "--h0", "0.3", "--depth", "6"],
+         lambda: lm.gamma_pole_limit(depth=6, h0=0.3)),
+        (["integrate", "digamma", "--u", "1.5", "--tol", "1e-8"],
+         lambda: qd.digamma_integral(1.5, 1e-8)),
+        (["integrate", "digamma", "--u", "1.5", "--tol", "1e-4"],  # one level short of the default
+         lambda: qd.digamma_integral(1.5, 1e-4)),
+    ],
+)
+def test_defaulted_parameters_reach_the_routine(capsys, argv, call):
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    printed = dict(line.split(" = ") for line in out.splitlines())
+    expected = {
+        name: format(value, ".17g") if isinstance(value, float) else str(value)
+        for name, value in dataclasses.asdict(call()).items()
+    }
+    assert {name.strip(): value for name, value in printed.items()} == expected
+
+
+def _flag_help(capsys, command: str) -> dict:
+    """flag -> its help text in ``command --help``, without whitespace."""
+    code, out, _ = _run(capsys, [command, "--help"])
+    assert code == 0
+    options = re.split(r"^(?:options|optional arguments):$", out, flags=re.MULTILINE)[1]
+    entries = re.findall(r"^  --(\S+) \S+\s+(.*?)(?=^  -|\Z)", options, re.MULTILINE | re.DOTALL)
+    return {flag: "".join(text.split()) for flag, text in entries}
+
+
+@pytest.mark.parametrize(
+    "command, routes",
+    [("eval", {name: getattr(cs, name) for name in EVAL_FUNCTIONS}), ("series", sr.SERIES),
+     ("integrate", KERNELS), ("limit", LIMITS)],
+)
+def test_each_route_flag_help_names_the_routes_that_take_it(capsys, command, routes):
+    takers: dict = {}
+    for name, routine in sorted(routes.items()):
+        for i, param in enumerate(inspect.signature(routine).parameters.values()):
+            flag = ("x", "x2")[i] if command == "eval" else {"x": "xarg"}.get(param.name, param.name)
+            takers.setdefault(flag, {})[name] = param.default
+    helps = _flag_help(capsys, command)
+    for flag, defaults in takers.items():
+        assert helps[flag].startswith("for" + ",".join(defaults)), (flag, helps[flag])
+        shared = set(defaults.values())
+        if len(shared) == 1 and inspect.Parameter.empty not in shared:  # e.g. --tol, --depth
+            assert helps[flag].endswith(f"(default{shared.pop()})"), (flag, helps[flag])

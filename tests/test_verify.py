@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
@@ -46,7 +47,10 @@ def test_registry_specs_are_well_formed():
 
 
 @pytest.mark.parametrize(
-    "change", [{"grid": ()}, {"tolerance_mode": "loose"}], ids=["empty-grid", "unknown-mode"]
+    "change",
+    [{"grid": ()}, {"grid": ((float("nan"), 0.5),)}, {"grid": ((2.0, -math.inf),)},
+     {"tolerance_mode": "loose"}],
+    ids=["empty-grid", "nan-point", "infinite-point", "unknown-mode"],
 )
 def test_identity_spec_rejects_malformed_fields(change):
     spec = bl.builtin_registry()[0]
@@ -111,6 +115,11 @@ def test_only_filter_deduplicates():
     assert len(once.records) == len(twice.records)
 
 
+def test_empty_only_is_rejected():
+    with pytest.raises(DomainError, match="at least one identity"):
+        bl.run_suite(only=[])
+
+
 def test_unknown_identity_raises_before_evaluation():
     with pytest.raises(UnknownIdentityError) as exc_info:
         bl.run_suite(only=["EQ4", "NOPE"])
@@ -167,6 +176,11 @@ def test_empty_grid_override_is_rejected():
         bl.run_identity(spec, grid=[])
     with pytest.raises(DomainError, match="empty grid"):
         bl.run_suite(overrides={"EQ5": {"grid": []}})
+
+
+def test_non_finite_grid_override_is_rejected():
+    with pytest.raises(DomainError, match="not finite"):
+        bl.run_suite(only=["EQ7"], overrides={"EQ7": {"grid": [(float("nan"),)]}})
 
 
 def test_override_for_an_unknown_id_is_rejected():
@@ -326,6 +340,13 @@ def test_formats_agree_on_counts(full_report):
 def test_render_rejects_unknown_format(full_report):
     with pytest.raises(DomainError):
         bl.render_report(full_report, "yaml")
+
+
+def test_json_escapes_quotes_backslashes_and_control_characters():
+    text = 'po\nle\t"q"\\\x00\x1f'
+    report = bl.run_suite(only=["EQ2"], overrides={"EQ2": {"grid": [(text,)]}})
+    (record,) = json.loads(bl.render_report(report, "json"))["records"]
+    assert record["params"] == [text]
 
 
 def test_overflowing_point_becomes_a_skipped_record():
