@@ -10,25 +10,34 @@ deterministic table / JSON / CSV reports.
 
 Everything is pure Python on IEEE doubles: no third-party dependencies, no
 hidden state, and bit-for-bit reproducible output.
+
+The root republishes each module's ``__all__``, the one list of its public
+names, lazily (PEP 562): a submodule loads when it or one of its names is first used.
 """
 
 from __future__ import annotations
 
-# The top level republishes each module's __all__, the one list of its public names.
-from . import core_special, errors, limits, quadrature, series, verify
-from .core_special import *
-from .errors import *
-from .limits import *
-from .quadrature import *
-from .series import *
-from .verify import *
+# The modules whose __all__ the root republishes, in order.
+_MODULES = ("errors", "core_special", "series", "quadrature", "limits", "verify")
 
-__version__ = verify.TOOL_VERSION
 
-__all__ = ["__version__"]
-__all__ += errors.__all__
-__all__ += core_special.__all__
-__all__ += series.__all__
-__all__ += quadrature.__all__
-__all__ += limits.__all__
-__all__ += verify.__all__
+def __getattr__(name: str):
+    if name in _MODULES or name == "cli":  # straight to the submodule, loading no other
+        __import__(f"{__name__}.{name}")  # which -X importtime sees, unlike import_module
+        return globals()[name]
+    if name == "__version__":
+        value = __getattr__("verify").TOOL_VERSION
+    elif name == "__all__":
+        value = ["__version__"] + [n for m in _MODULES for n in __getattr__(m).__all__]
+    else:  # a public name: load the modules in order until one lists it
+        owners = (m for m in map(__getattr__, _MODULES) if name in m.__all__)
+        owner = None if name.startswith("_") else next(owners, None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__"), *_MODULES, "cli"})

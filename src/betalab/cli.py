@@ -6,7 +6,8 @@ Five subcommands expose the package: ``eval`` (reference special functions),
 limits), and ``verify`` (the identity suite with table/json/csv reports).
 The first four reach a route by name through one table, ``_ROUTES``; a
 route's flags are exactly its routine's parameters, and those without a
-default are required.
+default are required.  A command loads its own module, and reads its routes'
+signatures, on first use; the parser gets the arguments of that command only.
 
 Exit codes: 0 success (and all identities passing), 1 verification failures,
 2 usage or domain errors, 3 non-convergence (quadrature refinement cap, or a
@@ -20,16 +21,13 @@ there are no config files or environment variables.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 from dataclasses import dataclass, fields
+from types import ModuleType
 from typing import Callable, Mapping, Sequence
 
-from . import core_special as cs
-from . import limits as lm
-from . import quadrature as qd
-from . import series as sr
-from . import verify as vf
 from .errors import BetalabError, DomainError, NonConvergenceError
 
 __all__ = ["CommandInvocation", "parse", "execute", "main"]
@@ -56,14 +54,30 @@ def _print_result(res, width: int, prefix: str = "") -> None:
 
 # --- routes ---------------------------------------------------------------
 
-# command -> route name -> routine, in the order the CLI lists them.
-_ROUTES: dict[str, Mapping[str, Callable]] = {
-    "eval": {name: getattr(cs, name) for name in sorted(cs.__all__) if callable(getattr(cs, name))},
-    "series": sr.SERIES,
-    "integrate": {"beta": qd.beta_integral, "digamma": qd.digamma_integral,
-                  "log-kernel": qd.log_kernel_moment},
-    "limit": {"beta-pole": lm.beta_pole_limit, "gamma-derivative": lm.gamma_derivative_at_1,
-              "gamma-pole": lm.gamma_pole_limit, "scaled-beta": lm.scaled_beta_limits},
+# command -> (its module, loaded on the command's first use; its help; its route's dest).
+_COMMANDS = {
+    "eval": ("core_special", "evaluate a reference special function", "function"),
+    "series": ("series", "sum a slowly convergent series", "name"),
+    "integrate": ("quadrature", "tanh-sinh integration of a kernel", "kernel"),
+    "limit": ("limits", "Richardson-extrapolated v->0 limits", "name"),
+    "verify": ("verify", "run the identity suite and report", None),
+}
+
+
+def _module(command: str) -> ModuleType:
+    return getattr(sys.modules[__package__], _COMMANDS[command][0])  # the package root loads it
+
+
+# command -> route name -> routine, read from its module, in the order the CLI lists them.
+_ROUTES: dict[str, Callable[[ModuleType], Mapping[str, Callable]]] = {
+    "eval": lambda cs: {name: getattr(cs, name) for name in sorted(cs.__all__)
+                        if callable(getattr(cs, name))},
+    "series": lambda sr: sr.SERIES,
+    "integrate": lambda qd: {"beta": qd.beta_integral, "digamma": qd.digamma_integral,
+                             "log-kernel": qd.log_kernel_moment},
+    "limit": lambda lm: {"beta-pole": lm.beta_pole_limit,
+                         "gamma-derivative": lm.gamma_derivative_at_1,
+                         "gamma-pole": lm.gamma_pole_limit, "scaled-beta": lm.scaled_beta_limits},
 }
 
 
@@ -73,21 +87,27 @@ def _flags(command: str, routine: Callable) -> dict[str, inspect.Parameter]:
     flags = {}
     for i, param in enumerate(inspect.signature(routine, eval_str=True).parameters.values()):
         flag = ("x", "x2")[i] if command == "eval" else {"x": "xarg"}.get(param.name, param.name)
-        flags[flag] = param.replace(default=sr.CORRECTED) if param.name == "convention" else param
+        if param.name == "convention":
+            param = param.replace(default=_module("series").CORRECTED)
+        flags[flag] = param
     return flags
 
 
-# command -> route name -> flag -> parameter; each signature is read once.
-_SIGNATURES = {
-    command: {name: _flags(command, routine) for name, routine in routes.items()}
-    for command, routes in _ROUTES.items()
-}
+@functools.cache
+def _routes(command: str) -> Mapping[str, Callable]:
+    return _ROUTES[command](_module(command))
+
+
+@functools.cache
+def _signatures(command: str) -> dict[str, dict[str, inspect.Parameter]]:
+    """route name -> flag -> parameter; each signature is read once, on its command's first use."""
+    return {name: _flags(command, routine) for name, routine in _routes(command).items()}
 
 
 def _takers(command: str) -> dict[str, dict[str, inspect.Parameter]]:
     """flag -> {route name: parameter} over the routes of ``command`` that take it."""
     takers: dict[str, dict[str, inspect.Parameter]] = {}
-    for name, flags in _SIGNATURES[command].items():
+    for name, flags in _signatures(command).items():
         for flag, param in flags.items():
             takers.setdefault(flag, {})[name] = param
     return takers
@@ -97,7 +117,7 @@ def _arguments(command: str, name: str, options: Mapping) -> dict:
     """Route ``name``'s keyword arguments: its routine's parameters, each given or
     defaulted, and converted by annotation (eval's flags are text)."""
     where = f"{command} {name}"
-    params = _SIGNATURES[command][name]
+    params = _signatures(command)[name]
     for flag in _takers(command):
         if options.get(flag) is not None and flag not in params:
             raise DomainError(f"{where} takes no --{flag}")
@@ -125,7 +145,7 @@ def _arguments(command: str, name: str, options: Mapping) -> dict:
 
 def _run_eval(options: Mapping) -> int:
     name = options["function"]
-    print(_g(_ROUTES["eval"][name](**_arguments("eval", name, options))))
+    print(_g(_routes("eval")[name](**_arguments("eval", name, options))))
     return 0
 
 
@@ -133,6 +153,7 @@ def _run_series(options: Mapping) -> int:
     name = options["name"]
     params = _arguments("series", name, options)
     explicit_tol = options["tol"]
+    sr = _module("series")
     ctrl = sr.SeriesControl(
         max_terms=options["max_terms"],
         tol=sr.SeriesControl.tol if explicit_tol is None else explicit_tol,
@@ -164,7 +185,7 @@ _PREFIXES = {"scaled-beta": ("via_log_gamma  ", "via_recurrence ")}
 
 def _run_routine(command: str, name: str, options: Mapping) -> int:
     """Run an integrate or limit route and print each result it returns."""
-    results = _ROUTES[command][name](**_arguments(command, name, options))
+    results = _routes(command)[name](**_arguments(command, name, options))
     if not isinstance(results, tuple):
         results = (results,)
     for prefix, res in zip(_PREFIXES.get(name, ("",)), results):
@@ -176,6 +197,7 @@ def _run_verify(options: Mapping) -> int:
     only = options.get("only")
     if only is not None:
         only = [s.strip() for s in only.split(",") if s.strip()]
+    vf = _module("verify")
     report = vf.run_suite(only=only)
     data = vf.render_report(report, options["format"])
     out = options.get("out")
@@ -191,11 +213,10 @@ def _run_verify(options: Mapping) -> int:
 # --- parsing and dispatch -------------------------------------------------
 
 
-def _add_routes(sub, command: str, dest: str, **kwargs) -> argparse.ArgumentParser:
-    """The ``command`` subparser: a route name, then one flag per routine parameter,
-    whose help names the routes that take it and their default if they share one."""
-    parser = sub.add_parser(command, **kwargs)
-    parser.add_argument(dest, choices=sorted(_ROUTES[command]))
+def _add_routes(parser: argparse.ArgumentParser, command: str, dest: str) -> None:
+    """A route name, then one flag per routine parameter, whose help names the
+    routes that take it and their default if they share one."""
+    parser.add_argument(dest, choices=sorted(_routes(command)))
     for flag, takers in _takers(command).items():
         param = next(iter(takers.values()))
         text = "for " + ", ".join(takers)
@@ -205,58 +226,60 @@ def _add_routes(sub, command: str, dest: str, **kwargs) -> argparse.ArgumentPars
         parser.add_argument(
             f"--{flag}", type=None if command == "eval" else param.annotation, help=text
         )
-    return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="betalab",
-        description="Special-function laboratory: evaluate, sum, integrate, "
-        "extrapolate, and verify classical beta/gamma identities.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    _add_routes(sub, "eval", "function", help="evaluate a reference special function")
-
-    p_series = _add_routes(
-        sub,
-        "series",
-        "name",
-        help="sum a slowly convergent series",
-        description="Sum a slowly convergent series.  beta, beta-limit, digamma, log2 and "
+def _add_series_options(parser: argparse.ArgumentParser) -> None:
+    sr = _module("series")
+    parser.description = (
+        "Sum a slowly convergent series.  beta, beta-limit, digamma, log2 and "
         "norlund, when infinite, are Levin-u extrapolated from their first few dozen "
         "terms; trigamma, trigamma-half and zeta2 are Levin-Sidi d2 extrapolated from "
         "at most 1,477 terms.  tail_estimate bounds the error of value; it is 0 on "
         "exact termination and before a first estimate exists.  "
-        f"termination is one of {', '.join(sr.TERMINATIONS)}.",
+        f"termination is one of {', '.join(sr.TERMINATIONS)}."
     )
-    p_series.add_argument(
+    parser.add_argument(
         "--max-terms",
         type=int,
         default=sr.SeriesControl.max_terms,
         help=f"term cap (default {sr.SeriesControl.max_terms})",
     )
-    p_series.add_argument(
+    parser.add_argument(
         "--tol",
         type=float,
         help=f"stop when estimated tail <= tol (default {sr.SeriesControl.tol:g}); "
         "if given, a run that stops above it exits 3",
     )
-    p_series.add_argument("--every", type=int, default=0, help="print a table row every N terms")
-    p_series.add_argument(
+    parser.add_argument("--every", type=int, default=0, help="print a table row every N terms")
+    parser.add_argument(
         "--no-tail-correction",
         action="store_true",
         help="sum to --max-terms and report the raw partial sum as the value, "
         "with tail_estimate bounding its distance to the extrapolated limit",
     )
 
-    _add_routes(sub, "integrate", "kernel", help="tanh-sinh integration of a kernel")
-    _add_routes(sub, "limit", "name", help="Richardson-extrapolated v->0 limits")
 
-    p_ver = sub.add_parser("verify", help="run the identity suite and report")
-    p_ver.add_argument("--only", help="comma-separated identity ids (default: all)")
-    p_ver.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_ver.add_argument("--out", help="write the report to this path instead of stdout")
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand with its help; only ``command``, the one being parsed,
+    gets its arguments, so no other command's module is loaded."""
+    parser = argparse.ArgumentParser(
+        prog="betalab",
+        description="Special-function laboratory: evaluate, sum, integrate, "
+        "extrapolate, and verify classical beta/gamma identities.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, text, dest) in _COMMANDS.items():
+        p_sub = sub.add_parser(name, help=text)
+        if name != command:
+            continue
+        if dest is not None:
+            _add_routes(p_sub, command, dest)
+        if command == "series":
+            _add_series_options(p_sub)
+        elif command == "verify":
+            p_sub.add_argument("--only", help="comma-separated identity ids (default: all)")
+            p_sub.add_argument("--format", choices=("table", "json", "csv"), default="table")
+            p_sub.add_argument("--out", help="write the report to this path instead of stdout")
     return parser
 
 
@@ -275,7 +298,10 @@ def parse(argv: Sequence[str]) -> CommandInvocation:
     Usage problems follow argparse convention and raise ``SystemExit(2)``
     (with help text on stderr); :func:`main` converts that to an exit code.
     """
-    namespace = _build_parser().parse_args(list(argv))
+    command = next((arg for arg in argv if arg in _COMMANDS), None)  # the root takes only -h
+    if command is not None:
+        _module(command)  # loaded before any parser is built, which keeps peak RSS down
+    namespace = _build_parser(command).parse_args(list(argv))
     options = vars(namespace).copy()
     subcommand = options.pop("subcommand")
     return CommandInvocation(subcommand=subcommand, options=options)

@@ -225,7 +225,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
             lhs=lambda u, v: cs.beta(u, v + 1.0),
-            rhs=lambda u, v: v / (u + v) * cs.beta(u, v),
+            # cs.beta goes first, so it rejects a point before u + v can be 0.
+            rhs=lambda u, v: (lambda b: v / (u + v) * b)(cs.beta(u, v)),
         ),
         IdentitySpec(
             id="BU1",

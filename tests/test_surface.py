@@ -1,7 +1,9 @@
 """The public surface is described once.
 
 Each module's ``__all__`` is the one list of its public names, and the package
-root republishes those lists.  Each routine's signature is the one list of
+root republishes those lists, loading a module only when it is first used: a
+fresh ``import betalab`` loads no submodule, and each CLI command loads only
+its own layer.  Each routine's signature is the one list of
 its parameters: through the CLI, every eval function, series, kernel and
 limit takes exactly its parameters as flags, with their int/float kinds.
 Those without a default are required; the others take the routine's
@@ -10,9 +12,14 @@ default when left out.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +76,46 @@ def test_package_root_republishes_each_module_all():
     assert bl.__version__ == vf.TOOL_VERSION
 
 
+def test_star_import_binds_exactly_all_and_dir_lists_every_public_name():
+    namespace: dict = {}
+    exec("from betalab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(bl.__all__)
+    assert set(bl.__all__) <= set(dir(bl))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _loaded(code: str) -> set:
+    """The betalab modules that a fresh interpreter has loaded after running ``code``."""
+    code += "\nimport sys; print([m for m in sys.modules if m.split('.')[0] == 'betalab'])"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded("import betalab") == {"betalab"}
+
+
+@pytest.mark.parametrize(
+    "argv, layer",
+    [
+        (["--help"], ()),
+        (["eval", "gamma", "--x", "4.5"], ("core_special",)),
+        (["series", "beta", "--u", "3", "--v", "0.5"], ("core_special", "series")),
+        (["integrate", "digamma", "--u", "1.5"], ("quadrature",)),
+        (["limit", "gamma-pole"], ("core_special", "limits")),
+        (["verify", "--only", "BU1"], [m.__name__.split(".")[1] for m in MODULES]),
+    ],
+    ids=["help", "eval", "series", "integrate", "limit", "verify"],
+)
+def test_each_command_loads_only_its_own_layer(argv, layer):
+    loaded = _loaded(f"from betalab import cli; cli.main({argv!r})")
+    assert loaded == {"betalab", "betalab.cli", "betalab.errors", *(f"betalab.{m}" for m in layer)}
+
+
 def test_errors_export_exactly_the_exception_classes():
     classes = {
         name
@@ -94,6 +141,24 @@ def test_cli_offers_exactly_the_routines(capsys):
     assert _choices(capsys, "series") == set(sr.SERIES)
     assert _choices(capsys, "integrate") == set(KERNELS)
     assert _choices(capsys, "limit") == set(LIMITS)
+
+
+def test_root_help_lists_each_subcommand_with_its_help(capsys):
+    code, out, _ = _run(capsys, ["--help"])
+    assert code == 0
+    assert dict(re.findall(r"^    (\S+) +(.+)$", out, re.MULTILINE)) == {
+        "eval": "evaluate a reference special function",
+        "series": "sum a slowly convergent series",
+        "integrate": "tanh-sinh integration of a kernel",
+        "limit": "Richardson-extrapolated v->0 limits",
+        "verify": "run the identity suite and report",
+    }
+
+
+def test_series_help_names_every_termination(capsys):
+    code, out, _ = _run(capsys, ["series", "--help"])
+    listed = re.search(r"termination is one of ([^.]*)\.", " ".join(out.split())).group(1)
+    assert code == 0 and listed.split(", ") == list(sr.TERMINATIONS)
 
 
 def _check_takes_exactly(capsys, prefix: list, given: dict, flags: tuple, defaulted=()):

@@ -149,6 +149,15 @@ def test_skipped_records_do_not_fail_the_suite():
     assert records[1].passed is True
 
 
+def test_recurrence_point_with_vanishing_u_plus_v_is_skipped():
+    # rhs divides by u + v = 0 here; beta must reject the point before that division.
+    report = bl.run_suite(only=["RECUR"], overrides={"RECUR": {"grid": [(0.5, -0.5)]}})
+    (record,) = report.records
+    assert record.skipped is True
+    assert record.reason.startswith("DomainError:")
+    assert report.counts == {"total": 1, "passed": 0, "failed": 0, "skipped": 1}
+
+
 def test_grid_override_through_run_suite():
     report = bl.run_suite(
         only=["BU1"], overrides={"BU1": {"grid": [(2.0,), (4.0,)]}}
