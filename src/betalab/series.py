@@ -29,18 +29,31 @@ linear recurrence of order 2 and converge logarithmically, which Levin-u
 cannot extrapolate.  The Levin-Sidi d2 transformation (Levin & Sidi 1981;
 Sidi, *Practical Extrapolation Methods*, 2003) can, with the partial sums
 sampled at geometric indices R_l = max(R_{l-1} + 1, floor(1.5^l)), R_0 = 1.
-Only S_R, a_R and a_{R+1} - a_R are kept at each R_l.  The transform of order
-nu solves the 2 nu + 1 equations, one per sample l = 0..2 nu,
+Only S_R, a_R and a_{R+1} - a_R are read at each R_l.  The transform of
+order nu is the ``d`` of the 2 nu + 1 equations, one per sample l = 0..2 nu,
 
     S_R = d + R a_R sum_i b1_i R^-i + R^2 (a_{R+1} - a_R) sum_i b2_i R^-i,
 
-i = 0..nu-1, for ``d`` by Gaussian elimination with partial pivoting.  The
-residual is 8 times the larger of the last two differences between successive
-orders, never below 8 ulps of the transform; measured against 30-digit
-references on u in (0, 1) it bounds the real error.  It is done at order 9,
-after 1,477 terms: past it rounding in the solve grows faster than the
-transform gains (order 10 would take 3,325 terms).  Near u -> 0 the series
-gets hard, and its residual there stays well above ``ctrl.tol``.
+i = 0..nu-1.  No system is solved: the FS-algorithm (Ford & Sidi 1987)
+updates every order as a sample arrives, at O(l) work per column.  With
+t = 1/R its columns are interleaved, g_{2i+1} = R a_R t^i and
+g_{2i+2} = R^2 (a_{R+1} - a_R) t^i, so that the first 2 nu are order nu's.
+It starts from psi_0^(l)(b) = b(l) / g_1(l) for b in S, 1, g_2, ..., g_19,
+and each level eliminates one column,
+
+    psi_p^(j)(b) = (psi_{p-1}^(j+1)(b) - psi_{p-1}^(j)(b))
+                   / (psi_{p-1}^(j+1)(g_{p+1}) - psi_{p-1}^(j)(g_{p+1})),
+
+so that order nu's transform is psi_2nu^(0)(S) / psi_2nu^(0)(1).  A zero
+first term (literal trigamma-half) makes psi_0^(0) infinite; psi_1^(0)(b) is
+then its limit, b(0) / g_2(0).  A zero denominator makes the entries it
+divides nan, and every order built on them is skipped.  The residual is 8
+times the larger of the last two differences between successive orders,
+never below 8 ulps of the transform; measured against 30-digit references on
+u in (0, 1) it bounds the real error.  It is done at order 9, after 1,477
+terms: past it rounding in the recursion grows faster than the transform
+gains (order 10 would take 3,325 terms).  Near u -> 0 the series gets hard,
+and its residual there stays well above ``ctrl.tol``.
 
 Under tail correction (the default) a run stops with ``tolerance_met`` once
 the best residual is at most ``ctrl.tol``, and with ``precision_limit`` when
@@ -256,80 +269,57 @@ class _Levin:
         return n + 1, estimate
 
 
-def _last_unknown(m: list[list[float]]) -> float:
-    """Last unknown of the square system whose rows ``m`` hold the
-    coefficients and then the right-hand side; nan if it is singular.
-
-    Gaussian elimination with partial pivoting, in place.  With the wanted
-    unknown last, no back substitution is needed.
-    """
-    size = len(m)
-    for k in range(size):
-        p = max(range(k, size), key=lambda i: abs(m[i][k]))
-        pivot_row = m[p]
-        pivot = pivot_row[k]
-        if pivot == 0.0:
-            return math.nan
-        m[p] = m[k]
-        m[k] = pivot_row
-        tail = pivot_row[k + 1 :]
-        for i in range(k + 1, size):
-            row = m[i]
-            f = row[k] / pivot
-            if f != 0.0:
-                row[k + 1 :] = [x - f * y for x, y in zip(row[k + 1 :], tail)]
-    return m[-1][size] / m[-1][size - 1]
-
-
-def _d2_transform(samples: list[tuple[int, float, float, float]]) -> float:
-    """The d2 transform of order nu from 2 nu + 1 samples ``(R, S_R, a_R, da_R)``.
-
-    Solves ``S_R = d + R a_R sum_i b1_i R^-i + R^2 da_R sum_i b2_i R^-i``
-    (i = 0..nu-1) for ``d``, each coefficient column scaled to at most 1 in
-    magnitude; nan when the system is singular.
-    """
-    nu = len(samples) // 2
-    m = []
-    for r, s, a, da in samples:
-        inv = 1.0 / r
-        row = []
-        for x in (r * a, r * r * da):
-            for _ in range(nu):
-                row.append(x)
-                x *= inv
-        row += (1.0, s)
-        m.append(row)
-    for j in range(2 * nu):
-        scale = max(abs(row[j]) for row in m)
-        if scale == 0.0:
-            return math.nan
-        for row in m:
-            row[j] /= scale
-    return _last_unknown(m)
+def _fs_step(upper: list[float], lower: list[float]) -> list[float]:
+    """One level of the FS-algorithm: psi_p^(j) from psi_{p-1}^(j+1) (``upper``)
+    and psi_{p-1}^(j) (``lower``), whose last entries are the column it
+    eliminates and drops; all nan when their difference is 0."""
+    den = upper[-1] - lower[-1]
+    if den == 0.0:
+        return [math.nan] * (len(upper) - 1)
+    return [(x - y) / den for x, y in zip(upper[:-1], lower)]
 
 
 class _D2:
-    """The Levin-Sidi d2 transform, sampled at R_l; see module docstring.
+    """The Levin-Sidi d2 transform by the FS-algorithm, sampled at R_l; see
+    module docstring.
 
-    Transforms and residuals are taken on the sum's scale and then divided by
-    ``|div|``, so that zeta2 stays an exact third of trigamma-half.
+    Only the latest anti-diagonal is kept: ``diagonal[p]`` is psi_p^(l-p)
+    after sample l, with entries for S, 1 and then each column a higher level
+    still eliminates, the next one last (None for psi_0 of a zero first
+    term).  Transforms and residuals are taken on the sum's scale and then
+    divided by ``|div|``, so that zeta2 stays an exact third of trigamma-half.
     """
 
     def __init__(self, base: float, div: float, reductions: int) -> None:
         self.base = base
         self.div = div
-        self.samples: list[tuple[int, float, float, float]] = []
+        self.diagonal: list[list[float] | None] = []
+        self.limit: list[float] = []  # psi_1^(0) of a zero first term
         self.transforms: list[float] = []
 
     def sample(
         self, n: int, partial: float, term: float, diff: float
     ) -> tuple[int, tuple[float, float] | None]:
         """Take S_n and ``diff = a_{n+1} - a_n``; return as :meth:`_Levin.sample`."""
-        samples = self.samples
-        samples.append((n, partial, term, diff))
+        t = 1.0 / n
+        x, y = n * term, n * n * diff
+        cols = [partial, 1.0, x * t**_D2_MAX_ORDER]  # S, 1, g_19, g_18, ..., g_2, g_1
+        for i in range(_D2_MAX_ORDER - 1, -1, -1):
+            ti = t**i
+            cols += (y * ti, x * ti)
+        zeros = [0.0] * len(cols)
+        row: list[float] | None = _fs_step(cols, zeros)  # psi_0 = b / g_1, a step from zeros
+        diagonal = self.diagonal
+        if x == 0.0 and not diagonal:  # psi_0 is infinite; psi_1^(0)(b) = b / g_2 of this sample
+            self.limit, row = _fs_step(cols[:-1], zeros), None
+        for p, lower in enumerate(diagonal):
+            diagonal[p] = row
+            row = _fs_step(row, lower) if lower is not None else self.limit
+        diagonal.append(row)
         estimate = None
-        if len(samples) % 2 == 1 and len(samples) > 1:
-            transform = _d2_transform(samples)
+        if len(diagonal) % 2 == 1 and len(diagonal) > 1:
+            num, den = row[0], row[1]
+            transform = num / den if den != 0.0 else math.nan
             if math.isfinite(transform):  # else this order is singular: skip it
                 transforms = self.transforms
                 transforms.append(transform)
@@ -338,9 +328,9 @@ class _D2:
                     spread = max(abs(d3 - d2), abs(d2 - d1))
                     residual = _RESIDUAL_FACTOR * max(spread, _EPS * abs(d3)) / abs(self.div)
                     estimate = (self.base + d3 / self.div, residual)
-        if len(samples) > 2 * _D2_MAX_ORDER:
+        if len(diagonal) > 2 * _D2_MAX_ORDER:
             return 0, estimate
-        return max(n + 1, int(_GPS_RATIO ** len(samples))), estimate
+        return max(n + 1, int(_GPS_RATIO ** len(diagonal))), estimate
 
 
 def _bound(raw: float, best: float, residual: float) -> float:

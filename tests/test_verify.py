@@ -253,6 +253,11 @@ REPORT_SHA256 = {
         "csv": "1651b52e060050f971f1ed651d4c1a569011845adfa61b46bbbf8b733e24139f",
         "table": "9ee9e32fce13069ae4aa5412f69cde114fb235b7956528f72b5dd733c3e02b46",
     },
+    "0.4.0": {
+        "json": "5ce6d68f372e1b3c401caad9bd259b3c3ce03cfa83cdc7c50b286e1b9bd6f738",
+        "csv": "ea97544e7839bb946dc1fa3aabdbf5496d13c980ffbf378b011b335dbe9098ae",
+        "table": "a6770d3cdf09ad8d59db05bc11f3f6da763df451b9b6aa41c29a7a4b98ddc4d9",
+    },
 }
 
 
