@@ -13,12 +13,15 @@ so an integrand written in terms of ``t`` alone cannot see the mass that
 (`beta_integral`, `log_kernel_moment`, `digamma_integral`) therefore evaluate
 through the exact distance to whichever endpoint is nearer, while the public
 `integrate01` keeps the plain ``f(t)`` interface and simply never calls ``f``
-at a point that rounds onto 0 or 1.
+at a point that rounds onto 0 or 1.  Each node also carries the logs of both,
+taken through the smaller distance once per process, not per kernel call.
 
 Refinement halves the step ``h = 2^-level`` from level 0 up to level 12,
 reusing previous evaluations; nodes whose weight falls below 1e-300 are
 skipped, so abscissae never touch the endpoints.  Level sums use exact
 summation (`math.fsum`), making results deterministic and rerun-stable.
+The error estimate, the last two levels' difference, is floored at the last
+level's rounding, ``4 eps h sum |w_i f_i|``, so that it never reads 0.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ _MIN_WEIGHT = 1e-300
 _MIN_ARG = 0.05  # kernel parameters below this under-resolve the endpoint singularity
 _MIN_ARG_RULE = f">= {_MIN_ARG} (endpoint resolution limit)"
 _HALF_PI = math.pi / 2.0
+_EPS = 2.0**-52  # one ulp of 1.0
 
 
 @dataclass(frozen=True)
@@ -51,23 +55,24 @@ class QuadratureResult:
     """Outcome of an adaptive tanh-sinh integration."""
 
     value: float
-    error_estimate: float  # |difference between the last two levels|, >= 0
+    error_estimate: float  # |difference between the last two levels|, floored at rounding, >= 0
     levels_used: int
     evaluations: int
 
 
 @functools.cache
-def _build_level(level: int) -> tuple[tuple[float, float, float], ...]:
-    """Evaluation points new at this level as (t, s, weight/h) triples.
+def _build_level(level: int) -> tuple[tuple[float, float, float, float, float], ...]:
+    """Evaluation points new at this level as (t, s, weight/h, log t, log s).
 
     ``t`` is the abscissa, ``s = 1 - t`` computed independently at full
-    relative precision.  Level 0 holds all integer nodes, deeper levels only
-    the odd multiples of their step.  Each table is built once per process.
+    relative precision, and each log is taken through the smaller of the
+    two.  Level 0 holds all integer nodes, deeper levels only the odd
+    multiples of their step.  Each table is built once per process.
     """
     h = 2.0**-level
-    pts: list[tuple[float, float, float]] = []
+    pts: list[tuple[float, float, float, float, float]] = []
     if level == 0:
-        pts.append((0.5, 0.5, 0.5 * _HALF_PI))
+        pts.append((0.5, 0.5, 0.5 * _HALF_PI, math.log(0.5), math.log(0.5)))
         step = 1
     else:
         step = 2
@@ -82,16 +87,17 @@ def _build_level(level: int) -> tuple[tuple[float, float, float], ...]:
         if small == 0.0 or w * h < _MIN_WEIGHT:
             break
         big = 1.0 / (1.0 + em)
-        pts.append((small, big, w))
-        pts.append((big, small, w))
+        log_small, log_big = math.log(small), math.log1p(-small)
+        pts.append((small, big, w, log_small, log_big))
+        pts.append((big, small, w, log_big, log_small))
         k += step
     return tuple(pts)
 
 
 def _refine(
-    g: Callable[[float, float], float], tol: float, interior_only: bool
+    g: Callable[[float, float, float, float], float], tol: float, interior_only: bool
 ) -> QuadratureResult:
-    """Run the level refinement for an integrand ``g(t, s)`` with s = 1 - t."""
+    """Run the level refinement for an integrand ``g(t, s, log t, log s)``."""
     tol = positive_real(tol, "tol")
     phi: list[float] = []
     evaluations = 0
@@ -99,10 +105,10 @@ def _refine(
     total = math.nan
     err = math.inf
     for level in range(MAX_LEVEL + 1):
-        for t, s, w in _build_level(level):
+        for t, s, w, lt, ls in _build_level(level):
             if interior_only and (t <= 0.0 or t >= 1.0):
                 continue
-            fv = g(t, s)
+            fv = g(t, s, lt, ls)
             evaluations += 1
             if not math.isfinite(fv):
                 raise EvaluationError(f"integrand returned non-finite value {fv!r} at t={t!r}")
@@ -111,12 +117,16 @@ def _refine(
         if level > 0:
             err = abs(total - prev)
             if err <= tol:
-                return QuadratureResult(total, err, level, evaluations)
+                break
         prev = total
+    floor = 4.0 * _EPS * 2.0**-level * sum(map(abs, phi))
+    result = QuadratureResult(total, max(err, floor), level, evaluations)
+    if err <= tol:
+        return result
     raise NonConvergenceError(
         f"tanh-sinh did not reach tol={tol:g} by level {MAX_LEVEL} "
         f"(last difference {err:g})",
-        result=QuadratureResult(total, err, MAX_LEVEL, evaluations),
+        result=result,
     )
 
 
@@ -129,12 +139,7 @@ def integrate01(f: Callable[[float], float], tol: float = DEFAULT_TOL) -> Quadra
     attached) if the successive-level difference is still above ``tol`` at
     the cap, and :class:`EvaluationError` if ``f`` returns a non-finite value.
     """
-    return _refine(lambda t, s: f(t), tol, interior_only=True)
-
-
-def _log_given(t: float, s: float) -> float:
-    """log(t) computed through whichever of t, s = 1-t is smaller."""
-    return math.log(t) if t <= 0.5 else math.log1p(-s)
+    return _refine(lambda t, s, lt, ls: f(t), tol, interior_only=True)
 
 
 def beta_integral(u: float, v: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -149,8 +154,8 @@ def beta_integral(u: float, v: float, tol: float = DEFAULT_TOL) -> QuadratureRes
         if x < _MIN_ARG:
             raise DomainError(f"{name} must be {_MIN_ARG_RULE}, got {x!r}")
 
-    def g(t: float, s: float) -> float:
-        return math.exp((u - 1.0) * _log_given(t, s) + (v - 1.0) * _log_given(s, t))
+    def g(t: float, s: float, lt: float, ls: float) -> float:
+        return math.exp((u - 1.0) * lt + (v - 1.0) * ls)
 
     return _refine(g, tol, interior_only=False)
 
@@ -164,8 +169,8 @@ def log_kernel_moment(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     if u < _MIN_ARG:
         raise DomainError(f"u must be {_MIN_ARG_RULE}, got {u!r}")
 
-    def g(t: float, s: float) -> float:
-        return math.exp((u - 1.0) * _log_given(t, s)) * _log_given(s, t)
+    def g(t: float, s: float, lt: float, ls: float) -> float:
+        return math.exp((u - 1.0) * lt) * ls
 
     return _refine(g, tol, interior_only=False)
 
@@ -180,9 +185,9 @@ def digamma_integral(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     if u < _MIN_ARG:
         raise DomainError(f"u must be {_MIN_ARG_RULE}, got {u!r}")
 
-    def g(t: float, s: float) -> float:
+    def g(t: float, s: float, lt: float, ls: float) -> float:
         if t <= 0.5:
             return (1.0 - t**u) / s
-        return -math.expm1(u * math.log1p(-s)) / s
+        return -math.expm1(u * lt) / s
 
     return _refine(g, tol, interior_only=False)

@@ -29,7 +29,8 @@ linear recurrence of order 2 and converge logarithmically, which Levin-u
 cannot extrapolate.  The Levin-Sidi d2 transformation (Levin & Sidi 1981;
 Sidi, *Practical Extrapolation Methods*, 2003) can, with the partial sums
 sampled at geometric indices R_l = max(R_{l-1} + 1, floor(1.5^l)), R_0 = 1.
-Only S_R, a_R and a_{R+1} - a_R are read at each R_l.  The transform of
+Only S_R, a_R and a_{R+1} - a_R are read at each R_l, so the forward
+difference is computed at the 19 R_l alone.  The transform of
 order nu is the ``d`` of the 2 nu + 1 equations, one per sample l = 0..2 nu,
 
     S_R = d + R a_R sum_i b1_i R^-i + R^2 (a_{R+1} - a_R) sum_i b2_i R^-i,
@@ -143,7 +144,9 @@ _EPS = 2.0**-52  # one ulp of 1.0
 # The order cap of d2: order 9 takes 19 samples, the last at term 1,477.
 # Order 10 would take 3,325 terms to gain one to two digits of residual.
 _D2_MAX_ORDER = 9
-_GPS_RATIO = 1.5  # d2 samples at R_l = max(R_{l-1} + 1, floor(1.5**l))
+# The indices d2 samples, R_l = max(R_{l-1} + 1, floor(1.5**l)) for l = 0..18.
+_D2_SAMPLES = (1, 2, 3, 4, 5, 7, 11, 17, 25, 38, 57, 86, 129, 194, 291, 437, 656, 985, 1477)
+_D2_SAMPLED = frozenset(_D2_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -328,9 +331,9 @@ class _D2:
                     spread = max(abs(d3 - d2), abs(d2 - d1))
                     residual = _RESIDUAL_FACTOR * max(spread, _EPS * abs(d3)) / abs(self.div)
                     estimate = (self.base + d3 / self.div, residual)
-        if len(diagonal) > 2 * _D2_MAX_ORDER:
+        if len(diagonal) == len(_D2_SAMPLES):
             return 0, estimate
-        return max(n + 1, int(_GPS_RATIO ** len(diagonal))), estimate
+        return _D2_SAMPLES[len(diagonal)], estimate
 
 
 def _bound(raw: float, best: float, residual: float) -> float:
@@ -351,9 +354,10 @@ def _run(
     accelerator, trace rows) and ``rest`` is the sub-ulp remainder of
     computing it, folded into the compensated accumulator so that exactness
     contracts survive heavy cancellation.  For d2 ``rest`` is instead the
-    forward difference ``a_{n+1} - a_n``, which only the accelerator reads;
-    there a zero term does not end the run.  Trace rows carry the current
-    residual under tail correction, and the bound on the partial sum without it.
+    forward difference ``a_{n+1} - a_n`` (nan off the samples), which only the
+    accelerator reads; there a zero term does not end the run.  Trace rows
+    carry the current residual under tail correction, and the bound on the
+    partial sum without it.
     """
     if ctrl is None:
         ctrl = _DEFAULT_CTRL
@@ -502,10 +506,11 @@ def _norlund_terms(x: float, a: float) -> Iterator[tuple[float, float]]:
         yield (q, rest) if k % 2 == 1 else (-q, -rest)
 
 
-# The trigamma family's generators yield (a_n, a_{n+1} - a_n) for d2.
-# The difference comes from the recurrence, as accurate relative to itself as
-# a_n is; subtracting two rounded terms would add a few ulps of a_n, about n
-# times more, and cost the transform one to two digits.
+# The trigamma family's generators yield (a_n, a_{n+1} - a_n) for d2, with the
+# difference nan off _D2_SAMPLES: a sample taken elsewhere skips its orders
+# rather than use a wrong difference.  It comes from the recurrence, as
+# accurate relative to itself as a_n is; subtracting two rounded terms would
+# add a few ulps of a_n, about n times more, and cost one to two digits.
 
 
 def _trigamma_terms(u: float) -> Iterator[tuple[float, float]]:
@@ -517,7 +522,8 @@ def _trigamma_terms(u: float) -> Iterator[tuple[float, float]]:
         n += 1
         r *= (n - u) / n
         d += 1.0 / (n - u)
-        yield (r / n) * d, r * (n - d * (n * (1.0 + u) + 1.0)) / (n * (n + 1.0) ** 2)
+        diff = r * (n - d * (n * (1.0 + u) + 1.0)) / (n * (n + 1.0) ** 2) if n in _D2_SAMPLED else math.nan
+        yield (r / n) * d, diff
 
 
 def _trigamma_half_terms(include_k0: bool) -> Iterator[tuple[float, float]]:
@@ -529,7 +535,8 @@ def _trigamma_half_terms(include_k0: bool) -> Iterator[tuple[float, float]]:
         n += 1
         c *= (2 * n - 1) / (2.0 * n)
         inner += 1.0 / (2 * n - 1)
-        yield (2.0 * c / n) * inner, c * (n - inner * (3 * n + 2)) / (n * (n + 1.0) ** 2)
+        diff = c * (n - inner * (3 * n + 2)) / (n * (n + 1.0) ** 2) if n in _D2_SAMPLED else math.nan
+        yield (2.0 * c / n) * inner, diff
 
 
 # --- term sources: validate parameters, say what the loop sums -----------
@@ -540,8 +547,9 @@ class _Summand(NamedTuple):
 
     ``accelerator`` is the class that extrapolates an infinite series,
     :class:`_Levin` or :class:`_D2`, and None for a finite one.  The terms
-    of a d2 series come as ``(a_n, a_{n+1} - a_n)`` pairs, carry no rounding
-    remainder and may be 0; every other series ends at its first zero term.
+    of a d2 series come as ``(a_n, a_{n+1} - a_n)`` pairs (nan off the samples),
+    carry no rounding remainder and may be 0; every other series ends at its
+    first zero term.
     """
 
     terms: Iterator[tuple[float, float]]

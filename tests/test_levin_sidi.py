@@ -6,6 +6,7 @@ References come from mpmath at 30 digits; mpmath appears only in the tests.
 from __future__ import annotations
 
 import itertools
+import math
 
 import mpmath
 import pytest
@@ -106,8 +107,35 @@ def test_a_zero_first_term_does_not_end_the_sum():
 def test_differences_come_from_the_recurrence(terms, exact):
     # a_{n+1} - a_n as accurate, relative to itself, as a_n is: subtracting
     # two rounded terms would add a few ulps of a_n, about n times more.
-    for n, (term, diff) in enumerate(itertools.islice(terms, 2000), 1):
-        if n in (2, 10, 100, 1000, 2000):
+    for n, (term, diff) in enumerate(itertools.islice(terms, ORDER_CAP_TERMS), 1):
+        if n in (2, 11, 129, 985, ORDER_CAP_TERMS):
             term_error = float(abs(term - exact(n)) / abs(exact(n)))
             want = exact(n + 1) - exact(n)
             assert float(abs(diff - want) / abs(want)) <= 2.0 * term_error + 1e-15, n
+
+
+def test_d2_samples_follow_the_geometric_rule():
+    want = [1]
+    while len(want) < 2 * sr._D2_MAX_ORDER + 1:
+        want.append(max(want[-1] + 1, int(1.5 ** len(want))))
+    assert sr._D2_SAMPLES == tuple(want)
+    assert sr._D2_SAMPLES[-1] == ORDER_CAP_TERMS
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [sr._trigamma_terms(0.3), sr._trigamma_half_terms(include_k0=True)],
+    ids=["trigamma", "trigamma-half-corrected"],
+)
+def test_d2_requests_exactly_the_samples_where_a_difference_is_computed(terms):
+    d2 = sr._D2(0.0, 1.0, 0)
+    requested, partial, n = [], 0.0, 1
+    for m, (term, diff) in enumerate(itertools.islice(terms, ORDER_CAP_TERMS + 10), 1):
+        partial += term
+        assert math.isfinite(term)
+        assert math.isnan(diff) == (m not in sr._D2_SAMPLES), m
+        if m == n:
+            requested.append(m)
+            n = d2.sample(m, partial, term, diff)[0]
+    assert n == 0
+    assert tuple(requested) == sr._D2_SAMPLES

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 
 import betalab as bl
+from betalab import quadrature as qd
 from betalab.errors import DomainError, EvaluationError, NonConvergenceError
 from oracles import harmonic_oracle, log2_oracle
 
@@ -161,3 +163,72 @@ def test_kernel_domain_cutoffs():
         bl.log_kernel_moment(0.04)
     with pytest.raises(DomainError):
         bl.digamma_integral(0.0)
+
+
+# --- node logs and the error floor ----------------------------------------
+
+# The 40 kernel points of the honesty and bit-identity checks below.
+KERNEL_GRID = [("beta", (u, v)) for u in (0.25, 0.5, 0.75, 1.0, 2.0, 3.5, 5.0)
+               for v in (0.5, 1.0, 2.5, 5.0)]
+KERNEL_GRID += [(name, (u,)) for name in ("log-kernel", "digamma")
+                for u in (0.25, 0.5, 1.0, 2.0, 3.5, 5.0)]
+KERNELS = {"beta": bl.beta_integral, "log-kernel": bl.log_kernel_moment,
+           "digamma": bl.digamma_integral}
+
+
+def _log_given(t, s):
+    """log t through whichever of t and s = 1 - t is smaller, taken per call."""
+    return math.log(t) if t <= 0.5 else math.log1p(-s)
+
+
+def _per_call_integrand(name, args):
+    """The kernel's integrand with its logs computed at every call."""
+    u = args[0]
+    if name == "beta":
+        v = args[1]
+        return lambda t, s, lt, ls: math.exp((u - 1.0) * _log_given(t, s)
+                                             + (v - 1.0) * _log_given(s, t))
+    if name == "log-kernel":
+        return lambda t, s, lt, ls: math.exp((u - 1.0) * _log_given(t, s)) * _log_given(s, t)
+    return lambda t, s, lt, ls: ((1.0 - t**u) / s if t <= 0.5
+                                 else -math.expm1(u * math.log1p(-s)) / s)
+
+
+@pytest.mark.parametrize("level", range(9))
+def test_node_logs_are_the_logs_of_the_nearer_distance(level):
+    nodes = qd._build_level(level)
+    assert nodes
+    for t, s, _, lt, ls in nodes:
+        assert (lt, ls) == (_log_given(t, s), _log_given(s, t))
+
+
+@pytest.mark.parametrize("name, args", KERNEL_GRID)
+def test_carried_logs_give_the_same_bits_as_logs_per_call(name, args):
+    res = KERNELS[name](*args)
+    local = qd._refine(_per_call_integrand(name, args), qd.DEFAULT_TOL, interior_only=False)
+    assert (res.value, res.levels_used, res.evaluations) == (
+        local.value, local.levels_used, local.evaluations)
+
+
+def _reference(name, args):
+    u = mpmath.mpf(args[0])
+    if name == "beta":
+        return mpmath.beta(u, args[1])
+    harmonic = mpmath.digamma(u + 1) + mpmath.euler  # int (1 - t^u)/(1 - t) dt
+    return -harmonic / u if name == "log-kernel" else harmonic
+
+
+@pytest.mark.parametrize("name, args", KERNEL_GRID)
+@mpmath.workdps(30)
+def test_error_estimate_bounds_the_real_error(name, args):
+    # Levels that agree to the last bit report a difference of 0; the floor
+    # at the last level's rounding keeps the estimate above the real error.
+    res = KERNELS[name](*args)
+    assert float(abs(mpmath.mpf(res.value) - _reference(name, args))) <= res.error_estimate
+    assert 0.0 < res.error_estimate <= qd.DEFAULT_TOL
+
+
+@mpmath.workdps(30)
+def test_integrate01_error_estimate_bounds_the_real_error():
+    res = bl.integrate01(lambda t: t * t)
+    assert float(abs(mpmath.mpf(res.value) - mpmath.mpf(1) / 3)) <= res.error_estimate
