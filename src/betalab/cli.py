@@ -232,9 +232,9 @@ def _add_series_options(parser: argparse.ArgumentParser) -> None:
     sr = _module("series")
     parser.description = (
         "Sum a slowly convergent series.  beta, beta-limit, digamma, log2 and "
-        "norlund, when infinite, are Levin-u extrapolated from their first few dozen "
-        "terms; trigamma, trigamma-half and zeta2 are Levin-Sidi d2 extrapolated from "
-        "at most 1,477 terms.  tail_estimate bounds the error of value; it is 0 on "
+        "norlund, when infinite, are Levin-Sidi d1 extrapolated, and trigamma, "
+        "trigamma-half and zeta2 d2 extrapolated, from at most 1,477 terms sampled "
+        "at geometric indices.  tail_estimate bounds the error of value; it is 0 on "
         "exact termination and before a first estimate exists.  "
         f"termination is one of {', '.join(sr.TERMINATIONS)}."
     )

@@ -4,7 +4,8 @@ The quantities here all have removable structure at v = 0: a simple pole
 with a finite remainder (``B(u,v) - 1/v``, ``Gamma(v) - 1/v``) or a plain
 difference quotient (``(Gamma(v+1) - 1)/v``).  Each is sampled on the
 geometric grid ``h0 / 2^k`` and extrapolated to 0 with a Neville tableau;
-the error estimate is the difference of the last two diagonal entries.
+the error estimate is 8 times the larger of the last two differences along
+the tableau's diagonal, the residual rule of the series accelerators.
 
 Where naive evaluation would lose digits to cancellation, the samples are
 rewritten through ``expm1``/``lgamma`` so the subtraction happens on the
@@ -36,6 +37,7 @@ _MIN_DEPTH = 2
 _MAX_DEPTH = 12
 DEFAULT_DEPTH = 10  # Neville tableau rows every limit uses unless told otherwise
 _MIN_U = 0.1  # smallest u the beta limits accept
+_ERROR_FACTOR = 8.0  # error estimate = 8 x the larger of the last two diagonal differences
 
 
 @dataclass(frozen=True)
@@ -53,15 +55,16 @@ def richardson_limit(
     """Extrapolate ``f(h) -> f(0+)`` from samples at ``h0 / 2^k``, k < depth.
 
     Builds the Neville tableau for polynomial extrapolation to h = 0; the
-    reported error estimate is ``|T[d,d] - T[d-1,d-1]|``, the change in the
-    diagonal on the final row.
+    reported error estimate is 8 times the larger of ``|T[d,d] - T[d-1,d-1]|``
+    and ``|T[d-1,d-1] - T[d-2,d-2]|`` (the first alone at depth 2).  Measured
+    against 30-digit references, the last difference alone under-read the
+    error of ``beta_pole_limit`` on 92 of 200 u in [0.1, 6].
     """
     h0 = positive_real(h0, "h0")
     depth = integer(depth, "depth", _MIN_DEPTH, _MAX_DEPTH)
     xs: list[float] = []
     rows: list[list[float]] = []
-    prev_diag = math.nan
-    diag = math.nan
+    diags: list[float] = []
     for i in range(depth):
         x = h0 * 2.0**-i
         y = f(x)
@@ -73,8 +76,10 @@ def richardson_limit(
             num = xs[i - j] * row[j - 1] - xs[i] * rows[i - 1][j - 1]
             row.append(num / (xs[i - j] - xs[i]))
         rows.append(row)
-        prev_diag, diag = diag, row[-1]
-    return LimitResult(diag, abs(diag - prev_diag), depth)
+        diags.append(row[-1])
+    last = diags[-3:]
+    spread = max(abs(b - a) for a, b in zip(last, last[1:]))
+    return LimitResult(diags[-1], _ERROR_FACTOR * spread, depth)
 
 
 def gamma_pole_limit(depth: int = DEFAULT_DEPTH, h0: float = 0.5) -> LimitResult:

@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, EvaluationError, NonConvergenceError, finite_real, positive_real
+from .errors import DomainError, EvaluationError, NonConvergenceError, OverflowRangeError
+from .errors import finite_real, positive_real
 
 __all__ = [
     "QuadratureResult",
@@ -110,16 +111,24 @@ def _refine(
                 continue
             fv = g(t, s, lt, ls)
             evaluations += 1
-            if not math.isfinite(fv):
+            wf = w * fv
+            if not math.isfinite(wf):
+                if math.isfinite(fv):
+                    raise OverflowRangeError(f"weight times integrand {fv!r} overflows at t={t!r}")
                 raise EvaluationError(f"integrand returned non-finite value {fv!r} at t={t!r}")
-            phi.append(w * fv)
-        total = math.fsum(phi) * 2.0**-level
+            phi.append(wf)
+        try:
+            total = math.fsum(phi) * 2.0**-level
+        except OverflowError:  # fsum's own, not a BetalabError
+            raise OverflowRangeError(f"tanh-sinh level {level} overflows doubles") from None
         if level > 0:
             err = abs(total - prev)
             if err <= tol:
                 break
         prev = total
     floor = 4.0 * _EPS * 2.0**-level * sum(map(abs, phi))
+    if not math.isfinite(floor):
+        raise OverflowRangeError("tanh-sinh error bound overflows double precision")
     result = QuadratureResult(total, max(err, floor), level, evaluations)
     if err <= tol:
         return result
@@ -137,7 +146,8 @@ def integrate01(f: Callable[[float], float], tol: float = DEFAULT_TOL) -> Quadra
     runs from level 0 to the fixed cap ``MAX_LEVEL`` (12), as for every
     kernel.  Raises :class:`NonConvergenceError` (with the partial result
     attached) if the successive-level difference is still above ``tol`` at
-    the cap, and :class:`EvaluationError` if ``f`` returns a non-finite value.
+    the cap, :class:`EvaluationError` if ``f`` returns a non-finite value, and
+    :class:`OverflowRangeError` if a level sum or its error bound overflows.
     """
     return _refine(lambda t, s, lt, ls: f(t), tol, interior_only=True)
 

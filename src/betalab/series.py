@@ -1,4 +1,4 @@
-"""Slowly convergent series: one compensated summation loop, two accelerators.
+"""Slowly convergent series: one compensated summation loop, one accelerator scheme.
 
 Each series here is summed in ascending order with compensated (Kahan-
 Babuska) accumulation, terms produced by a ratio recurrence (no per-term
@@ -8,30 +8,30 @@ indices it samples; a sample may yield a transform, an estimate of the limit,
 with a residual that bounds its error.  The loop keeps the transform with the
 smallest residual.
 
-*Levin-u* (``beta``, ``beta-limit``, ``digamma``, ``log2`` and ``norlund``
-whenever the series is infinite) samples every partial sum s_0, s_1, ... and
-takes Levin's u-transform (Levin 1973; Weniger 1989) with beta = 1 and the
-remainder estimates ``omega_j = (j + 1) a_j``:
+Both accelerators are Levin-Sidi d transformations (Levin & Sidi 1981;
+Sidi, *Practical Extrapolation Methods*, 2003) with the partial sums sampled
+at geometric indices R_l = max(R_{l-1} + 1, floor(1.5^l)), R_0 = 1, 19 of
+them up to R_18 = 1,477.  Sampling every term instead would let rounding
+swamp these logarithmically convergent series after a few dozen orders.
 
-    L_k = sum_j c_j s_j / sum_j c_j,
-    c_j = (-1)^j C(k, j) ((j + 1)/(k + 1))^(k - 1) / omega_j,   j = 0..k.
+*d1* (``beta``, ``beta-limit``, ``digamma``, ``log2`` and ``norlund``
+whenever the series is infinite) models S_R = d + R a_R sum_i b_i R^-i,
+i = 0..nu-1, on samples l = 0..nu.  Sidi's W-algorithm (Sidi 1979) solves it
+without a system: with t = 1/R and g = R a_R scaled by a_1 (so that tiny
+terms cannot overflow 1/g), it starts from M_0^(l) = S / g and
+N_0^(l) = 1 / g, and each level divides a difference by one of t,
 
-The residual after K terms is 8 times the largest of the last three
-differences between successive transforms; measured against 40-digit
-references it bounds the real error of the transform (plain differences
-under-read it by up to three orders of magnitude).  It is done once six
-transforms in a row found no smaller residual or 40 terms were taken: past
-that point the transform only amplifies rounding.
+    M_p^(j) = (M_{p-1}^(j+1) - M_{p-1}^(j)) / (t_{j+p} - t_j),   N alike,
+
+so that order nu's transform is M_nu^(0) / N_nu^(0), up to order 18.  An
+order whose N is 0 (order 1 of B(1/2, 1)) is skipped.
 
 *d2* (the trigamma family: ``trigamma``, ``trigamma-half``, ``zeta2``).
 Their terms, a hypergeometric factor times a harmonic-type bracket, satisfy a
-linear recurrence of order 2 and converge logarithmically, which Levin-u
-cannot extrapolate.  The Levin-Sidi d2 transformation (Levin & Sidi 1981;
-Sidi, *Practical Extrapolation Methods*, 2003) can, with the partial sums
-sampled at geometric indices R_l = max(R_{l-1} + 1, floor(1.5^l)), R_0 = 1.
-Only S_R, a_R and a_{R+1} - a_R are read at each R_l, so the forward
-difference is computed at the 19 R_l alone.  The transform of
-order nu is the ``d`` of the 2 nu + 1 equations, one per sample l = 0..2 nu,
+linear recurrence of order 2, which d1 does not model.  Only S_R, a_R and
+a_{R+1} - a_R are read at each R_l, so the forward difference is computed at
+the 19 R_l alone.  The transform of order nu is the ``d`` of the 2 nu + 1
+equations, one per sample l = 0..2 nu,
 
     S_R = d + R a_R sum_i b1_i R^-i + R^2 (a_{R+1} - a_R) sum_i b2_i R^-i,
 
@@ -45,16 +45,20 @@ and each level eliminates one column,
     psi_p^(j)(b) = (psi_{p-1}^(j+1)(b) - psi_{p-1}^(j)(b))
                    / (psi_{p-1}^(j+1)(g_{p+1}) - psi_{p-1}^(j)(g_{p+1})),
 
-so that order nu's transform is psi_2nu^(0)(S) / psi_2nu^(0)(1).  A zero
-first term (literal trigamma-half) makes psi_0^(0) infinite; psi_1^(0)(b) is
-then its limit, b(0) / g_2(0).  A zero denominator makes the entries it
-divides nan, and every order built on them is skipped.  The residual is 8
-times the larger of the last two differences between successive orders,
-never below 8 ulps of the transform; measured against 30-digit references on
-u in (0, 1) it bounds the real error.  It is done at order 9, after 1,477
-terms: past it rounding in the recursion grows faster than the transform
-gains (order 10 would take 3,325 terms).  Near u -> 0 the series gets hard,
-and its residual there stays well above ``ctrl.tol``.
+so that order nu's transform is psi_2nu^(0)(S) / psi_2nu^(0)(1), up to
+order 9.  A zero first term (literal trigamma-half) makes psi_0^(0)
+infinite; psi_1^(0)(b) is then its limit, b(0) / g_2(0).  A zero
+denominator makes the entries it divides nan, and every order built on them
+is skipped.
+
+Both take the same residual: 8 times the larger of the last two differences
+between successive transforms, never below (8 + 4 reductions) ulps of
+``max(|value|, sum |a_n| / |div|) + |base|``, the rounding of the sum and of
+the argument reduction that the transforms cannot see.  Measured against
+30-digit references it bounds the real error.  Both are done after the last
+sample: past it rounding grows faster than the transform gains (order 10 of
+d2 would take 3,325 terms).  Near u -> 0 the series get hard, and their
+residual there stays above ``ctrl.tol``.
 
 Under tail correction (the default) a run stops with ``tolerance_met`` once
 the best residual is at most ``ctrl.tol``, and with ``precision_limit`` when
@@ -129,22 +133,21 @@ _MAX_REDUCED = 1_000_000  # the argument reductions take one step per unit
 # binomial terms, times the next factor, stay below 2**53, so the sums carry no
 # rounding (u = 60 does: beta-limit is then 7e-3 relative off).
 _EXACT_U = 50
-# Other u above this step down into (5, 6]: Levin-u gains digits as u grows
-# (1e-13 relative from u = 5, 6e-11 below 2), while the binomial terms' size,
-# and so the cancellation in their sum, grows like 2**u.
+# Other u above this step down into (5, 6]: the binomial terms' size, and so
+# the cancellation in their sum, grows like 2**u (d1 is within 5e-14 relative
+# on u in [0.25, 6]).
 _U_MAX = 6.0
 # Norlund's x above this steps down into (9, 10]: its terms grow like 2**x / a.
 # Integer x through 10 sums to 4e-16 relative at a = 0.5 (8e-13 at x = 20).
 _NORLUND_X_MAX = 10.0
 
-_LEVIN_MAX_TERMS = 40  # the order cap of Levin-u
-_LEVIN_PATIENCE = 6  # transforms in a row without a smaller residual before it is done
-_RESIDUAL_FACTOR = 8.0  # residual = 8 x the largest of the last few transform differences
+_RESIDUAL_FACTOR = 8.0  # residual = 8 x the larger of the last two transform differences
 _EPS = 2.0**-52  # one ulp of 1.0
-# The order cap of d2: order 9 takes 19 samples, the last at term 1,477.
-# Order 10 would take 3,325 terms to gain one to two digits of residual.
+# The order cap of d2: order 9 takes 19 samples, the last at term 1,477; d1
+# reaches order 18 on the same samples.  Order 10 of d2 would take 3,325 terms
+# to gain one to two digits of residual.
 _D2_MAX_ORDER = 9
-# The indices d2 samples, R_l = max(R_{l-1} + 1, floor(1.5**l)) for l = 0..18.
+# The indices both accelerators sample, R_l = max(R_{l-1} + 1, floor(1.5**l)) for l = 0..18.
 _D2_SAMPLES = (1, 2, 3, 4, 5, 7, 11, 17, 25, 38, 57, 86, 129, 194, 291, 437, 656, 985, 1477)
 _D2_SAMPLED = frozenset(_D2_SAMPLES)
 
@@ -170,8 +173,8 @@ class SeriesResult:
     correction, otherwise, or while no transform has a residual,
     ``raw_partial_sum``: the plain compensated sum of the terms used.
     ``tail_estimate`` bounds ``|value - limit|``.  It is 0 only on exact
-    termination and before a first transform has a residual: four terms for
-    Levin-u, order 3 or 11 terms for d2.  A finite series cut short by
+    termination and before a first transform has a residual: order 3 or four
+    terms for d1, order 3 or 11 terms for d2.  A finite series cut short by
     ``max_terms`` reports ``sum |terms left out| / |div|`` plus
     ``(8 + 4 reductions)`` ulps of ``|value| + |base|``.
     ``termination`` is one of ``exact_termination``, ``tolerance_met`` and
@@ -206,70 +209,67 @@ def _ulps(reductions: int) -> float:
     return (8.0 + 4.0 * reductions) * _EPS
 
 
-def _levin_u(sums: list[float], inv_omega: list[float]) -> float:
-    """Levin's u-transform of the partial sums ``s_0..s_k``; see module docstring.
+class _GPS:
+    """What both accelerators share: the geometric-progression samples (GPS) R_l,
+    the residual and the end.
 
-    ``inv_omega[j]`` is ``1 / omega_j`` times any common factor.  Returns inf
-    when the weights cancel to 0 (B(u, 1) does so at k = 1).
-    """
-    k = len(sums) - 1
-    num = 0.0
-    den = 0.0
-    binom = 1.0  # C(k, j)
-    for j in range(k + 1):
-        c = binom * ((j + 1.0) / (k + 1.0)) ** (k - 1) * inv_omega[j]
-        if j & 1:
-            c = -c
-        num += c * sums[j]
-        den += c
-        binom = binom * (k - j) / (j + 1)
-    return num / den if den != 0.0 else math.inf
-
-
-class _Levin:
-    """Levin-u, sampled at every term; see module docstring.
-
-    Transforms and residuals are taken on the operation's scale,
-    ``base + L / div``.  The residual never falls below a rounding bound: a
-    few ulps of the value and ``base``, plus a few more per
-    argument-reduction step, whose rounding the transforms cannot see.
+    A subclass's ``_order`` takes sample l and returns the transform of the
+    order it completes on the sum's scale, or None.  ``diagonal`` holds one
+    entry per level, so its length counts the samples taken, and
+    ``transforms`` the finite transforms so far, whose differences are divided
+    by ``|div|`` only at the end: zeta2's residual stays a third of trigamma-half's.
     """
 
     def __init__(self, base: float, div: float, reductions: int) -> None:
         self.base = base
         self.div = div
         self.ulps = _ulps(reductions)
-        self.sums: list[float] = []
-        self.inv_omega: list[float] = []
-        self.values: list[float] = []
-        self.first = 1.0
-        self.best_residual = math.inf
-        self.best_n = 0
+        self.diagonal: list = []
+        self.transforms: list[float] = []
 
     def sample(
-        self, n: int, partial: float, term: float, _rest: float
+        self, n: int, partial: float, term: float, rest: float, abs_sum: float = 0.0
     ) -> tuple[int, tuple[float, float] | None]:
-        """Take s_n; return the next index to sample (0 once done) and a
-        ``(transform, residual)`` estimate or None."""
-        self.sums.append(partial)
-        if n == 1:
-            self.first = term
-        self.inv_omega.append(self.first / (n * term))  # scaled by a_1, so tiny terms cannot overflow
+        """Take S_n, a_n and the term's ``rest`` (d2: a_{n+1} - a_n), with
+        ``abs_sum`` = sum |a_k| so far; return the next index to sample (0 once
+        done) and a ``(transform, residual)`` estimate or None."""
+        transform = self._order(n, partial, term, rest)
         estimate = None
-        transform = _levin_u(self.sums, self.inv_omega)
-        if math.isfinite(transform):  # else this order is singular: skip it
-            values = self.values
-            values.append(self.base + transform / self.div)
-            if len(values) >= 4:
-                v1, v2, v3, v4 = values[-4:]
-                spread = max(abs(v4 - v3), abs(v3 - v2), abs(v2 - v1))
-                residual = max(_RESIDUAL_FACTOR * spread, self.ulps * (abs(v4) + abs(self.base)))
-                estimate = (v4, residual)
-                if residual < self.best_residual:
-                    self.best_residual, self.best_n = residual, n
-        if n >= _LEVIN_MAX_TERMS or n - self.best_n >= _LEVIN_PATIENCE:
-            return 0, estimate
-        return n + 1, estimate
+        if transform is not None and math.isfinite(transform):  # else the order is singular: skip
+            transforms = self.transforms
+            transforms.append(transform)
+            if len(transforms) >= 3:
+                d1, d2, d3 = transforms[-3:]
+                value = self.base + d3 / self.div
+                div = abs(self.div)
+                spread = _RESIDUAL_FACTOR * max(abs(d3 - d2), abs(d2 - d1)) / div
+                floor = self.ulps * (max(abs(value), abs_sum / div) + abs(self.base))
+                estimate = (value, max(spread, floor))
+        taken = len(self.diagonal)
+        return (_D2_SAMPLES[taken] if taken < len(_D2_SAMPLES) else 0), estimate
+
+
+class _D1(_GPS):
+    """The d1 transform by Sidi's W-algorithm, sampled at R_l; see module docstring.
+
+    ``diagonal[p]`` is (M_p^(j), N_p^(j), t_j) of level p on the latest
+    anti-diagonal; ``first`` is a_1, which scales every R a_R.
+    """
+
+    def _order(self, n: int, partial: float, term: float, _rest: float) -> float | None:
+        diagonal = self.diagonal
+        if not diagonal:
+            self.first = term
+        g = n * (term / self.first)  # scaled by a_1, so tiny terms cannot overflow 1/g
+        t = 1.0 / n
+        m, q, tj = partial / g, 1.0 / g, t
+        for p, (lower_m, lower_q, lower_t) in enumerate(diagonal):
+            diagonal[p] = (m, q, tj)
+            m, q, tj = (m - lower_m) / (t - lower_t), (q - lower_q) / (t - lower_t), lower_t
+        diagonal.append((m, q, tj))
+        if len(diagonal) == 1:
+            return None  # order 0 is S_1 itself
+        return m / q if q != 0.0 else math.nan
 
 
 def _fs_step(upper: list[float], lower: list[float]) -> list[float]:
@@ -282,28 +282,16 @@ def _fs_step(upper: list[float], lower: list[float]) -> list[float]:
     return [(x - y) / den for x, y in zip(upper[:-1], lower)]
 
 
-class _D2:
+class _D2(_GPS):
     """The Levin-Sidi d2 transform by the FS-algorithm, sampled at R_l; see
     module docstring.
 
-    Only the latest anti-diagonal is kept: ``diagonal[p]`` is psi_p^(l-p)
-    after sample l, with entries for S, 1 and then each column a higher level
-    still eliminates, the next one last (None for psi_0 of a zero first
-    term).  Transforms and residuals are taken on the sum's scale and then
-    divided by ``|div|``, so that zeta2 stays an exact third of trigamma-half.
+    ``diagonal[p]`` is psi_p^(l-p) after sample l, with entries for S, 1 and
+    then each column a higher level still eliminates, the next one last (None
+    for psi_0 of a zero first term, whose psi_1^(0) is then ``limit``).
     """
 
-    def __init__(self, base: float, div: float, reductions: int) -> None:
-        self.base = base
-        self.div = div
-        self.diagonal: list[list[float] | None] = []
-        self.limit: list[float] = []  # psi_1^(0) of a zero first term
-        self.transforms: list[float] = []
-
-    def sample(
-        self, n: int, partial: float, term: float, diff: float
-    ) -> tuple[int, tuple[float, float] | None]:
-        """Take S_n and ``diff = a_{n+1} - a_n``; return as :meth:`_Levin.sample`."""
+    def _order(self, n: int, partial: float, term: float, diff: float) -> float | None:
         t = 1.0 / n
         x, y = n * term, n * n * diff
         cols = [partial, 1.0, x * t**_D2_MAX_ORDER]  # S, 1, g_19, g_18, ..., g_2, g_1
@@ -319,21 +307,10 @@ class _D2:
             diagonal[p] = row
             row = _fs_step(row, lower) if lower is not None else self.limit
         diagonal.append(row)
-        estimate = None
-        if len(diagonal) % 2 == 1 and len(diagonal) > 1:
-            num, den = row[0], row[1]
-            transform = num / den if den != 0.0 else math.nan
-            if math.isfinite(transform):  # else this order is singular: skip it
-                transforms = self.transforms
-                transforms.append(transform)
-                if len(transforms) >= 3:
-                    d1, d2, d3 = transforms[-3:]
-                    spread = max(abs(d3 - d2), abs(d2 - d1))
-                    residual = _RESIDUAL_FACTOR * max(spread, _EPS * abs(d3)) / abs(self.div)
-                    estimate = (self.base + d3 / self.div, residual)
-        if len(diagonal) == len(_D2_SAMPLES):
-            return 0, estimate
-        return _D2_SAMPLES[len(diagonal)], estimate
+        if len(diagonal) % 2 == 0 or len(diagonal) == 1:
+            return None
+        num, den = row[0], row[1]
+        return num / den if den != 0.0 else math.nan
 
 
 def _bound(raw: float, best: float, residual: float) -> float:
@@ -375,6 +352,7 @@ def _run(
         next_sample = 1
     s = 0.0
     comp = 0.0
+    abs_sum = 0.0  # sum |term|, which floors the residual
     n = 0
     best = math.nan  # the transform with the smallest residual so far
     best_residual = math.inf
@@ -390,7 +368,9 @@ def _run(
             raise OverflowRangeError(f"series term {n + 1} overflows double precision")
         n += 1
         t = s + term
-        if abs(s) >= abs(term):
+        size = abs(term)
+        abs_sum += size
+        if abs(s) >= size:
             comp += (s - t) + term
         else:
             comp += (term - t) + s
@@ -398,7 +378,7 @@ def _run(
         if fold:
             comp += rest
         if n == next_sample:
-            next_sample, estimate = accel.sample(n, s + comp, term, rest)
+            next_sample, estimate = accel.sample(n, s + comp, term, rest, abs_sum)
             if estimate is not None:
                 transform, residual = estimate
                 if residual < best_residual:
@@ -546,7 +526,7 @@ class _Summand(NamedTuple):
     """A validated series: the loop sums ``base + sum(terms) / div``.
 
     ``accelerator`` is the class that extrapolates an infinite series,
-    :class:`_Levin` or :class:`_D2`, and None for a finite one.  The terms
+    :class:`_D1` or :class:`_D2`, and None for a finite one.  The terms
     of a d2 series come as ``(a_n, a_{n+1} - a_n)`` pairs (nan off the samples),
     carry no rounding remainder and may be 0; every other series ends at its
     first zero term.
@@ -556,7 +536,7 @@ class _Summand(NamedTuple):
     base: float = 0.0
     div: float = 1.0
     reductions: int = 0
-    accelerator: type[_Levin] | type[_D2] | None = None
+    accelerator: type[_GPS] | None = None
 
 
 def _check_reducible(name: str, param: str, value: float) -> None:
@@ -587,7 +567,7 @@ def _beta(u: float, v: float) -> _Summand:
             reductions += 1
     return _Summand(
         _shifted_ratio_terms(u, v), base=1.0 / (v * div), div=div,
-        reductions=reductions, accelerator=None if u.is_integer() else _Levin,
+        reductions=reductions, accelerator=None if u.is_integer() else _D1,
     )
 
 
@@ -608,7 +588,7 @@ def _beta_limit(u: float) -> _Summand:
         reductions += 1
     return _Summand(
         _limit_terms(u), base=acc, reductions=reductions,
-        accelerator=None if u.is_integer() else _Levin,
+        accelerator=None if u.is_integer() else _D1,
     )
 
 
@@ -616,7 +596,7 @@ def _digamma(u: float) -> _Summand:
     y = positive_real(u, "u")
     _check_reducible("digamma_series", "u", u)
     # psi(y+1) = psi(y) + 1/y, one step per unit, into [1, 2): the series is
-    # empty at y = 1, and Levin-u needs y well away from 0.
+    # empty at y = 1, and d1 needs y well away from 0.
     acc = 0.0
     reductions = 0
     while y >= 2.0:
@@ -625,12 +605,12 @@ def _digamma(u: float) -> _Summand:
         reductions += 1
     return _Summand(
         _limit_terms(y), base=acc - EULER_GAMMA, div=-1.0, reductions=reductions,
-        accelerator=None if y == 1.0 else _Levin,
+        accelerator=None if y == 1.0 else _D1,
     )
 
 
 def _log2() -> _Summand:
-    return _Summand(_log2_terms(), accelerator=_Levin)
+    return _Summand(_log2_terms(), accelerator=_D1)
 
 
 def _norlund(x: float, a: float) -> _Summand:
@@ -648,7 +628,7 @@ def _norlund(x: float, a: float) -> _Summand:
         reductions += 1
     return _Summand(
         _norlund_terms(x, a), base=acc, reductions=reductions,
-        accelerator=None if x >= 0.0 and x.is_integer() else _Levin,
+        accelerator=None if x >= 0.0 and x.is_integer() else _D1,
     )
 
 

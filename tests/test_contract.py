@@ -154,12 +154,14 @@ def test_series_control_fields_are_checked(field, bad):
         (sr.beta_series, (0.5, 1e-310)),  # the base 1/v overflows
         (sr.beta_series, (0.5, 5e-324)),
         (sr.norlund_diff, (0.5, 1e-310)),  # the first term x / a overflows
+        (qd.integrate01, (lambda t: 1e308,)),  # fsum's intermediate overflow
+        (qd.integrate01, (lambda t: 1e308 if t < 0.5 else -1e308,)),  # only the bound overflows
     ],
     ids=[
         "gamma-tiny", "beta-tiny", "trigamma-tiny", "hurwitz-tiny",
         "lgamma-huge", "digamma-subnormal", "polygamma-high-order",
         "polygamma-order-171", "beta-series-tiny", "beta-series-subnormal",
-        "norlund-tiny",
+        "norlund-tiny", "integrate01-level-sum", "integrate01-error-bound",
     ],
 )
 def test_true_overflow_raises_overflow_range_error(func, args):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 
 import betalab as bl
@@ -72,6 +73,28 @@ def test_deepening_stays_within_error_estimate():
         shallow = bl.richardson_limit(f, h0=0.5, depth=8)
         deep = bl.richardson_limit(f, h0=0.5, depth=10)
         assert abs(deep.value - shallow.value) <= shallow.error_estimate + 1e-15
+
+
+@mpmath.workdps(30)
+def test_beta_pole_error_estimate_bounds_the_real_error():
+    # With the last diagonal difference alone, 92 of these 200 u were off by
+    # more than their estimate (u = 0.1: 1.2e-12 against 2.0e-13).
+    failures = []
+    for i in range(200):
+        u = 0.1 * 60.0 ** (i / 199)
+        res = bl.beta_pole_limit(u)
+        err = float(abs(res.value + mpmath.euler + mpmath.digamma(u)))
+        if err > res.error_estimate:
+            failures.append((u, res, err))
+    assert not failures, failures[:5]
+
+
+@pytest.mark.parametrize("route", [bl.gamma_pole_limit, bl.gamma_derivative_at_1])
+@pytest.mark.parametrize("depth", range(2, 13))
+@mpmath.workdps(30)
+def test_eq2_error_estimates_bound_the_real_error(route, depth):
+    res = route(depth=depth)
+    assert float(abs(res.value + mpmath.euler)) <= res.error_estimate
 
 
 # --- the gamma pole -------------------------------------------------------

@@ -75,12 +75,13 @@ def test_full_suite_all_pass(full_report):
 
 
 def test_extrapolated_series_checks_stay_within_their_work_budget(full_report):
-    # These series ran 100,000 terms per check before Levin extrapolation.
+    # These series ran 100,000 terms per check before extrapolation; d1 meets
+    # tol by the 14th geometric sample.
     records = [
         r for r in full_report.records if r.identity_id in ("EQ5", "EQ6", "EQ7", "EQ8", "LOG2")
     ]
     assert len(records) == 21 + 7 + 7 + 12 + 1
-    assert max(r.diagnostics["terms_used"] for r in records) <= 64
+    assert max(r.diagnostics["terms_used"] for r in records) <= 194
 
 
 def test_records_sorted_by_identity_id(full_report):
@@ -257,6 +258,11 @@ REPORT_SHA256 = {
         "json": "5ce6d68f372e1b3c401caad9bd259b3c3ce03cfa83cdc7c50b286e1b9bd6f738",
         "csv": "ea97544e7839bb946dc1fa3aabdbf5496d13c980ffbf378b011b335dbe9098ae",
         "table": "a6770d3cdf09ad8d59db05bc11f3f6da763df451b9b6aa41c29a7a4b98ddc4d9",
+    },
+    "0.5.0": {
+        "json": "93f7985da21667c3886664445cf2729574306a82c56677fb4835dea8affeb8ec",
+        "csv": "35445fd02a8d73cef921cab99938a8d72bcaabec4ee73fb96cf8644133d29d92",
+        "table": "c83c70aa6da9fbc170290cbb7477cb5d4f0a62dff89f3ec88eccb867341be4a1",
     },
 }
 
