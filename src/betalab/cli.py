@@ -234,8 +234,8 @@ def _add_series_options(parser: argparse.ArgumentParser) -> None:
         "Sum a slowly convergent series.  beta, beta-limit, digamma, log2 and "
         "norlund, when infinite, are Levin-Sidi d1 extrapolated, and trigamma, "
         "trigamma-half and zeta2 d2 extrapolated, from at most 1,477 terms sampled "
-        "at geometric indices.  tail_estimate bounds the error of value; it is 0 on "
-        "exact termination and before a first estimate exists.  "
+        "at geometric indices.  tail_estimate bounds the error of value; on exact "
+        "termination it is the rounding floor, and it is 0 before a first estimate exists.  "
         f"termination is one of {', '.join(sr.TERMINATIONS)}."
     )
     parser.add_argument(

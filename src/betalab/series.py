@@ -8,57 +8,51 @@ indices it samples; a sample may yield a transform, an estimate of the limit,
 with a residual that bounds its error.  The loop keeps the transform with the
 smallest residual.
 
-Both accelerators are Levin-Sidi d transformations (Levin & Sidi 1981;
-Sidi, *Practical Extrapolation Methods*, 2003) with the partial sums sampled
-at geometric indices R_l = max(R_{l-1} + 1, floor(1.5^l)), R_0 = 1, 19 of
-them up to R_18 = 1,477.  Sampling every term instead would let rounding
-swamp these logarithmically convergent series after a few dozen orders.
-
-*d1* (``beta``, ``beta-limit``, ``digamma``, ``log2`` and ``norlund``
-whenever the series is infinite) models S_R = d + R a_R sum_i b_i R^-i,
-i = 0..nu-1, on samples l = 0..nu.  Sidi's W-algorithm (Sidi 1979) solves it
-without a system: with t = 1/R and g = R a_R scaled by a_1 (so that tiny
-terms cannot overflow 1/g), it starts from M_0^(l) = S / g and
-N_0^(l) = 1 / g, and each level divides a difference by one of t,
-
-    M_p^(j) = (M_{p-1}^(j+1) - M_{p-1}^(j)) / (t_{j+p} - t_j),   N alike,
-
-so that order nu's transform is M_nu^(0) / N_nu^(0), up to order 18.  An
-order whose N is 0 (order 1 of B(1/2, 1)) is skipped.
-
-*d2* (the trigamma family: ``trigamma``, ``trigamma-half``, ``zeta2``).
-Their terms, a hypergeometric factor times a harmonic-type bracket, satisfy a
-linear recurrence of order 2, which d1 does not model.  Only S_R, a_R and
-a_{R+1} - a_R are read at each R_l, so the forward difference is computed at
-the 19 R_l alone.  The transform of order nu is the ``d`` of the 2 nu + 1
-equations, one per sample l = 0..2 nu,
+The accelerator is the Levin-Sidi d^(m) transformation (Levin & Sidi 1981;
+Sidi, *Practical Extrapolation Methods*, 2003), m = 1 or 2, with the partial
+sums sampled at geometric indices R_l = max(R_{l-1} + 1, floor(1.5^l)),
+R_0 = 1, 19 of them up to R_18 = 1,477.  Sampling every term instead would
+let rounding swamp these logarithmically convergent series after a few dozen
+orders.  Its order nu models
 
     S_R = d + R a_R sum_i b1_i R^-i + R^2 (a_{R+1} - a_R) sum_i b2_i R^-i,
 
-i = 0..nu-1.  No system is solved: the FS-algorithm (Ford & Sidi 1987)
-updates every order as a sample arrives, at O(l) work per column.  With
-t = 1/R its columns are interleaved, g_{2i+1} = R a_R t^i and
-g_{2i+2} = R^2 (a_{R+1} - a_R) t^i, so that the first 2 nu are order nu's.
-It starts from psi_0^(l)(b) = b(l) / g_1(l) for b in S, 1, g_2, ..., g_19,
-and each level eliminates one column,
+i = 0..nu-1, and is the ``d`` of these equations on samples l = 0..m nu.
+*d1* (``beta``, ``beta-limit``, ``digamma``, ``log2`` and ``norlund``
+whenever the series is infinite) drops the b2 sum.  *d2* (the trigamma
+family: ``trigamma``, ``trigamma-half``, ``zeta2``) keeps it: their terms, a
+hypergeometric factor times a harmonic-type bracket, satisfy a linear
+recurrence of order 2, which d1 does not model.  Only S_R, a_R and
+a_{R+1} - a_R are read at each R_l, so the forward difference is computed at
+the 19 R_l alone.
 
-    psi_p^(j)(b) = (psi_{p-1}^(j+1)(b) - psi_{p-1}^(j)(b))
-                   / (psi_{p-1}^(j+1)(g_{p+1}) - psi_{p-1}^(j)(g_{p+1})),
+No system is solved: the W^(m)-algorithm (Sidi 1979; Ford & Sidi 1987)
+updates every order as a sample arrives.  With t = 1/R its columns are
+g_1 = R a_R (scaled by a_1 for d1, so that tiny terms cannot overflow 1/g_1)
+and, for d2, g_2 = R^2 (a_{R+1} - a_R) and g_{k+2} = t g_k.  The entry of
+level p from sample j holds a functional L_p^(j) applied to S, 1, g_{p+2} and
+g_{p+3}, written (A, B, x, y), and t_j.  Level 0 is
+(S / g_1, 1 / g_1, g_2 / g_1, t), and level p is built from U, level p - 1 at
+j + 1, and Lo, level p - 1 at j:
 
-so that order nu's transform is psi_2nu^(0)(S) / psi_2nu^(0)(1), up to
-order 9.  A zero first term (literal trigamma-half) makes psi_0^(0)
-infinite; psi_1^(0)(b) is then its limit, b(0) / g_2(0).  A zero
-denominator makes the entries it divides nan, and every order built on them
-is skipped.
+    A = (A_U - A_Lo) / D,   B alike,   x = (y_U - y_Lo) / D,
+    y = (t_{j+p} x_U - t_j x_Lo) / D + y of level p - 2 at j + 1 (0 at p = 1),
 
-Both take the same residual: 8 times the larger of the last two differences
-between successive transforms, never below (8 + 4 reductions) ulps of
-``max(|value|, sum |a_n| / |div|) + |base|``, the rounding of the sum and of
-the argument reduction that the transforms cannot see.  Measured against
-30-digit references it bounds the real error.  Both are done after the last
-sample: past it rounding grows faster than the transform gains (order 10 of
-d2 would take 3,325 terms).  Near u -> 0 the series get hard, and their
-residual there stays above ``ctrl.tol``.
+with D = t_{j+p} - t_j for d1, which needs no x or y, and D = x_U - x_Lo for
+d2.  Order nu's transform is A / B at level m nu, up to order 18 for d1 and
+order 9 for d2.  A zero D makes its entry nan, and every order built on it is
+skipped, as is an order whose B is 0 (order 1 of B(1/2, 1)).  A zero first
+term (literal trigamma-half) makes level 0 of the first sample infinite;
+level 1 there is its limit, (S / g_2, 1 / g_2, 0, t) of that sample.
+
+The residual is 8 times the larger of the last two differences between
+successive transforms, never below the rounding floor: (8 + 4 reductions)
+ulps of ``max(|value|, sum |a_n| / |div|) + |base|``, the rounding of the sum
+and of the argument reduction that the transforms cannot see.  Measured
+against 30-digit references it bounds the real error.  The accelerator is
+done after the last sample: past it rounding grows faster than the transform
+gains (order 10 of d2 would take 3,325 terms).  Near u -> 0 the series get
+hard, and their residual there stays above ``ctrl.tol``.
 
 Under tail correction (the default) a run stops with ``tolerance_met`` once
 the best residual is at most ``ctrl.tol``, and with ``precision_limit`` when
@@ -72,8 +66,8 @@ A run stops with ``max_terms`` at ``ctrl.max_terms``.  Unless it is a d2
 series, it stops with ``exact_termination`` at its first zero term: a
 rising/falling factor vanished, so all later terms vanish too.  (A d2 series
 may open with a zero term: literal trigamma-half and zeta2.)  Such finite
-series name no accelerator; one cut short by ``max_terms`` bounds its error
-by the terms it left out, at most 49.
+series take no accelerator, and their ``tail_estimate`` is the rounding
+floor; one cut short by ``max_terms`` adds the terms it left out, at most 49.
 Finite sums cancel more as their argument grows, so beta, beta-limit and
 Norlund first reduce large arguments by their recurrences, one step per unit,
 and count the steps in ``reductions``.
@@ -147,7 +141,7 @@ _EPS = 2.0**-52  # one ulp of 1.0
 # reaches order 18 on the same samples.  Order 10 of d2 would take 3,325 terms
 # to gain one to two digits of residual.
 _D2_MAX_ORDER = 9
-# The indices both accelerators sample, R_l = max(R_{l-1} + 1, floor(1.5**l)) for l = 0..18.
+# The indices the accelerator samples, R_l = max(R_{l-1} + 1, floor(1.5**l)) for l = 0..18.
 _D2_SAMPLES = (1, 2, 3, 4, 5, 7, 11, 17, 25, 38, 57, 86, 129, 194, 291, 437, 656, 985, 1477)
 _D2_SAMPLED = frozenset(_D2_SAMPLES)
 
@@ -172,11 +166,12 @@ class SeriesResult:
     ``value`` is the transform with the smallest residual under tail
     correction, otherwise, or while no transform has a residual,
     ``raw_partial_sum``: the plain compensated sum of the terms used.
-    ``tail_estimate`` bounds ``|value - limit|``.  It is 0 only on exact
-    termination and before a first transform has a residual: order 3 or four
-    terms for d1, order 3 or 11 terms for d2.  A finite series cut short by
-    ``max_terms`` reports ``sum |terms left out| / |div|`` plus
-    ``(8 + 4 reductions)`` ulps of ``|value| + |base|``.
+    ``tail_estimate`` bounds ``|value - limit|``.  It is 0 only before a
+    first transform has a residual: order 3 or four terms for d1, order 3 or
+    11 terms for d2.  An exact termination reports the rounding floor,
+    ``(8 + 4 reductions)`` ulps of ``max(|value|, sum |terms| / |div|) +
+    |base|``, and a finite series cut short by ``max_terms`` adds
+    ``sum |terms left out| / |div|``.
     ``termination`` is one of ``exact_termination``, ``tolerance_met`` and
     ``precision_limit`` (under tail correction only) and ``max_terms``.
     ``reductions`` counts argument-reduction recurrence steps taken before
@@ -204,26 +199,33 @@ class TraceRow(NamedTuple):
 _DEFAULT_CTRL = SeriesControl()
 
 
-def _ulps(reductions: int) -> float:
-    """The rounding bound's share of ``|value| + |base|``, growing with the reductions."""
-    return (8.0 + 4.0 * reductions) * _EPS
+def _floor(reductions: int, value: float, abs_sum: float, base: float, div: float) -> float:
+    """The rounding that the sum and the argument reduction leave in ``value``:
+    (8 + 4 reductions) ulps of ``max(|value|, sum |a_n| / |div|) + |base|``."""
+    return (8.0 + 4.0 * reductions) * _EPS * (max(abs(value), abs_sum / abs(div)) + abs(base))
 
 
-class _GPS:
-    """What both accelerators share: the geometric-progression samples (GPS) R_l,
-    the residual and the end.
+_NAN_ENTRY = (math.nan,) * 5
 
-    A subclass's ``_order`` takes sample l and returns the transform of the
-    order it completes on the sum's scale, or None.  ``diagonal`` holds one
-    entry per level, so its length counts the samples taken, and
-    ``transforms`` the finite transforms so far, whose differences are divided
-    by ``|div|`` only at the end: zeta2's residual stays a third of trigamma-half's.
+
+class _DTransform:
+    """The d^(m) transform, m = 1 or 2, by the W^(m)-algorithm on the samples
+    R_l; see module docstring.
+
+    ``diagonal[p]`` is the entry of level p on the latest anti-diagonal,
+    (A, B, x, y, t_j) for d2 and (A, B, t_j) for d1, so its length counts the
+    samples taken (for d2 None stands for the infinite level 0 of a zero first
+    term, and ``limit`` for level 1 above it).  ``first`` is a_1, which scales
+    every R a_R of d1.  ``transforms`` holds the finite transforms so far,
+    whose differences are divided by ``|div|`` only at the end: zeta2's
+    residual stays a third of trigamma-half's.
     """
 
-    def __init__(self, base: float, div: float, reductions: int) -> None:
+    def __init__(self, m: int, base: float, div: float, reductions: int) -> None:
+        self.m = m
         self.base = base
         self.div = div
-        self.ulps = _ulps(reductions)
+        self.reductions = reductions
         self.diagonal: list = []
         self.transforms: list[float] = []
 
@@ -233,84 +235,55 @@ class _GPS:
         """Take S_n, a_n and the term's ``rest`` (d2: a_{n+1} - a_n), with
         ``abs_sum`` = sum |a_k| so far; return the next index to sample (0 once
         done) and a ``(transform, residual)`` estimate or None."""
-        transform = self._order(n, partial, term, rest)
-        estimate = None
-        if transform is not None and math.isfinite(transform):  # else the order is singular: skip
-            transforms = self.transforms
-            transforms.append(transform)
-            if len(transforms) >= 3:
-                d1, d2, d3 = transforms[-3:]
-                value = self.base + d3 / self.div
-                div = abs(self.div)
-                spread = _RESIDUAL_FACTOR * max(abs(d3 - d2), abs(d2 - d1)) / div
-                floor = self.ulps * (max(abs(value), abs_sum / div) + abs(self.base))
-                estimate = (value, max(spread, floor))
-        taken = len(self.diagonal)
-        return (_D2_SAMPLES[taken] if taken < len(_D2_SAMPLES) else 0), estimate
-
-
-class _D1(_GPS):
-    """The d1 transform by Sidi's W-algorithm, sampled at R_l; see module docstring.
-
-    ``diagonal[p]`` is (M_p^(j), N_p^(j), t_j) of level p on the latest
-    anti-diagonal; ``first`` is a_1, which scales every R a_R.
-    """
-
-    def _order(self, n: int, partial: float, term: float, _rest: float) -> float | None:
-        diagonal = self.diagonal
-        if not diagonal:
-            self.first = term
-        g = n * (term / self.first)  # scaled by a_1, so tiny terms cannot overflow 1/g
+        m, diagonal = self.m, self.diagonal
         t = 1.0 / n
-        m, q, tj = partial / g, 1.0 / g, t
-        for p, (lower_m, lower_q, lower_t) in enumerate(diagonal):
-            diagonal[p] = (m, q, tj)
-            m, q, tj = (m - lower_m) / (t - lower_t), (q - lower_q) / (t - lower_t), lower_t
-        diagonal.append((m, q, tj))
-        if len(diagonal) == 1:
-            return None  # order 0 is S_1 itself
-        return m / q if q != 0.0 else math.nan
-
-
-def _fs_step(upper: list[float], lower: list[float]) -> list[float]:
-    """One level of the FS-algorithm: psi_p^(j) from psi_{p-1}^(j+1) (``upper``)
-    and psi_{p-1}^(j) (``lower``), whose last entries are the column it
-    eliminates and drops; all nan when their difference is 0."""
-    den = upper[-1] - lower[-1]
-    if den == 0.0:
-        return [math.nan] * (len(upper) - 1)
-    return [(x - y) / den for x, y in zip(upper[:-1], lower)]
-
-
-class _D2(_GPS):
-    """The Levin-Sidi d2 transform by the FS-algorithm, sampled at R_l; see
-    module docstring.
-
-    ``diagonal[p]`` is psi_p^(l-p) after sample l, with entries for S, 1 and
-    then each column a higher level still eliminates, the next one last (None
-    for psi_0 of a zero first term, whose psi_1^(0) is then ``limit``).
-    """
-
-    def _order(self, n: int, partial: float, term: float, diff: float) -> float | None:
-        t = 1.0 / n
-        x, y = n * term, n * n * diff
-        cols = [partial, 1.0, x * t**_D2_MAX_ORDER]  # S, 1, g_19, g_18, ..., g_2, g_1
-        for i in range(_D2_MAX_ORDER - 1, -1, -1):
-            ti = t**i
-            cols += (y * ti, x * ti)
-        zeros = [0.0] * len(cols)
-        row: list[float] | None = _fs_step(cols, zeros)  # psi_0 = b / g_1, a step from zeros
-        diagonal = self.diagonal
-        if x == 0.0 and not diagonal:  # psi_0 is infinite; psi_1^(0)(b) = b / g_2 of this sample
-            self.limit, row = _fs_step(cols[:-1], zeros), None
+        if m == 1:
+            if not diagonal:
+                self.first = term
+            g = n * (term / self.first)  # scaled by a_1, so tiny terms cannot overflow 1/g
+            row = (partial / g, 1.0 / g, t)
+        else:
+            g, h = n * term, n * n * rest
+            limit = g == 0.0 and not diagonal
+            if limit:  # level 0 is infinite; level 1 is its limit, level 0 with g_2 for g_1
+                g, h = h, 0.0
+            row = (partial / g, 1.0 / g, h / g, t, t) if g != 0.0 else _NAN_ENTRY
+            if limit:
+                self.limit, row = row, None
+        e = 0.0  # y of level p - 1 on the previous anti-diagonal, which level p + 1 reads
         for p, lower in enumerate(diagonal):
             diagonal[p] = row
-            row = _fs_step(row, lower) if lower is not None else self.limit
+            if m == 1:  # d1 entries are (A, B, t_j): D = t_{j+p} - t_j needs no x or y
+                a, b, _ = row
+                lower_a, lower_b, tj = lower
+                d = t - tj
+                row = ((a - lower_a) / d, (b - lower_b) / d, tj)
+            elif lower is None:
+                row = self.limit
+            else:
+                a, b, x, y, _ = row
+                lower_a, lower_b, lower_x, lower_y, tj = lower
+                d = x - lower_x
+                row = _NAN_ENTRY if d == 0.0 else (
+                    (a - lower_a) / d, (b - lower_b) / d, (y - lower_y) / d,
+                    (t * x - tj * lower_x) / d + e, tj,
+                )
+                e = lower_y
         diagonal.append(row)
-        if len(diagonal) % 2 == 0 or len(diagonal) == 1:
-            return None
-        num, den = row[0], row[1]
-        return num / den if den != 0.0 else math.nan
+        taken = len(diagonal)
+        estimate = None
+        if taken > 1 and (taken - 1) % m == 0:  # level m nu completes order nu
+            transform = row[0] / row[1] if row[1] != 0.0 else math.nan
+            if math.isfinite(transform):  # else the order is singular: skip
+                transforms = self.transforms
+                transforms.append(transform)
+                if len(transforms) >= 3:
+                    d1, d2, d3 = transforms[-3:]
+                    base, div = self.base, self.div
+                    value = base + d3 / div
+                    spread = _RESIDUAL_FACTOR * max(abs(d3 - d2), abs(d2 - d1)) / abs(div)
+                    estimate = (value, max(spread, _floor(self.reductions, value, abs_sum, base, div)))
+        return (_D2_SAMPLES[taken] if taken < len(_D2_SAMPLES) else 0), estimate
 
 
 def _bound(raw: float, best: float, residual: float) -> float:
@@ -340,15 +313,15 @@ def _run(
         ctrl = _DEFAULT_CTRL
     elif not isinstance(ctrl, SeriesControl):
         raise DomainError(f"ctrl must be a SeriesControl or None, got {ctrl!r}")
-    terms, base, div, reductions, accelerator = summand
+    terms, base, div, reductions, m = summand
     correct = ctrl.tail_correction
     tol = ctrl.tol if correct else -math.inf  # without tail correction only max_terms stops
     max_terms = ctrl.max_terms
     stop_n = max_terms  # lowered to n when the accelerator is done under tail correction
-    fold = accelerator is not _D2  # rest is a rounding remainder, and 0 ends the sum
+    fold = m != 2  # rest is a rounding remainder, and 0 ends the sum
     next_sample = 0  # the next index the accelerator samples; 0: none
-    if accelerator is not None:
-        accel = accelerator(base, div, reductions)
+    if m:
+        accel = _DTransform(m, base, div, reductions)
         next_sample = 1
     s = 0.0
     comp = 0.0
@@ -401,14 +374,15 @@ def _run(
         value, tail = best, best_residual
     else:
         value, tail = raw, _bound(raw, best, best_residual)
-    if accelerator is None and termination == MAX_TERMS:
-        # A finite series cut short: bound it by the terms it left out.
+    if termination == EXACT_TERMINATION or (not m and termination == MAX_TERMS):
+        # A finite sum, bounded by its rounding and the terms a cut left out.
         left = 0.0
-        for term, rest in terms:
-            if term == 0.0 or not math.isfinite(left):
-                break
-            left += abs(term) + abs(rest)
-        tail = left / abs(div) + _ulps(reductions) * (abs(value) + abs(base))
+        if termination == MAX_TERMS:
+            for term, rest in terms:
+                if term == 0.0 or not math.isfinite(left):
+                    break
+                left += abs(term) + abs(rest)
+        tail = left / abs(div) + _floor(reductions, raw, abs_sum, base, div)
     if not (math.isfinite(value) and math.isfinite(tail)):
         raise OverflowRangeError("series value or its error bound overflows double precision")
     return SeriesResult(value, raw, tail, n, termination, reductions), tuple(rows)
@@ -525,9 +499,8 @@ def _trigamma_half_terms(include_k0: bool) -> Iterator[tuple[float, float]]:
 class _Summand(NamedTuple):
     """A validated series: the loop sums ``base + sum(terms) / div``.
 
-    ``accelerator`` is the class that extrapolates an infinite series,
-    :class:`_D1` or :class:`_D2`, and None for a finite one.  The terms
-    of a d2 series come as ``(a_n, a_{n+1} - a_n)`` pairs (nan off the samples),
+    ``m`` is the order of the d^(m) transform that extrapolates an infinite
+    series, 1 or 2, and 0 for a finite one.  The terms of a d2 series come as ``(a_n, a_{n+1} - a_n)`` pairs (nan off the samples),
     carry no rounding remainder and may be 0; every other series ends at its
     first zero term.
     """
@@ -536,7 +509,7 @@ class _Summand(NamedTuple):
     base: float = 0.0
     div: float = 1.0
     reductions: int = 0
-    accelerator: type[_GPS] | None = None
+    m: int = 0
 
 
 def _check_reducible(name: str, param: str, value: float) -> None:
@@ -567,7 +540,7 @@ def _beta(u: float, v: float) -> _Summand:
             reductions += 1
     return _Summand(
         _shifted_ratio_terms(u, v), base=1.0 / (v * div), div=div,
-        reductions=reductions, accelerator=None if u.is_integer() else _D1,
+        reductions=reductions, m=0 if u.is_integer() else 1,
     )
 
 
@@ -588,7 +561,7 @@ def _beta_limit(u: float) -> _Summand:
         reductions += 1
     return _Summand(
         _limit_terms(u), base=acc, reductions=reductions,
-        accelerator=None if u.is_integer() else _D1,
+        m=0 if u.is_integer() else 1,
     )
 
 
@@ -605,12 +578,12 @@ def _digamma(u: float) -> _Summand:
         reductions += 1
     return _Summand(
         _limit_terms(y), base=acc - EULER_GAMMA, div=-1.0, reductions=reductions,
-        accelerator=None if y == 1.0 else _D1,
+        m=0 if y == 1.0 else 1,
     )
 
 
 def _log2() -> _Summand:
-    return _Summand(_log2_terms(), accelerator=_D1)
+    return _Summand(_log2_terms(), m=1)
 
 
 def _norlund(x: float, a: float) -> _Summand:
@@ -628,7 +601,7 @@ def _norlund(x: float, a: float) -> _Summand:
         reductions += 1
     return _Summand(
         _norlund_terms(x, a), base=acc, reductions=reductions,
-        accelerator=None if x >= 0.0 and x.is_integer() else _D1,
+        m=0 if x >= 0.0 and x.is_integer() else 1,
     )
 
 
@@ -636,13 +609,13 @@ def _trigamma(u: float) -> _Summand:
     u = finite_real(u, "u")
     if not 0.0 < u < 1.0:
         raise DomainError(f"trigamma_series requires 0 < u < 1, got {u!r}")
-    return _Summand(_trigamma_terms(u), accelerator=_D2)
+    return _Summand(_trigamma_terms(u), m=2)
 
 
 def _trigamma_half(convention: str) -> _Summand:
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return _Summand(_trigamma_half_terms(include_k0=(convention == CORRECTED)), accelerator=_D2)
+    return _Summand(_trigamma_half_terms(include_k0=(convention == CORRECTED)), m=2)
 
 
 def _zeta2(convention: str) -> _Summand:

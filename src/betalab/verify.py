@@ -60,7 +60,7 @@ __all__ = [
     "render_report",
 ]
 
-TOOL_VERSION = "0.5.0"
+TOOL_VERSION = "0.6.0"
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"

@@ -1,8 +1,10 @@
-"""The d2 transform's FS recursion against a 40-digit solve of the same samples.
+"""The d2 transform's W^(2) recursion against a 40-digit solve of the same samples.
 
-mpmath appears only in the tests.  Each case drives ``series._D2`` with the
-samples the summation loop hands it, (R, S_R, a_R, a_{R+1} - a_R), and solves
-each order's 2 nu + 1 equations again with ``mpmath.lu_solve``.
+mpmath appears only in the tests.  Each case drives ``series._DTransform``
+with m = 2 on the samples the summation loop hands it,
+(R, S_R, a_R, a_{R+1} - a_R), and solves each order's 2 nu + 1 equations
+again with ``mpmath.lu_solve``.  Synthetic samples that fit an order's model
+exactly must return its ``d`` at that order and every later one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ CASES = [("trigamma", {"u": u}) for u in _geometric(0.02, 0.99, 16) + [0.25, 0.5
 
 def _drive(samples):
     """Feed ``samples`` to a fresh d2 accelerator; return it and its estimates."""
-    d2 = sr._D2(0.0, 1.0, 0)
+    d2 = sr._DTransform(2, 0.0, 1.0, 0)
     return d2, [d2.sample(*sample)[1] for sample in samples]
 
 
@@ -39,7 +41,7 @@ def _loop_samples(name: str, params: dict) -> list[tuple[int, float, float, floa
     _, rows = bl.trace(name, params, TO_ORDER_9, every=1)
     terms = list(itertools.islice(sr.SERIES[name](**params).terms, len(rows)))
     samples = []
-    d2 = sr._D2(0.0, 1.0, 0)
+    d2 = sr._DTransform(2, 0.0, 1.0, 0)
     n = 1
     while n:
         sample = (n, rows[n - 1].partial_sum, *terms[n - 1])
@@ -69,6 +71,24 @@ def test_each_order_matches_a_40_digit_solve_to_a_quarter_of_its_residual(name, 
         transform, residual = estimates[2 * nu]
         exact = _solve(samples[: 2 * nu + 1])
         assert float(abs(transform - exact)) <= residual / 4, nu
+
+
+def _model(nu: int, r: int, zero_first: bool) -> tuple[int, float, float, float]:
+    """A sample at R = ``r`` of the order-``nu`` model with d = 0.75."""
+    a, da = r**-1.5, -1.5 * r**-2.5 + r**-3.0
+    if zero_first and r == 1:
+        a = 0.0
+    s = 0.75 + sum((r * a / (i + 1) + r * r * da * (-1) ** i / (i + 2)) * r**-i for i in range(nu))
+    return r, s, a, da
+
+
+@pytest.mark.parametrize("zero_first", [False, True], ids=["generic", "zero-first-term"])
+@pytest.mark.parametrize("nu", range(1, 10))
+def test_samples_that_fit_an_order_return_its_d(nu, zero_first):
+    d2, _ = _drive([_model(nu, r, zero_first) for r in sr._D2_SAMPLES])
+    assert len(d2.transforms) == 9
+    for order, transform in enumerate(d2.transforms[nu - 1 :], nu):
+        assert abs(transform - 0.75) <= 1e-11, order
 
 
 @pytest.mark.parametrize("name", ["trigamma-half", "zeta2"])
@@ -123,7 +143,7 @@ def _with_term(terms, at: int, term: float):
 )
 def test_zero_denominators_in_a_run_raise_nothing(terms):
     # The fourth sample's g_1 = 0 leaves only order 1, which has no residual.
-    res, rows = sr._run(sr._Summand(terms, accelerator=sr._D2), None, every=1)
+    res, rows = sr._run(sr._Summand(terms, m=2), None, every=1)
     assert (res.termination, res.terms_used) == (bl.PRECISION_LIMIT, 1477)
     assert (res.value, res.tail_estimate) == (res.raw_partial_sum, 0.0)
     assert all(math.isfinite(x) for row in rows for x in row)

@@ -186,7 +186,7 @@ def test_subnormal_terms_are_extrapolated():
 
 
 def test_d1_requests_exactly_the_shared_samples():
-    d1 = sr._D1(0.0, 1.0, 0)
+    d1 = sr._DTransform(1, 0.0, 1.0, 0)
     requested, partial, n = [], 0.0, 1
     for m, (term, rest) in enumerate(itertools.islice(sr._log2_terms(), 1500), 1):
         partial += term
@@ -218,7 +218,7 @@ def test_each_order_matches_a_40_digit_solve(name, params):
         partial += term + rest
         if m in sr._D2_SAMPLED:
             samples.append((m, partial, term))
-    d1 = sr._D1(0.0, 1.0, 0)
+    d1 = sr._DTransform(1, 0.0, 1.0, 0)
     estimates = [d1.sample(r, s, a, 0.0)[1] for r, s, a in samples]
     for nu in range(3, len(samples)):
         transform, residual = estimates[nu]

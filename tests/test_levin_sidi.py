@@ -128,7 +128,7 @@ def test_d2_samples_follow_the_geometric_rule():
     ids=["trigamma", "trigamma-half-corrected"],
 )
 def test_d2_requests_exactly_the_samples_where_a_difference_is_computed(terms):
-    d2 = sr._D2(0.0, 1.0, 0)
+    d2 = sr._DTransform(2, 0.0, 1.0, 0)
     requested, partial, n = [], 0.0, 1
     for m, (term, diff) in enumerate(itertools.islice(terms, ORDER_CAP_TERMS + 10), 1):
         partial += term

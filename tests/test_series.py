@@ -63,7 +63,9 @@ def test_result_types_are_frozen():
 def test_beta_series_exact_at_integer_u(u, v):
     res = bl.beta_series(float(u), v)
     assert res.termination == bl.EXACT_TERMINATION
-    assert res.tail_estimate == 0.0
+    with mpmath.workdps(30):
+        assert float(abs(res.value - mpmath.beta(u, v))) <= res.tail_estimate
+    assert res.tail_estimate > 0.0  # the rounding floor
     assert res.terms_used == u - 1
     reference = bl.beta(float(u), v)
     assert abs(res.value - reference) <= 1e-13 * abs(reference)
@@ -230,6 +232,31 @@ def test_norlund_integer_cases_exact(m):
     assert res.termination == bl.EXACT_TERMINATION
     assert res.terms_used == m
     assert abs(res.value - harmonic_oracle(m)) <= 1e-12
+
+
+_EXACT_CASES = (
+    [("norlund", {"x": float(x), "a": a}) for x in range(11) for a in (0.051, 0.059, 0.5, 2.5)]
+    + [("beta", {"u": float(u), "v": v}) for u in (1, 2, 5, 13, 29, 50) for v in (0.05, 2.5)]
+    + [("beta-limit", {"u": float(u)}) for u in (2, 7, 23, 50)]
+    + [("digamma", {"u": float(u)}) for u in (1, 2, 17, 1000)]
+)
+_EXACT_REFERENCES = {
+    "norlund": lambda x, a: mpmath.digamma(x + mpmath.mpf(a)) - mpmath.digamma(a),
+    "beta": lambda u, v: mpmath.beta(u, v),
+    "beta-limit": lambda u: -mpmath.digamma(u) - mpmath.euler,
+    "digamma": lambda u: mpmath.digamma(u),
+}
+
+
+@mpmath.workdps(30)
+def test_exact_terminations_report_the_rounding_floor():
+    # A finite sum still rounds: norlund_diff(10.0, 0.051) is 3.9e-13 off.
+    for name, params in _EXACT_CASES:
+        res, _ = bl.trace(name, params)
+        assert res.termination == bl.EXACT_TERMINATION, (name, params)
+        err = float(abs(res.value - _EXACT_REFERENCES[name](**params)))
+        assert err <= res.tail_estimate, (name, params)
+    assert 3.9e-13 <= bl.norlund_diff(10.0, 0.051).tail_estimate <= 1e-10
 
 
 def test_norlund_zero_x_is_empty_sum():

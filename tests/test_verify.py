@@ -264,6 +264,11 @@ REPORT_SHA256 = {
         "csv": "35445fd02a8d73cef921cab99938a8d72bcaabec4ee73fb96cf8644133d29d92",
         "table": "c83c70aa6da9fbc170290cbb7477cb5d4f0a62dff89f3ec88eccb867341be4a1",
     },
+    "0.6.0": {
+        "json": "3f798fd255882ffdb5d81a398539dd0e75178d1fb721ab35bec70a5e456c9980",
+        "csv": "1802eb1a67c45421c1ccbec1c02821e457417a47ebab52caf0144a54b8c000cc",
+        "table": "7486abcfc2e9320cdc6472ebfa41c683363f67b9bb34f7080e03924f28535761",
+    },
 }
 
 
