@@ -7,7 +7,12 @@ limits), and ``verify`` (the identity suite with table/json/csv reports).
 The first four reach a route by name through one table, ``_ROUTES``; a
 route's flags are exactly its routine's parameters, and those without a
 default are required.  A command loads its own module, and reads its routes'
-signatures, on first use; the parser gets the arguments of that command only.
+parameters, on first use; the parser gets the arguments of that command only.
+A route's parameters come from its code object (``__code__``, ``__defaults__``)
+and its string annotations (``float``, ``int`` or ``str``), not from
+``inspect``, and ``CommandInvocation`` is an ``errors.Record``, not a
+dataclass: a one-shot command loads neither ``inspect``, ``dataclasses`` nor
+``typing``, which would cost it more than its own work.
 
 Exit codes: 0 success (and all identities passing), 1 verification failures,
 2 usage or domain errors, 3 non-convergence (quadrature refinement cap, or a
@@ -22,19 +27,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import sys
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Mapping, Sequence
 from types import ModuleType
-from typing import Callable, Mapping, Sequence
 
-from .errors import BetalabError, DomainError, NonConvergenceError
+from .errors import BetalabError, DomainError, NonConvergenceError, Record
 
 __all__ = ["CommandInvocation", "parse", "execute", "main"]
 
 
-@dataclass(frozen=True)
-class CommandInvocation:
+class CommandInvocation(Record):
     """A validated command line: the chosen subcommand plus its options."""
 
     subcommand: str
@@ -47,9 +49,9 @@ def _g(value: float) -> str:
 
 def _print_result(res, width: int, prefix: str = "") -> None:
     """One ``name = value`` line per field of a series, quadrature or limit result."""
-    for field in fields(res):
-        value = getattr(res, field.name)
-        print(f"{prefix}{field.name:<{width}} = {_g(value) if isinstance(value, float) else value}")
+    for name in res._fields:
+        value = getattr(res, name)
+        print(f"{prefix}{name:<{width}} = {_g(value) if isinstance(value, float) else value}")
 
 
 # --- routes ---------------------------------------------------------------
@@ -81,15 +83,26 @@ _ROUTES: dict[str, Callable[[ModuleType], Mapping[str, Callable]]] = {
 }
 
 
-def _flags(command: str, routine: Callable) -> dict[str, inspect.Parameter]:
-    """flag -> parameter of ``routine``.  eval's flags go by position, Norlund's x
-    is --xarg, and series convention defaults to corrected."""
+# A route parameter: its name, its default (_REQUIRED if none) and its type.
+_Param = tuple[str, object, type]
+_REQUIRED = object()
+_TYPES = {"float": float, "int": int, "str": str}  # the annotations routes use
+
+
+def _flags(command: str, routine: Callable) -> dict[str, _Param]:
+    """flag -> (name, default, type) of each parameter of ``routine``.  eval's
+    flags go by position, Norlund's x is --xarg, and series convention
+    defaults to corrected."""
+    code = routine.__code__
+    names = code.co_varnames[: code.co_argcount]
+    defaults = routine.__defaults__ or ()
+    defaults = (_REQUIRED,) * (len(names) - len(defaults)) + defaults
     flags = {}
-    for i, param in enumerate(inspect.signature(routine, eval_str=True).parameters.values()):
-        flag = ("x", "x2")[i] if command == "eval" else {"x": "xarg"}.get(param.name, param.name)
-        if param.name == "convention":
-            param = param.replace(default=_module("series").CORRECTED)
-        flags[flag] = param
+    for i, (name, default) in enumerate(zip(names, defaults)):
+        flag = ("x", "x2")[i] if command == "eval" else {"x": "xarg"}.get(name, name)
+        if name == "convention":
+            default = _module("series").CORRECTED
+        flags[flag] = (name, default, _TYPES[routine.__annotations__[name]])
     return flags
 
 
@@ -99,14 +112,14 @@ def _routes(command: str) -> Mapping[str, Callable]:
 
 
 @functools.cache
-def _signatures(command: str) -> dict[str, dict[str, inspect.Parameter]]:
-    """route name -> flag -> parameter; each signature is read once, on its command's first use."""
+def _signatures(command: str) -> dict[str, dict[str, _Param]]:
+    """route name -> flag -> parameter; each route is read once, on its command's first use."""
     return {name: _flags(command, routine) for name, routine in _routes(command).items()}
 
 
-def _takers(command: str) -> dict[str, dict[str, inspect.Parameter]]:
+def _takers(command: str) -> dict[str, dict[str, _Param]]:
     """flag -> {route name: parameter} over the routes of ``command`` that take it."""
-    takers: dict[str, dict[str, inspect.Parameter]] = {}
+    takers: dict[str, dict[str, _Param]] = {}
     for name, flags in _signatures(command).items():
         for flag, param in flags.items():
             takers.setdefault(flag, {})[name] = param
@@ -121,22 +134,22 @@ def _arguments(command: str, name: str, options: Mapping) -> dict:
     for flag in _takers(command):
         if options.get(flag) is not None and flag not in params:
             raise DomainError(f"{where} takes no --{flag}")
-    missing = [f"--{flag}" for flag, p in params.items()
-               if options.get(flag) is None and p.default is p.empty]
+    missing = [f"--{flag}" for flag, (_, default, _) in params.items()
+               if options.get(flag) is None and default is _REQUIRED]
     if missing:
         raise DomainError(f"{where} requires {' and '.join(missing)}")
     args = {}
-    for flag, param in params.items():
+    for flag, (param, default, kind) in params.items():
         value = options.get(flag)
         if value is None:
-            value = param.default
+            value = default
         else:
             try:
-                value = param.annotation(value)
+                value = kind(value)
             except ValueError:
-                kind = "an integer" if param.annotation is int else "a number"
-                raise DomainError(f"--{flag} must be {kind}, got {value!r}") from None
-        args[param.name] = value
+                what = "an integer" if kind is int else "a number"
+                raise DomainError(f"--{flag} must be {what}, got {value!r}") from None
+        args[param] = value
     return args
 
 
@@ -218,14 +231,12 @@ def _add_routes(parser: argparse.ArgumentParser, command: str, dest: str) -> Non
     routes that take it and their default if they share one."""
     parser.add_argument(dest, choices=sorted(_routes(command)))
     for flag, takers in _takers(command).items():
-        param = next(iter(takers.values()))
+        _, default, kind = next(iter(takers.values()))
         text = "for " + ", ".join(takers)
-        defaults = {p.default for p in takers.values()}
-        if len(defaults) == 1 and param.default is not param.empty:
-            text += f" (default {param.default})"
-        parser.add_argument(
-            f"--{flag}", type=None if command == "eval" else param.annotation, help=text
-        )
+        defaults = {d for _, d, _ in takers.values()}
+        if len(defaults) == 1 and default is not _REQUIRED:
+            text += f" (default {default})"
+        parser.add_argument(f"--{flag}", type=None if command == "eval" else kind, help=text)
 
 
 def _add_series_options(parser: argparse.ArgumentParser) -> None:

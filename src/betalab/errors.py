@@ -4,6 +4,13 @@ Every error raised on purpose by this package derives from :class:`BetalabError`
 so callers (and the CLI) can distinguish deliberate signalling from bugs.  The
 subclasses also inherit from the closest builtin so that generic ``except
 ValueError`` style handling keeps working.
+
+:class:`Record` is the base of the frozen result types (``SeriesControl``,
+``SeriesResult``, ``QuadratureResult``, ``LimitResult`` and the CLI's
+``CommandInvocation``).  It lives here because every module, and every CLI
+command, already loads this one, and it spares them ``dataclasses``, whose
+import (with ``inspect``) and per-class code generation cost a one-shot
+command more than its own work.
 """
 
 from __future__ import annotations
@@ -52,6 +59,69 @@ class UnknownIdentityError(BetalabError, KeyError):
     def __str__(self) -> str:
         # KeyError would repr() the message; keep it readable.
         return self.args[0] if self.args else ""
+
+
+class Record:
+    """A frozen record, declared as a dataclass is.
+
+    A subclass's fields are its annotations, in order; class attributes of
+    the same names are the defaults of the trailing fields, and an optional
+    ``__post_init__`` runs after construction.  Instances take positional
+    and keyword arguments, refuse assignment and deletion with
+    ``AttributeError``, compare and hash by their fields (only against the
+    same class) and have the dataclass repr.  ``_fields`` names the fields.
+    Records are not tuples, so a routine that returns several results can
+    still be told apart by ``isinstance(result, tuple)``.
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = self.__class__
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
+            values[name] = value
+        for name in fields:
+            if name not in values:
+                if name not in vars(cls):
+                    raise TypeError(f"{cls.__name__} is missing field {name!r}")
+                values[name] = vars(cls)[name]
+        vars(self).update(values)
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
 
 
 # --- argument checks shared by every public entry point ---------------------

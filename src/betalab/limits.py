@@ -18,11 +18,10 @@ must not share their rounding behaviour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .core_special import beta, gamma, lgamma
-from .errors import DomainError, EvaluationError, finite_real, integer, positive_real
+from .errors import DomainError, EvaluationError, Record, finite_real, integer, positive_real
 
 __all__ = [
     "LimitResult",
@@ -40,8 +39,7 @@ _MIN_U = 0.1  # smallest u the beta limits accept
 _ERROR_FACTOR = 8.0  # error estimate = 8 x the larger of the last two diagonal differences
 
 
-@dataclass(frozen=True)
-class LimitResult:
+class LimitResult(Record):
     """An extrapolated limit with its tableau-based error estimate."""
 
     value: float

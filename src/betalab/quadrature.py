@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import DomainError, EvaluationError, NonConvergenceError, OverflowRangeError
-from .errors import finite_real, positive_real
+from .errors import Record, finite_real, positive_real
 
 __all__ = [
     "QuadratureResult",
@@ -51,8 +50,7 @@ _HALF_PI = math.pi / 2.0
 _EPS = 2.0**-52  # one ulp of 1.0
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Record):
     """Outcome of an adaptive tanh-sinh integration."""
 
     value: float

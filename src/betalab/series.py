@@ -80,13 +80,11 @@ conventions.  The two differ by exactly ``4 log 2``.
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Mapping
 
-from .core_special import EULER_GAMMA
-from .errors import DomainError, OverflowRangeError, finite_real, integer, positive_real
+from .errors import DomainError, OverflowRangeError, Record, finite_real, integer, positive_real
 
 __all__ = [
     "SeriesControl",
@@ -122,11 +120,18 @@ LITERAL = "literal"
 CORRECTED = "corrected"
 CONVENTIONS = (LITERAL, CORRECTED)
 
+# core_special.EULER_GAMMA, repeated so that a series command need not load core_special.
+EULER_GAMMA = 0.5772156649015329
+
 _MAX_REDUCED = 1_000_000  # the argument reductions take one step per unit
-# Integer u up to here keeps the exact finite sums of beta and beta-limit: their
-# binomial terms, times the next factor, stay below 2**53, so the sums carry no
-# rounding (u = 60 does: beta-limit is then 7e-3 relative off).
-_EXACT_U = 50
+# Integer u up to here keeps the exact finite sum of beta-limit: its binomial
+# terms, times the next factor, stay below 2**53, so the sum carries no rounding
+# (u = 60 does: beta-limit is then 7e-3 relative off).
+_EXACT_U_LIMIT = 50
+# Beta's terms divide by n + v, which rounds, and their sum cancels like 2**u,
+# so integer u above this steps down as well (at u = 50, v = 3.7 the finite sum
+# was 2e-2 relative off; from 12 every v in [0.01, 100] is within 3e-13).
+_EXACT_U_BETA = 12
 # Other u above this step down into (5, 6]: the binomial terms' size, and so
 # the cancellation in their sum, grows like 2**u (d1 is within 5e-14 relative
 # on u in [0.25, 6]).
@@ -146,8 +151,7 @@ _D2_SAMPLES = (1, 2, 3, 4, 5, 7, 11, 17, 25, 38, 57, 86, 129, 194, 291, 437, 656
 _D2_SAMPLED = frozenset(_D2_SAMPLES)
 
 
-@dataclass(frozen=True)
-class SeriesControl:
+class SeriesControl(Record):
     """Knobs for series summation."""
 
     max_terms: int = 1_000_000
@@ -159,8 +163,7 @@ class SeriesControl:
         positive_real(self.tol, "tol")
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(Record):
     """Outcome of a series summation.
 
     ``value`` is the transform with the smallest residual under tail
@@ -187,13 +190,9 @@ class SeriesResult:
     reductions: int = 0
 
 
-class TraceRow(NamedTuple):
-    """One checkpoint of a traced summation, on the operation's scale."""
-
-    n: int
-    term: float
-    partial_sum: float
-    tail_estimate: float
+TraceRow = namedtuple("TraceRow", "n term partial_sum tail_estimate")
+TraceRow.__doc__ = """One checkpoint of a traced summation, on the operation's scale:
+term count ``n`` (int), then ``term``, ``partial_sum`` and ``tail_estimate`` (floats)."""
 
 
 _DEFAULT_CTRL = SeriesControl()
@@ -496,20 +495,16 @@ def _trigamma_half_terms(include_k0: bool) -> Iterator[tuple[float, float]]:
 # --- term sources: validate parameters, say what the loop sums -----------
 
 
-class _Summand(NamedTuple):
-    """A validated series: the loop sums ``base + sum(terms) / div``.
+_Summand = namedtuple("_Summand", "terms base div reductions m", defaults=(0.0, 1.0, 0, 0))
+_Summand.__doc__ = """A validated series: the loop sums ``base + sum(terms) / div``.
 
-    ``m`` is the order of the d^(m) transform that extrapolates an infinite
-    series, 1 or 2, and 0 for a finite one.  The terms of a d2 series come as ``(a_n, a_{n+1} - a_n)`` pairs (nan off the samples),
-    carry no rounding remainder and may be 0; every other series ends at its
-    first zero term.
-    """
-
-    terms: Iterator[tuple[float, float]]
-    base: float = 0.0
-    div: float = 1.0
-    reductions: int = 0
-    m: int = 0
+``terms`` iterates over ``(float, float)`` pairs; ``base`` (0.0) and ``div``
+(1.0) are floats, ``reductions`` (0) and ``m`` (0) ints.  ``m`` is the order
+of the d^(m) transform that extrapolates an infinite series, 1 or 2, and 0
+for a finite one.  The terms of a d2 series come as ``(a_n, a_{n+1} - a_n)``
+pairs (nan off the samples), carry no rounding remainder and may be 0; every
+other series ends at its first zero term.
+"""
 
 
 def _check_reducible(name: str, param: str, value: float) -> None:
@@ -520,13 +515,13 @@ def _check_reducible(name: str, param: str, value: float) -> None:
 def _beta(u: float, v: float) -> _Summand:
     u = positive_real(u, "u")
     v = positive_real(v, "v")
-    # B(u, v) = B(u-1, v) (u-1)/(u+v-1), and alike in v: u steps into (5, 6]
-    # unless its finite sum is exact, then v into (0, 2].
+    # B(u, v) = B(u-1, v) (u-1)/(u+v-1), and alike in v: u steps into (5, 6],
+    # integer u down to 12 at most, then v into (0, 2].
     # ``div`` gathers the inverse factors, so B(reduced u, v) / div is B(u, v).
     _check_reducible("beta_series", "u", u)
     div = 1.0
     reductions = 0
-    while _steps_down(u):
+    while _steps_down(u, _EXACT_U_BETA):
         u -= 1.0
         div *= (u + v) / u
         reductions += 1
@@ -544,9 +539,10 @@ def _beta(u: float, v: float) -> _Summand:
     )
 
 
-def _steps_down(u: float) -> bool:
-    """Whether beta's or beta-limit's u takes one more reduction step."""
-    return u > _U_MAX and not (u.is_integer() and u <= _EXACT_U)
+def _steps_down(u: float, exact_u: int) -> bool:
+    """Whether beta's or beta-limit's u, whose integer values through
+    ``exact_u`` keep their finite sums, takes one more reduction step."""
+    return u > _U_MAX and not (u.is_integer() and u <= exact_u)
 
 
 def _beta_limit(u: float) -> _Summand:
@@ -555,7 +551,7 @@ def _beta_limit(u: float) -> _Summand:
     # L(u) = L(u-1) - 1/(u-1), with L the series: -(psi(u) + gamma).
     acc = 0.0
     reductions = 0
-    while _steps_down(u):
+    while _steps_down(u, _EXACT_U_LIMIT):
         u -= 1.0
         acc -= 1.0 / u
         reductions += 1
@@ -623,7 +619,7 @@ def _zeta2(convention: str) -> _Summand:
 
 
 # The one list of series: name -> term source.  trace() looks a series up here,
-# and the CLI reads each series' parameters from its term source's signature.
+# and the CLI reads each series' parameters from its term source's code object.
 SERIES: dict[str, Callable[..., _Summand]] = {
     "beta": _beta,
     "beta-limit": _beta_limit,
@@ -643,7 +639,7 @@ def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> Series
     """B(u, v) as ``1/v + sum_{n>=1} (1-u)_n / ((n+v) n!)``.
 
     Terminates exactly for positive integer u (the rising factor vanishes).
-    Other u above 6, and integer u above 50, are first reduced one step per
+    Other u above 6, and integer u above 12, are first reduced one step per
     unit with ``B(u, v) = B(u-1, v) (u-1)/(u+v-1)``, so u <= 1e6; v above 2
     is then reduced alike, so v <= 1e6 as well, except at u = 1, whose empty
     sum B = 1/v keeps any v.  ``reductions`` counts the steps.
@@ -723,7 +719,8 @@ def trace(
     if name not in SERIES:
         raise DomainError(f"unknown series {name!r}; choose from {sorted(SERIES)}")
     source = SERIES[name]
-    expected = list(inspect.signature(source).parameters)
+    code = source.__code__
+    expected = list(code.co_varnames[: code.co_argcount])
     if not isinstance(params, Mapping) or set(params) != set(expected):
         raise DomainError(f"series {name!r} takes parameters {expected}, got {params!r}")
     return _run(source(**params), ctrl, integer(every, "every", 0))

@@ -183,19 +183,23 @@ def _pairs_lt(values: Sequence[float]) -> tuple[tuple[float, float], ...]:
     )
 
 
+def _with_value(res: qd.QuadratureResult, value: float) -> qd.QuadratureResult:
+    return qd.QuadratureResult(value, res.error_estimate, res.levels_used, res.evaluations)
+
+
 def _log_moment_form(u: float) -> qd.QuadratureResult:
     res = qd.log_kernel_moment(u)
-    return replace(res, value=u * res.value + 1.0 / u)
+    return _with_value(res, u * res.value + 1.0 / u)
 
 
 def _neg_n_log_moment(n: float) -> qd.QuadratureResult:
     res = qd.log_kernel_moment(n)
-    return replace(res, value=-n * res.value)
+    return _with_value(res, -n * res.value)
 
 
 def _eq3_rhs(u: float) -> qd.QuadratureResult:
     res = _log_moment_form(u)
-    return replace(res, value=-cs.EULER_GAMMA - res.value)
+    return _with_value(res, -cs.EULER_GAMMA - res.value)
 
 
 @functools.cache

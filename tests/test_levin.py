@@ -242,8 +242,8 @@ def test_max_terms_still_caps_the_levin_path():
         (60.5, 0.5, 55),  # was 17% off
         (200.5, 0.5, 195),  # was 4.8e40 with tolerance_met
         (1000.25, 1.5, 995),
-        (60.0, 0.5, 10),  # integers above 50 step down to 50, then end exactly
-        (200.0, 2.5, 151),  # and then v steps into (0, 2]
+        (60.0, 0.5, 48),  # integers above 12 step down to 12, then end exactly
+        (200.0, 2.5, 189),  # and then v steps into (0, 2]
     ],
 )
 @mpmath.workdps(30)
@@ -254,6 +254,21 @@ def test_beta_series_reduces_large_u(u, v, reductions):
     assert float(abs(res.value - reference) / reference) <= 1e-12
     if res.termination != bl.EXACT_TERMINATION:
         assert float(abs(res.value - reference)) <= res.tail_estimate
+
+
+@mpmath.workdps(40)
+def test_beta_series_at_integer_u_is_accurate_and_bounded():
+    # Integer u through 50 once kept its finite sum, whose terms round at n + v:
+    # (50, 3.7) was 2.1e-2 relative off, its tail 67 times the value.
+    failures = []
+    for u in range(1, 51):
+        for v in (0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 0.7, 1.0, 2.0, 3.7, 7.5, 15.0, 40.0, 100.0):
+            res = bl.beta_series(float(u), v)
+            reference = mpmath.beta(u, v)
+            err = abs(mpmath.mpf(res.value) - reference)
+            if not (err <= res.tail_estimate and err <= 1e-12 * reference):
+                failures.append((u, v, float(err / reference), res.tail_estimate))
+    assert not failures, failures[:5]
 
 
 @pytest.mark.parametrize(
@@ -278,7 +293,7 @@ def test_beta_series_reduces_large_v_of_an_infinite_series(u, v, reductions):
     [
         (8.0, 40.0, 38),  # unreduced, 9.6e-10 relative off
         (8.0, 200.0, 198),  # unreduced, 1.6e-4 relative off
-        (50.0, 1000.0, 998),  # unreduced, 100% off
+        (50.0, 1000.0, 38 + 998),  # u to 12, then v; v unreduced, 100% off
         (1.0, 1000.5, 0),  # the empty sum B(1, v) = 1/v keeps its v
     ],
 )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import mpmath
@@ -48,10 +47,11 @@ def test_series_control_rejects_bad_tol(bad):
 
 
 def test_result_types_are_frozen():
-    res = bl.beta_series(2.0, 1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        res.value = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    # AttributeError is what a frozen dataclass raises too (FrozenInstanceError's base).
+    for res in (bl.beta_series(2.0, 1.0), bl.beta_integral(0.5, 0.5), bl.gamma_pole_limit()):
+        with pytest.raises(AttributeError):
+            res.value = 0.0
+    with pytest.raises(AttributeError):
         CTRL_1E5.max_terms = 7
 
 
@@ -292,7 +292,7 @@ def test_norlund_domain():
 # --- finite series cut short by max_terms ----------------------------------
 
 # Finite series with their 50-digit values: beta at u in {2, 3, 8, 20, 50,
-# 80, 1000} (the last two reduced to u = 50) and v in {0.5, 2.5, 40};
+# 80, 1000} (the last four reduced to u = 12) and v in {0.5, 2.5, 40};
 # beta-limit at u in {2, 7, 30, 50, 80}; Norlund at x in {1, 4, 10, 25, 80}
 # (the last two reduced to x = 10) and a in {0.5, 3, 100}.
 with mpmath.workdps(50):
@@ -328,7 +328,7 @@ def test_cut_short_finite_series_bound_their_error():
             if not err <= res.tail_estimate:
                 failures.append((name, params, cut, err, res.tail_estimate))
             runs += 1
-    assert runs == 726
+    assert runs == 360
     assert not failures, failures[:5]
 
 

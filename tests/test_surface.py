@@ -13,7 +13,6 @@ default when left out.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import inspect
 import os
 import re
@@ -86,13 +85,21 @@ def test_star_import_binds_exactly_all_and_dir_lists_every_public_name():
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _loaded(code: str) -> set:
-    """The betalab modules that a fresh interpreter has loaded after running ``code``."""
-    code += "\nimport sys; print([m for m in sys.modules if m.split('.')[0] == 'betalab'])"
+def _modules(code: str, *flags: str) -> set:
+    """Every module that a fresh interpreter, started with ``flags``, has loaded
+    after running ``code``."""
+    code += "\nimport sys; print(list(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def _loaded(code: str) -> set:
+    """The betalab modules that a fresh interpreter has loaded after running ``code``."""
+    return {m for m in _modules(code) if m.split(".")[0] == "betalab"}
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -104,7 +111,7 @@ def test_importing_the_package_loads_no_submodule():
     [
         (["--help"], ()),
         (["eval", "gamma", "--x", "4.5"], ("core_special",)),
-        (["series", "beta", "--u", "3", "--v", "0.5"], ("core_special", "series")),
+        (["series", "beta", "--u", "3", "--v", "0.5"], ("series",)),
         (["integrate", "digamma", "--u", "1.5"], ("quadrature",)),
         (["limit", "gamma-pole"], ("core_special", "limits")),
         (["verify", "--only", "BU1"], [m.__name__.split(".")[1] for m in MODULES]),
@@ -114,6 +121,25 @@ def test_importing_the_package_loads_no_submodule():
 def test_each_command_loads_only_its_own_layer(argv, layer):
     loaded = _loaded(f"from betalab import cli; cli.main({argv!r})")
     assert loaded == {"betalab", "betalab.cli", "betalab.errors", *(f"betalab.{m}" for m in layer)}
+
+
+# What dataclasses and inspect.signature would load; only verify may.
+HEAVY = {"inspect", "dataclasses", "typing", "ast", "dis", "tokenize"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["eval", "gamma", "--x", "4.5"], ["series", "beta", "--u", "3", "--v", "0.5"],
+     ["integrate", "digamma", "--u", "1.5"], ["limit", "scaled-beta", "--u", "0.5"]],
+    ids=["help", "eval", "series", "integrate", "limit"],
+)
+def test_commands_load_no_introspection_modules(argv):
+    # -S: no site, so only the interpreter's own start-up and betalab load modules.
+    assert not _modules(f"from betalab import cli; cli.main({argv!r})", "-S") & HEAVY
+
+
+def test_series_repeats_euler_gamma_exactly():
+    assert sr.EULER_GAMMA == cs.EULER_GAMMA
 
 
 def test_errors_export_exactly_the_exception_classes():
@@ -243,9 +269,11 @@ def test_defaulted_parameters_reach_the_routine(capsys, argv, call):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
     printed = dict(line.split(" = ") for line in out.splitlines())
+    res = call()
+    values = {name: getattr(res, name) for name in res._fields}
     expected = {
         name: format(value, ".17g") if isinstance(value, float) else str(value)
-        for name, value in dataclasses.asdict(call()).items()
+        for name, value in values.items()
     }
     assert {name.strip(): value for name, value in printed.items()} == expected
 
