@@ -18,8 +18,15 @@ taken through the smaller distance once per process, not per kernel call.
 
 Refinement halves the step ``h = 2^-level`` from level 0 up to level 12,
 reusing previous evaluations; nodes whose weight falls below 1e-300 are
-skipped, so abscissae never touch the endpoints.  Level sums use exact
-summation (`math.fsum`), making results deterministic and rerun-stable.
+skipped, so abscissae never touch the endpoints.  The built-in kernels also
+truncate their tails, as double-exponential codes do (Takahasi & Mori 1974;
+Bailey, Jeyabalan & Li 2005): at level 0 a side ends at its first node, out
+from the centre, whose ``|w f|`` is below 2^-100 of the largest so far, and
+deeper levels skip the nodes beyond it.  Past their peak the kernels' ``|w f|``
+decay monotonically, so the nodes left out carry under about 2^-80 of a level
+sum, far below its last bit.  `integrate01` cannot know the tails of its ``f``
+and keeps every node.  Level sums use exact summation (`math.fsum`), making
+results deterministic and rerun-stable.
 The error estimate, the last two levels' difference, is floored at the last
 level's rounding, ``4 eps h sum |w_i f_i|``, so that it never reads 0.
 """
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from .errors import DomainError, EvaluationError, NonConvergenceError, OverflowRangeError
 from .errors import Record, finite_real, positive_real
@@ -44,6 +51,7 @@ __all__ = [
 MAX_LEVEL = 12
 DEFAULT_TOL = 1e-12  # successive-level agreement every kernel refines to
 _MIN_WEIGHT = 1e-300
+_TAIL_CUT = 2.0**-100  # a kernel's level-0 |w f| below this share of the largest ends its side
 _MIN_ARG = 0.05  # kernel parameters below this under-resolve the endpoint singularity
 _MIN_ARG_RULE = f">= {_MIN_ARG} (endpoint resolution limit)"
 _HALF_PI = math.pi / 2.0
@@ -93,6 +101,24 @@ def _build_level(level: int) -> tuple[tuple[float, float, float, float, float], 
     return tuple(pts)
 
 
+def _outward(nodes: tuple, phi: list[float], cut: list[int]) -> Iterator[tuple]:
+    """Level 0's nodes from the centre out, side 0 (t near 0) first at each step k.  A side ends
+    (``cut[side] = k``) at a |w f|, read back from ``phi``, below ``_TAIL_CUT`` of the largest."""
+    for i, node in enumerate(nodes):
+        k, side = divmod(i + 1, 2)  # the centre, i = 0, counts as step 0
+        if k < cut[side]:
+            yield node
+            if abs(phi[-1]) < _TAIL_CUT * max(map(abs, phi)):
+                cut[side] = k
+
+
+def _inside(nodes: tuple, cut: list[int], level: int) -> tuple:
+    """The nodes of ``level`` >= 1 short of both cuts: a side cut at step k keeps k 2^(level-1)."""
+    near0, near1 = (k << (level - 1) for k in cut)
+    pairs = 2 * min(near0, near1)  # the sides alternate up to here; the longer one goes on alone
+    return nodes[:pairs] + nodes[pairs + (near1 > near0) : 2 * max(near0, near1) : 2]
+
+
 def _refine(
     g: Callable[[float, float, float, float], float], tol: float, interior_only: bool
 ) -> QuadratureResult:
@@ -103,10 +129,14 @@ def _refine(
     prev = math.nan
     total = math.nan
     err = math.inf
+    cut = [len(_build_level(0)) // 2 + 1] * 2  # per side, the level-0 step it ends at; none yet
     for level in range(MAX_LEVEL + 1):
-        for t, s, w, lt, ls in _build_level(level):
-            if interior_only and (t <= 0.0 or t >= 1.0):
-                continue
+        nodes = _build_level(level)
+        if interior_only:
+            nodes = [node for node in nodes if 0.0 < node[0] < 1.0]
+        else:
+            nodes = _inside(nodes, cut, level) if level else _outward(nodes, phi, cut)
+        for t, s, w, lt, ls in nodes:
             fv = g(t, s, lt, ls)
             evaluations += 1
             wf = w * fv

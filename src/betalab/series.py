@@ -2,11 +2,13 @@
 
 Each series here is summed in ascending order with compensated (Kahan-
 Babuska) accumulation, terms produced by a ratio recurrence (no per-term
-gamma or factorial evaluations).  One loop sums every series.  An infinite
-series also names an accelerator, which the loop hands the partial sum at the
-indices it samples; a sample may yield a transform, an estimate of the limit,
-with a residual that bounds its error.  The loop keeps the transform with the
-smallest residual.
+gamma or factorial evaluations) on a float index: integers below 2^53 are
+exact doubles, so each term is the one an int index gives, and the arithmetic
+stays float-only, which Python runs faster than mixed int/float.  One loop
+sums every series.  An infinite series also names an accelerator, which the
+loop hands the partial sum at the indices it samples; a sample may yield a
+transform, an estimate of the limit, with a residual that bounds its error.
+The loop keeps the transform with the smallest residual.
 
 The accelerator is the Levin-Sidi d^(m) transformation (Levin & Sidi 1981;
 Sidi, *Practical Extrapolation Methods*, 2003), m = 1 or 2, with the partial
@@ -417,9 +419,9 @@ def _shifted_ratio_terms(u: float, v: float) -> Iterator[tuple[float, float]]:
     correct to the last bit despite their large internal cancellation.
     """
     r = 1.0
-    n = 0
+    n = 0.0
     while True:
-        n += 1
+        n += 1.0
         r = r * (n - u) / n
         b = n + v
         q = r / b
@@ -429,9 +431,9 @@ def _shifted_ratio_terms(u: float, v: float) -> Iterator[tuple[float, float]]:
 def _limit_terms(u: float) -> Iterator[tuple[float, float]]:
     """(1-u)_n / (n n!)."""
     r = 1.0
-    n = 0
+    n = 0.0
     while True:
-        n += 1
+        n += 1.0
         r = r * (n - u) / n
         q = r / n
         yield q, _div_rest(r, n, q)
@@ -440,23 +442,23 @@ def _limit_terms(u: float) -> Iterator[tuple[float, float]]:
 def _log2_terms() -> Iterator[tuple[float, float]]:
     """C(2n,n) / (n 2^{2n+1}) via c_n = c_{n-1} (2n-1)/(2n)."""
     c = 1.0
-    n = 0
+    n = 0.0
     while True:
-        n += 1
-        c *= (2 * n - 1) / (2.0 * n)
+        n += 1.0
+        c *= (2.0 * n - 1.0) / (2.0 * n)
         yield c / (2.0 * n), 0.0
 
 
 def _norlund_terms(x: float, a: float) -> Iterator[tuple[float, float]]:
     """(-1)^{k+1}/k * falling(x,k)/rising(a,k)."""
     g = 1.0
-    k = 0
+    k = 0.0
     while True:
-        k += 1
-        g = g * (x - (k - 1)) / (a + (k - 1))
+        k += 1.0
+        g = g * (x - (k - 1.0)) / (a + (k - 1.0))
         q = g / k
         rest = _div_rest(g, k, q)
-        yield (q, rest) if k % 2 == 1 else (-q, -rest)
+        yield (q, rest) if k % 2.0 == 1.0 else (-q, -rest)
 
 
 # The trigamma family's generators yield (a_n, a_{n+1} - a_n) for d2, with the
@@ -470,9 +472,9 @@ def _trigamma_terms(u: float) -> Iterator[tuple[float, float]]:
     """(1-u)_n/(n n!) * [psi(n+1-u) - psi(1-u)], the bracket grown by 1/(n-u)."""
     r = 1.0
     d = 0.0
-    n = 0
+    n = 0.0
     while True:
-        n += 1
+        n += 1.0
         r *= (n - u) / n
         d += 1.0 / (n - u)
         diff = r * (n - d * (n * (1.0 + u) + 1.0)) / (n * (n + 1.0) ** 2) if n in _D2_SAMPLED else math.nan
@@ -483,12 +485,12 @@ def _trigamma_half_terms(include_k0: bool) -> Iterator[tuple[float, float]]:
     """2 C(2n,n)/(n 4^n) * sum of odd reciprocals; k0 term included or not."""
     c = 1.0
     inner = 0.0 if include_k0 else -1.0
-    n = 0
+    n = 0.0
     while True:
-        n += 1
-        c *= (2 * n - 1) / (2.0 * n)
-        inner += 1.0 / (2 * n - 1)
-        diff = c * (n - inner * (3 * n + 2)) / (n * (n + 1.0) ** 2) if n in _D2_SAMPLED else math.nan
+        n += 1.0
+        c *= (2.0 * n - 1.0) / (2.0 * n)
+        inner += 1.0 / (2.0 * n - 1.0)
+        diff = c * (n - inner * (3.0 * n + 2.0)) / (n * (n + 1.0) ** 2) if n in _D2_SAMPLED else math.nan
         yield (2.0 * c / n) * inner, diff
 
 

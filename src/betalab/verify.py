@@ -584,43 +584,49 @@ def run_suite(
 
 # --- rendering ------------------------------------------------------------
 
-
-def _fmt(value) -> str:
-    """Deterministic text of a CSV or table cell: 17 significant digits for
-    floats, ``;`` between the entries of a params tuple."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, tuple):
-        return ";".join(_fmt(p) for p in value)
-    return str(value)
-
+# CSV and table text of a cell by the value's exact type, or else the first type it is an
+# instance of: floats at 17 significant digits, ``;`` between a params tuple's entries.
+_TEXT: dict[type, Callable[[Any], str]] = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    float: "{:.17g}".format,
+    int: str,
+    str: str,
+    tuple: lambda value: ";".join(_texts(_TEXT, value)),
+    object: str,
+}
 
 # JSON string escapes: the quote, the backslash and U+0000-U+001F.
 _JSON_ESCAPES = str.maketrans(
     {'"': '\\"', "\\": "\\\\", **{chr(c): f"\\u{c:04x}" for c in range(0x20)}}
 )
 
-
-def _json_value(value) -> str:
-    """JSON text of a scalar or a params tuple."""
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return '"' + value.translate(_JSON_ESCAPES) + '"'
-    if isinstance(value, tuple):
-        return "[" + ", ".join(_json_value(p) for p in value) + "]"
-    return _fmt(value)
+# JSON text of a scalar or a params tuple.
+_JSON: dict[type, Callable[[Any], str]] = {
+    **_TEXT,
+    type(None): lambda value: "null",
+    str: lambda value: '"' + value.translate(_JSON_ESCAPES) + '"',
+    tuple: lambda value: "[" + ", ".join(_texts(_JSON, value)) + "]",
+}
 
 
-def _json_record(record: CheckRecord) -> str:
-    values = _column_values(record)
-    cells = [f'"{name}": {_json_value(v)}' for (name, _), v in zip(_COLUMNS, values)]
-    diag = ", ".join(f'"{k}": {_json_value(record.diagnostics.get(k))}' for k in _DIAG_KEYS)
-    return "{" + ", ".join(cells) + f', "diagnostics": {{{diag}}}}}'
+def _texts(table: dict[type, Callable[[Any], str]], values: Iterable) -> list[str]:
+    """Each value's text by ``table``, an entry found by exact type first."""
+    return [(table.get(type(v)) or next(t for k, t in table.items() if isinstance(v, k)))(v)
+            for v in values]
+
+
+def _cells(record: CheckRecord) -> tuple:
+    """A record's column values, then its ``_DIAG_KEYS`` diagnostics."""
+    return (*_column_values(record), *map(record.diagnostics.get, _DIAG_KEYS))
+
+
+# One JSON record, a ``%`` template: every column, then the diagnostics as an object.
+_JSON_RECORD = (
+    "{" + ", ".join(f'"{name}": %s' for name, _ in _COLUMNS)
+    + ', "diagnostics": {' + ", ".join(f'"{key}": %s' for key in _DIAG_KEYS) + "}}"
+)
+_JSON_INFO = "{" + ", ".join(f'"{key}": %s' for key in _INFO_KEYS) + "}"
 
 
 def _json_array(key: str, items: list[str], end: str) -> list[str]:
@@ -631,19 +637,16 @@ def _json_array(key: str, items: list[str], end: str) -> list[str]:
 
 
 def _render_json(report: SuiteReport) -> bytes:
-    counts = report.counts
     lines = [
         "{",
-        f'  "tool_version": {_json_value(report.tool_version)},',
-        '  "counts": {'
-        + f'"total": {counts["total"]}, "passed": {counts["passed"]}, '
-        + f'"failed": {counts["failed"]}, "skipped": {counts["skipped"]}'
-        + "},",
+        f'  "tool_version": {_texts(_JSON, [report.tool_version])[0]},',
+        '  "counts": {"total": %(total)s, "passed": %(passed)s, "failed": %(failed)s, '
+        '"skipped": %(skipped)s},' % report.counts,
     ]
-    lines += _json_array("records", [_json_record(r) for r in report.records], ",")
+    records = [_JSON_RECORD % tuple(_texts(_JSON, _cells(r))) for r in report.records]
+    lines += _json_array("records", records, ",")
     info = [
-        "{" + ", ".join(f'"{k}": {_json_value(obs.get(k))}' for k in _INFO_KEYS) + "}"
-        for obs in report.informational
+        _JSON_INFO % tuple(_texts(_JSON, map(obs.get, _INFO_KEYS))) for obs in report.informational
     ]
     lines += _json_array("informational", info, "")
     lines.append("}")
@@ -654,9 +657,7 @@ def _render_csv(report: SuiteReport) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([name for name, _ in _COLUMNS] + list(_DIAG_KEYS))
-    for r in report.records:
-        diag = [_fmt(r.diagnostics.get(key)) for key in _DIAG_KEYS]
-        writer.writerow([_fmt(v) for v in _column_values(r)] + diag)
+    writer.writerows(_texts(_TEXT, _cells(r)) for r in report.records)
     return buf.getvalue().encode("utf-8")
 
 
@@ -665,15 +666,12 @@ def _render_table(report: SuiteReport) -> bytes:
         col for col in _COLUMNS
         if col[1] in ("params", "lhs_value", "rhs_value", "abs_err", "effective_tol")
     ]
+    shown_values = operator.attrgetter(*(attr for _, attr in shown))
     headers = ("identity",) + tuple(name for name, _ in shown) + ("status",)
     rows = []
     for r in report.records:
-        if r.skipped:
-            status = "skip"
-        else:
-            status = "pass" if r.passed else "FAIL"
-        cells = tuple(_fmt(getattr(r, attr)) for _, attr in shown)
-        rows.append((r.identity_id,) + cells + (status,))
+        status = "skip" if r.skipped else "pass" if r.passed else "FAIL"
+        rows.append((r.identity_id, *_texts(_TEXT, shown_values(r)), status))
     widths = [
         max(len(h), max((len(row[i]) for row in rows), default=0))
         for i, h in enumerate(headers)
@@ -690,10 +688,10 @@ def _render_table(report: SuiteReport) -> bytes:
         f"skipped {c['skipped']}  (tool {report.tool_version})"
     )
     for obs in report.informational:
+        value, reference, difference = _texts(_TEXT, map(obs.get, _INFO_KEYS[2:]))
         out.append(
             f"info: {obs['identity_id']} {obs['convention']} convention -> "
-            f"value {_fmt(obs['value'])}, reference {_fmt(obs['reference'])}, "
-            f"|difference| {_fmt(obs['abs_difference'])}"
+            f"value {value}, reference {reference}, |difference| {difference}"
         )
     return ("\n".join(out) + "\n").encode("utf-8")
 

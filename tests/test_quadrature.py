@@ -232,3 +232,35 @@ def test_error_estimate_bounds_the_real_error(name, args):
 def test_integrate01_error_estimate_bounds_the_real_error():
     res = bl.integrate01(lambda t: t * t)
     assert float(abs(mpmath.mpf(res.value) - mpmath.mpf(1) / 3)) <= res.error_estimate
+
+
+# --- the tail cut ---------------------------------------------------------
+
+# KERNEL_GRID plus a log grid of u, v in [0.05, 50].
+_LOG_UV = [0.05 * 1000.0 ** (i / 10) for i in range(11)]
+CUT_GRID = KERNEL_GRID + [("beta", (u, v)) for u in _LOG_UV for v in _LOG_UV]
+CUT_GRID += [(name, (u,)) for name in ("log-kernel", "digamma") for u in _LOG_UV]
+
+
+def _kernel_runs():
+    return [KERNELS[name](*args) for name, args in CUT_GRID]
+
+
+def _bits(res):
+    return res.value.hex(), res.error_estimate.hex(), res.levels_used
+
+
+def test_tail_cut_changes_no_bit_and_saves_a_third_of_the_evaluations(monkeypatch):
+    cut = _kernel_runs()
+    monkeypatch.setattr(qd, "_TAIL_CUT", 0.0)  # no |w f| is below 0: every node is kept
+    full = _kernel_runs()
+    assert [_bits(r) for r in cut] == [_bits(r) for r in full]
+    assert sum(r.evaluations for r in cut) <= 0.65 * sum(r.evaluations for r in full)
+
+
+@pytest.mark.parametrize("f", [lambda t: 1.0, math.sqrt], ids=["one", "sqrt"])
+def test_integrate01_evaluates_every_interior_node(f):
+    res = bl.integrate01(f)
+    interior = sum(1 for level in range(res.levels_used + 1)
+                   for t, *_ in qd._build_level(level) if 0.0 < t < 1.0)
+    assert (res.levels_used, res.evaluations) == (3, 74) == (3, interior)

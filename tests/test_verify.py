@@ -8,6 +8,8 @@ import hashlib
 import io
 import json
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -280,6 +282,34 @@ def test_report_bytes_are_pinned_to_the_tool_version(full_report):
     assert digests == REPORT_SHA256[verify.TOOL_VERSION]
 
 
+def _log_grid(lo, hi, n):
+    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+
+
+# A denser override grid over the series and quadrature routes, so that a
+# change to their hot loops shows up in the report bytes beyond the built-in
+# grid: EQ5 on 7 x 7 log-spaced (u, v), EQ6-EQ8 on 15 points each, EQ9 on 9 u.
+DENSE_GRIDS = {
+    "EQ5": [(u, v) for u in _log_grid(0.05, 50.0, 7) for v in _log_grid(0.05, 50.0, 7)],
+    "EQ6": [(u,) for u in _log_grid(0.1, 10.0, 15)],
+    "EQ7": [(u,) for u in _log_grid(0.1, 10.0, 15)],
+    "EQ8": [(x, (0.25, 1.0, 4.0)[i % 3]) for i, x in enumerate(_log_grid(0.1, 10.0, 15))],
+    "EQ9": [(i / 10,) for i in range(1, 10)],
+}
+DENSE_JSON_SHA256 = {
+    "0.6.0": "1cb84a8f82f0cb7baa9ce748cf5e13e6701da40e5b4fcaaf29aa95d53e105986",
+}
+
+
+def test_dense_grid_report_bytes_are_pinned_to_the_tool_version():
+    report = bl.run_suite(
+        only=list(DENSE_GRIDS), overrides={k: {"grid": g} for k, g in DENSE_GRIDS.items()}
+    )
+    assert report.counts == {"total": 103, "passed": 103, "failed": 0, "skipped": 0}
+    digest = hashlib.sha256(bl.render_report(report, "json")).hexdigest()
+    assert digest == DENSE_JSON_SHA256[verify.TOOL_VERSION]
+
+
 def test_json_schema_field_order(full_report):
     data = bl.render_report(full_report, "json")
     payload = json.loads(data)
@@ -400,3 +430,46 @@ def test_skipped_record_renders_with_null_pass():
     assert csv_text.count("true") >= 1  # the skipped flag
     table_row = bl.render_report(report, "table").decode().splitlines()[2]
     assert table_row.startswith("EQ5") and table_row.endswith("skip")
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+# The text of params that no renderer has an entry for: a Decimal and a
+# Fraction print by str(), int and float subclasses as their base types do.
+_FALLBACK_REASON = "DomainError: u must be a finite positive real, got "
+_FALLBACK_TEXT = {
+    "json": (
+        '    {"identity_id": "EQ5", "params": [0.5, 1/3], "lhs": null, "rhs": null, '
+        '"abs_err": null, "rel_err": null, "effective_tol": null, "pass": null, '
+        '"skipped": true, "reason": "' + _FALLBACK_REASON + "Decimal('0.5')\", "
+        '"diagnostics": {"terms_used": null, "tail_estimate": null, '
+        '"levels_used": null, "table_depth": null}},\n'
+        '    {"identity_id": "EQ5", "params": [-2, -0.10000000000000001], "lhs": null, '
+        '"rhs": null, "abs_err": null, "rel_err": null, "effective_tol": null, '
+        '"pass": null, "skipped": true, "reason": "' + _FALLBACK_REASON + '-2", '
+        '"diagnostics": {"terms_used": null, "tail_estimate": null, '
+        '"levels_used": null, "table_depth": null}}\n'
+    ),
+    "csv": (
+        "EQ5,0.5;1/3,,,,,,,true,\"" + _FALLBACK_REASON + "Decimal('0.5')\",,,,\n"
+        "EQ5,-2;-0.10000000000000001,,,,,,,true,\"" + _FALLBACK_REASON + "-2\",,,,\n"
+    ),
+    "table": (
+        "EQ5       0.5;1/3                                                    skip\n"
+        "EQ5       -2;-0.10000000000000001                                    skip\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_params_of_other_types_render_through_the_fallback(fmt):
+    grid = [(Decimal("0.5"), Fraction(1, 3)), (_Int(-2), _Float(-0.1))]
+    report = bl.run_suite(only=["EQ5"], overrides={"EQ5": {"grid": grid}})
+    assert report.counts["skipped"] == 2
+    assert _FALLBACK_TEXT[fmt] in bl.render_report(report, fmt).decode()
