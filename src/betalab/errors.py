@@ -5,12 +5,13 @@ so callers (and the CLI) can distinguish deliberate signalling from bugs.  The
 subclasses also inherit from the closest builtin so that generic ``except
 ValueError`` style handling keeps working.
 
-:class:`Record` is the base of the frozen result types (``SeriesControl``,
-``SeriesResult``, ``QuadratureResult``, ``LimitResult`` and the CLI's
-``CommandInvocation``).  It lives here because every module, and every CLI
-command, already loads this one, and it spares them ``dataclasses``, whose
-import (with ``inspect``) and per-class code generation cost a one-shot
-command more than its own work.
+:class:`Record` is the base of every frozen record in the package: the result
+types (``SeriesControl``, ``SeriesResult``, ``QuadratureResult``,
+``LimitResult``), the CLI's ``CommandInvocation`` and verify's
+``IdentitySpec``, ``CheckRecord`` and ``SuiteReport``.  It lives here because
+every module, and every CLI command, already loads this one, and it spares
+them ``dataclasses``, whose import (with ``inspect`` and ``typing``) and
+per-class code generation cost a one-shot command more than its own work.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class Record:
     ``__post_init__`` runs after construction.  Instances take positional
     and keyword arguments, refuse assignment and deletion with
     ``AttributeError``, compare and hash by their fields (only against the
-    same class) and have the dataclass repr.  ``_fields`` names the fields.
+    same class) and have the dataclass repr.  ``_fields`` names the fields,
+    and ``_replace(**changes)`` builds a changed copy through the
+    constructor, so ``__post_init__`` checks it again.
     Records are not tuples, so a routine that returns several results can
     still be told apart by ``isinstance(result, tuple)``.
     """
@@ -107,6 +110,9 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        return self.__class__(**dict(zip(self._fields, self._values()), **changes))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -31,8 +31,8 @@ import functools
 import io
 import math
 import operator
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
 
 from . import core_special as cs
 from . import limits as lm
@@ -42,6 +42,7 @@ from .errors import (
     DomainError,
     NonConvergenceError,
     OverflowRangeError,
+    Record,
     UnknownIdentityError,
     positive_real,
 )
@@ -74,8 +75,7 @@ _INFO_KEYS = ("identity_id", "convention", "value", "reference", "abs_difference
 _FD_STEP = 1e-5  # central-difference step for the derivative cross-check
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(Record):
     """One registered identity: evaluators, grid, and pass criterion.
 
     ``lhs`` and ``rhs`` are called with a grid tuple unpacked as positional
@@ -92,8 +92,8 @@ class IdentitySpec:
     grid: tuple[tuple, ...]
     tolerance: float
     tolerance_mode: str
-    lhs: Callable[..., Any]
-    rhs: Callable[..., Any]
+    lhs: Callable[..., object]
+    rhs: Callable[..., object]
 
     def __post_init__(self) -> None:
         if not self.grid:
@@ -108,13 +108,12 @@ class IdentitySpec:
             )
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Record):
     """Outcome of one identity at one grid point.
 
     ``passed`` is True/False for evaluated points and None for skipped ones
     (where the numeric fields are None as well and ``reason`` says why).
-    The defaults describe a skipped record.
+    The defaults describe a skipped record, whose diagnostics are read-only.
     """
 
     identity_id: str
@@ -127,21 +126,20 @@ class CheckRecord:
     passed: bool | None = None
     skipped: bool = True
     reason: str | None = None
-    diagnostics: Mapping = field(default_factory=dict)
+    diagnostics: Mapping = MappingProxyType({})
 
 
 # Report columns as (name, CheckRecord field): every field but the trailing
 # diagnostics, in declaration order, three under a shorter name.  The
 # diagnostics follow: an object in JSON, one CSV column per _DIAG_KEYS entry.
 _COLUMNS = tuple(
-    ({"lhs_value": "lhs", "rhs_value": "rhs", "passed": "pass"}.get(f.name, f.name), f.name)
-    for f in fields(CheckRecord)[:-1]
+    ({"lhs_value": "lhs", "rhs_value": "rhs", "passed": "pass"}.get(name, name), name)
+    for name in CheckRecord._fields[:-1]
 )
 _column_values = operator.attrgetter(*(f for _, f in _COLUMNS))  # record -> tuple
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     """All records of a suite run plus counts and informational entries."""
 
     records: tuple[CheckRecord, ...]
@@ -183,23 +181,28 @@ def _pairs_lt(values: Sequence[float]) -> tuple[tuple[float, float], ...]:
     )
 
 
-def _with_value(res: qd.QuadratureResult, value: float) -> qd.QuadratureResult:
-    return qd.QuadratureResult(value, res.error_estimate, res.levels_used, res.evaluations)
-
-
 def _log_moment_form(u: float) -> qd.QuadratureResult:
     res = qd.log_kernel_moment(u)
-    return _with_value(res, u * res.value + 1.0 / u)
+    return res._replace(value=u * res.value + 1.0 / u)
 
 
 def _neg_n_log_moment(n: float) -> qd.QuadratureResult:
     res = qd.log_kernel_moment(n)
-    return _with_value(res, -n * res.value)
+    return res._replace(value=-n * res.value)
 
 
 def _eq3_rhs(u: float) -> qd.QuadratureResult:
     res = _log_moment_form(u)
-    return _with_value(res, -cs.EULER_GAMMA - res.value)
+    return res._replace(value=-cs.EULER_GAMMA - res.value)
+
+
+def _gamma_pole_route(route: str) -> lm.LimitResult:
+    """EQ2's left side by the named route; any other route is a :class:`DomainError`."""
+    if route == "pole":
+        return lm.gamma_pole_limit()
+    if route == "lhopital":
+        return lm.gamma_derivative_at_1()
+    raise DomainError(f"EQ2 route must be 'pole' or 'lhopital', got {route!r}")
 
 
 @functools.cache
@@ -269,9 +272,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=(("pole",), ("lhopital",)),
             tolerance=1e-7,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda route: (
-                lm.gamma_pole_limit() if route == "pole" else lm.gamma_derivative_at_1()
-            ),
+            lhs=_gamma_pole_route,
             rhs=lambda route: -cs.euler_gamma(),
         ),
         IdentitySpec(
@@ -464,22 +465,34 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
 _SKIP_ERRORS = (DomainError, OverflowRangeError, NonConvergenceError)
 
 
+def _overridden(spec: IdentitySpec, grid=None, tolerance=None) -> IdentitySpec:
+    """``spec`` with an override grid and tolerance, checked as :func:`run_identity` says."""
+    if grid is not None:
+        try:
+            grid = tuple(tuple(point) for point in grid)
+        except TypeError:
+            raise DomainError(f"identity {spec.id!r} grid must be an iterable of points") from None
+        arity = len(spec.grid[0])
+        if any(len(point) != arity for point in grid):
+            raise DomainError(f"identity {spec.id!r} grid points take {arity} parameter(s)")
+        spec = spec._replace(grid=grid)
+    return spec if tolerance is None else spec._replace(tolerance=tolerance)
+
+
 def run_identity(
     spec: IdentitySpec,
-    grid: Sequence[tuple] | None = None,
+    grid: Iterable[Iterable] | None = None,
     tolerance: float | None = None,
 ) -> list[CheckRecord]:
     """Evaluate one identity over its grid (or an override grid/tolerance).
 
-    The overrides are checked as a registered spec is: an empty grid or a
-    tolerance that is not a finite positive real raises :class:`DomainError`.
+    The overrides are checked as a registered spec is: an empty grid, a grid
+    that is not an iterable of points of the registered arity, or a tolerance
+    that is not a finite positive real raises :class:`DomainError`.
     Domain errors, overflow, and refinement-cap signals from either side
     yield a skipped record with the reason attached; they never propagate.
     """
-    if grid is not None:
-        spec = replace(spec, grid=tuple(tuple(p) for p in grid))
-    if tolerance is not None:
-        spec = replace(spec, tolerance=tolerance)
+    spec = _overridden(spec, grid, tolerance)
     tol = float(spec.tolerance)
     records = []
     for params in spec.grid:
@@ -499,20 +512,8 @@ def run_identity(
             effective = tol + diag.get("tail_estimate", 0.0)
         else:
             effective = tol
-        records.append(
-            CheckRecord(
-                identity_id=spec.id,
-                params=params,
-                lhs_value=lhs_value,
-                rhs_value=rhs_value,
-                abs_err=abs_err,
-                rel_err=rel_err,
-                effective_tol=effective,
-                passed=abs_err <= effective,
-                skipped=False,
-                diagnostics=diag,
-            )
-        )
+        records.append(CheckRecord(spec.id, params, lhs_value, rhs_value, abs_err, rel_err,
+                                   effective, abs_err <= effective, False, None, diag))
     return records
 
 
@@ -534,8 +535,9 @@ def run_suite(
     ``{"grid": ..., "tolerance": ...}`` keyword overrides for
     :func:`run_identity`; an id it names need not be selected.  Before any
     evaluation, an id in either that is not registered raises
-    :class:`UnknownIdentityError`, and an override key other than ``grid``
-    and ``tolerance`` raises :class:`DomainError`.
+    :class:`UnknownIdentityError`, and an override that is not a mapping,
+    has a key other than ``grid`` and ``tolerance`` or fails
+    :func:`run_identity`'s checks raises :class:`DomainError`.
     """
     registry = builtin_registry()
     known = [spec.id for spec in registry]
@@ -550,43 +552,32 @@ def run_suite(
             f"known ids: {', '.join(sorted(known))}"
         )
     for identity_id, kw in overrides.items():
+        if not isinstance(kw, Mapping):
+            raise DomainError(f"{identity_id} overrides must be a mapping, got {kw!r}")
         if not set(kw) <= {"grid", "tolerance"}:
             raise DomainError(f"{identity_id} overrides take grid and tolerance, got {sorted(kw)}")
+    specs = [_overridden(spec, **overrides.get(spec.id, {})) for spec in registry]
     # One entry per requested id, in registry order.
-    selected = [spec for spec in registry if spec.id in wanted]
+    selected = [spec for spec in specs if spec.id in wanted]
     records: list[CheckRecord] = []
     informational: list[Mapping] = []
     for spec in selected:
-        kw = overrides.get(spec.id, {})
-        records.extend(
-            run_identity(spec, grid=kw.get("grid"), tolerance=kw.get("tolerance"))
-        )
+        records.extend(run_identity(spec))
         if spec.id in ("EQ10", "EQ11"):
             informational.append(_literal_observation(spec))
     records.sort(key=lambda r: r.identity_id)  # stable: grid order kept within an id
     informational.sort(key=lambda obs: obs["identity_id"])
-    passed = sum(1 for r in records if r.passed is True)
-    failed = sum(1 for r in records if r.passed is False)
-    skipped = sum(1 for r in records if r.skipped)
-    counts = {
-        "total": len(records),
-        "passed": passed,
-        "failed": failed,
-        "skipped": skipped,
-    }
-    return SuiteReport(
-        records=tuple(records),
-        counts=counts,
-        tool_version=TOOL_VERSION,
-        informational=tuple(informational),
-    )
+    outcomes = [r.passed for r in records]  # None where a record is skipped
+    counts = {"total": len(records), "passed": outcomes.count(True),
+              "failed": outcomes.count(False), "skipped": outcomes.count(None)}
+    return SuiteReport(tuple(records), counts, TOOL_VERSION, tuple(informational))
 
 
 # --- rendering ------------------------------------------------------------
 
 # CSV and table text of a cell by the value's exact type, or else the first type it is an
 # instance of: floats at 17 significant digits, ``;`` between a params tuple's entries.
-_TEXT: dict[type, Callable[[Any], str]] = {
+_TEXT: dict[type, Callable[[object], str]] = {
     type(None): lambda value: "",
     bool: lambda value: "true" if value else "false",
     float: "{:.17g}".format,
@@ -602,7 +593,7 @@ _JSON_ESCAPES = str.maketrans(
 )
 
 # JSON text of a scalar or a params tuple.
-_JSON: dict[type, Callable[[Any], str]] = {
+_JSON: dict[type, Callable[[object], str]] = {
     **_TEXT,
     type(None): lambda value: "null",
     str: lambda value: '"' + value.translate(_JSON_ESCAPES) + '"',
@@ -610,7 +601,7 @@ _JSON: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _texts(table: dict[type, Callable[[Any], str]], values: Iterable) -> list[str]:
+def _texts(table: dict[type, Callable[[object], str]], values: Iterable) -> list[str]:
     """Each value's text by ``table``, an entry found by exact type first."""
     return [(table.get(type(v)) or next(t for k, t in table.items() if isinstance(v, k)))(v)
             for v in values]

@@ -9,6 +9,9 @@ import pytest
 import betalab as bl
 from betalab.cli import CommandInvocation
 from betalab.errors import DomainError
+from betalab.verify import CheckRecord, IdentitySpec, SuiteReport
+
+_CHECK = ("BU1", (0.5,), 2.0, 2.0, 0.0, 0.0, 1e-9, True, False, None, {"terms_used": 3})
 
 # One instance's fields per record type, all given.
 SAMPLES = {
@@ -17,7 +20,12 @@ SAMPLES = {
     bl.QuadratureResult: (1.0, 1e-15, 4, 97),
     bl.LimitResult: (-0.5772156649015329, 1e-12, 10),
     CommandInvocation: ("limit", {"name": "gamma-pole"}),
+    IdentitySpec: ("BU1", "B(u, 1) = 1/u", "beta", ((0.5,),), 1e-9, "absolute", abs, float),
+    CheckRecord: _CHECK,
+    SuiteReport: ((CheckRecord(*_CHECK),), {"total": 1}, "0.6.0", ()),
 }
+# Records holding a dict, as unhashable as their dataclass twins.
+UNHASHABLE = (CommandInvocation, CheckRecord, SuiteReport)
 RECORDS = pytest.mark.parametrize("cls, args", SAMPLES.items(), ids=[c.__name__ for c in SAMPLES])
 
 
@@ -47,9 +55,10 @@ def test_records_compare_hash_and_print_as_dataclasses_do(cls, args):
     changed = (args[0] + args[0],) + args[1:]
     assert (rec == cls(*args), rec == cls(*changed)) == (True, False)
     assert rec != args and not isinstance(rec, tuple)  # the scaled-beta route returns a tuple
-    if cls is CommandInvocation:  # its options are a dict, as unhashable as in the dataclass
-        with pytest.raises(TypeError):
-            hash(rec)
+    if cls in UNHASHABLE:
+        for obj in (rec, twin(*args)):
+            with pytest.raises(TypeError):
+                hash(obj)
     else:
         assert hash(rec) == hash(twin(*args))
 
@@ -89,9 +98,29 @@ def test_records_reject_unknown_repeated_missing_and_extra_fields(cls, args):
         cls(*args, **{cls._fields[0]: args[0]})
     with pytest.raises(TypeError):
         cls(*args, None)
-    if cls is not bl.SeriesControl:  # every SeriesControl field has a default
+    required = [name for name in cls._fields if name not in vars(cls)]
+    if required:  # every SeriesControl field has a default
         with pytest.raises(TypeError, match="missing"):
-            cls(*args[:-2])
+            cls(*args[: len(required) - 1])
+
+
+@RECORDS
+def test_replace_builds_a_new_record_through_the_constructor(cls, args):
+    rec = cls(*args)
+    copy = rec._replace()
+    assert copy == rec and copy is not rec
+    changed = rec._replace(**{cls._fields[0]: args[0] + args[0]})
+    assert changed == cls(args[0] + args[0], *args[1:]) and rec == cls(*args)
+    with pytest.raises(TypeError, match="no field 'bogus'"):
+        rec._replace(bogus=1)
+
+
+@pytest.mark.parametrize(
+    "cls, change", [(bl.SeriesControl, {"max_terms": 0}), (IdentitySpec, {"tolerance": -1.0})]
+)
+def test_replace_runs_post_init_again(cls, change):
+    with pytest.raises(DomainError):
+        cls(*SAMPLES[cls])._replace(**change)
 
 
 @pytest.mark.parametrize("args", [(0,), (10, -1.0), (True,)])

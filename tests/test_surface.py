@@ -123,15 +123,16 @@ def test_each_command_loads_only_its_own_layer(argv, layer):
     assert loaded == {"betalab", "betalab.cli", "betalab.errors", *(f"betalab.{m}" for m in layer)}
 
 
-# What dataclasses and inspect.signature would load; only verify may.
+# What dataclasses and inspect.signature would load.
 HEAVY = {"inspect", "dataclasses", "typing", "ast", "dis", "tokenize"}
 
 
 @pytest.mark.parametrize(
     "argv",
     [["--help"], ["eval", "gamma", "--x", "4.5"], ["series", "beta", "--u", "3", "--v", "0.5"],
-     ["integrate", "digamma", "--u", "1.5"], ["limit", "scaled-beta", "--u", "0.5"]],
-    ids=["help", "eval", "series", "integrate", "limit"],
+     ["integrate", "digamma", "--u", "1.5"], ["limit", "scaled-beta", "--u", "0.5"],
+     ["verify", "--only", "BU1"]],
+    ids=["help", "eval", "series", "integrate", "limit", "verify"],
 )
 def test_commands_load_no_introspection_modules(argv):
     # -S: no site, so only the interpreter's own start-up and betalab load modules.

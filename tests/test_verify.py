@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -57,7 +56,7 @@ def test_registry_specs_are_well_formed():
 def test_identity_spec_rejects_malformed_fields(change):
     spec = bl.builtin_registry()[0]
     with pytest.raises(DomainError):
-        verify.IdentitySpec(**{**dataclasses.asdict(spec), **change})
+        spec._replace(**change)
 
 
 def test_registry_is_cached():
@@ -203,6 +202,28 @@ def test_override_for_an_unknown_id_is_rejected():
 def test_override_with_an_unknown_key_is_rejected():
     with pytest.raises(DomainError, match="grd"):
         bl.run_suite(only=["SYM"], overrides={"EQ5": {"grd": [(2.0, 0.5)]}})
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"grid": [(1.0,)]}, {"grid": 5}, {"grid": [1.0]}, 3],
+    ids=["short-point", "grid-not-iterable", "point-not-iterable", "entry-not-a-mapping"],
+)
+def test_malformed_override_is_rejected_before_evaluation(override, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("an identity was evaluated")
+
+    monkeypatch.setattr(verify.sr, "beta_series", must_not_run)
+    with pytest.raises(DomainError):
+        bl.run_suite(only=["EQ5"], overrides={"EQ5": override})
+
+
+def test_unknown_eq2_route_is_a_skipped_record():
+    report = bl.run_suite(only=["EQ2"], overrides={"EQ2": {"grid": [("foo",), ("pole",)]}})
+    skipped, evaluated = report.records
+    assert skipped.skipped is True and skipped.passed is None
+    assert skipped.reason == "DomainError: EQ2 route must be 'pole' or 'lhopital', got 'foo'"
+    assert evaluated.passed is True
 
 
 def test_override_for_an_unselected_id_is_allowed():
