@@ -4,10 +4,11 @@ Five subcommands expose the package: ``eval`` (reference special functions),
 ``series`` (slowly convergent series with an optional convergence table),
 ``integrate`` (tanh-sinh kernels), ``limit`` (Richardson-extrapolated
 limits), and ``verify`` (the identity suite with table/json/csv reports).
-The first four reach a route by name through one table, ``_ROUTES``; a
-route's flags are exactly its routine's parameters, and those without a
-default are required.  A command loads its own module, and reads its routes'
-parameters, on first use; the parser gets the arguments of that command only.
+The first four reach a route by name through its layer's table (``series.SERIES``,
+``quadrature.KERNELS``, ``limits.LIMITS``; for eval, each function in
+``core_special.__all__``).  A route's flags are exactly its routine's parameters,
+and those without a default are required.  A command loads its own module, and
+reads its routes' parameters, on first use; the parser gets its arguments only.
 A route's parameters come from its code object (``__code__``, ``__defaults__``)
 and its string annotations (``float``, ``int`` or ``str``), not from
 ``inspect``, and ``CommandInvocation`` is an ``errors.Record``, not a
@@ -56,31 +57,19 @@ def _print_result(res, width: int, prefix: str = "") -> None:
 
 # --- routes ---------------------------------------------------------------
 
-# command -> (its module, loaded on the command's first use; its help; its route's dest).
+# command -> (its module, loaded on the command's first use; its help; its route's dest;
+# the module's table of routes, name -> routine, in the order the CLI lists them).
 _COMMANDS = {
-    "eval": ("core_special", "evaluate a reference special function", "function"),
-    "series": ("series", "sum a slowly convergent series", "name"),
-    "integrate": ("quadrature", "tanh-sinh integration of a kernel", "kernel"),
-    "limit": ("limits", "Richardson-extrapolated v->0 limits", "name"),
-    "verify": ("verify", "run the identity suite and report", None),
+    "eval": ("core_special", "evaluate a reference special function", "function", None),
+    "series": ("series", "sum a slowly convergent series", "name", "SERIES"),
+    "integrate": ("quadrature", "tanh-sinh integration of a kernel", "kernel", "KERNELS"),
+    "limit": ("limits", "Richardson-extrapolated v->0 limits", "name", "LIMITS"),
+    "verify": ("verify", "run the identity suite and report", None, None),
 }
 
 
 def _module(command: str) -> ModuleType:
     return getattr(sys.modules[__package__], _COMMANDS[command][0])  # the package root loads it
-
-
-# command -> route name -> routine, read from its module, in the order the CLI lists them.
-_ROUTES: dict[str, Callable[[ModuleType], Mapping[str, Callable]]] = {
-    "eval": lambda cs: {name: getattr(cs, name) for name in sorted(cs.__all__)
-                        if callable(getattr(cs, name))},
-    "series": lambda sr: sr.SERIES,
-    "integrate": lambda qd: {"beta": qd.beta_integral, "digamma": qd.digamma_integral,
-                             "log-kernel": qd.log_kernel_moment},
-    "limit": lambda lm: {"beta-pole": lm.beta_pole_limit,
-                         "gamma-derivative": lm.gamma_derivative_at_1,
-                         "gamma-pole": lm.gamma_pole_limit, "scaled-beta": lm.scaled_beta_limits},
-}
 
 
 # A route parameter: its name, its default (_REQUIRED if none) and its type.
@@ -108,7 +97,10 @@ def _flags(command: str, routine: Callable) -> dict[str, _Param]:
 
 @functools.cache
 def _routes(command: str) -> Mapping[str, Callable]:
-    return _ROUTES[command](_module(command))
+    """route name -> routine: the layer's table, or for eval each function in its ``__all__``."""
+    module, table = _module(command), _COMMANDS[command][3]
+    return getattr(module, table) if table else {
+        name: f for name in sorted(module.__all__) if callable(f := getattr(module, name))}
 
 
 @functools.cache
@@ -156,12 +148,6 @@ def _arguments(command: str, name: str, options: Mapping) -> dict:
 # --- handlers -------------------------------------------------------------
 
 
-def _run_eval(options: Mapping) -> int:
-    name = options["function"]
-    print(_g(_routes("eval")[name](**_arguments("eval", name, options))))
-    return 0
-
-
 def _run_series(options: Mapping) -> int:
     name = options["name"]
     params = _arguments("series", name, options)
@@ -196,9 +182,13 @@ def _run_series(options: Mapping) -> int:
 _PREFIXES = {"scaled-beta": ("via_log_gamma  ", "via_recurrence ")}
 
 
-def _run_routine(command: str, name: str, options: Mapping) -> int:
-    """Run an integrate or limit route and print each result it returns."""
+def _run_routine(command: str, options: Mapping) -> int:
+    """Run an eval, integrate or limit route and print the value or each result it returns."""
+    name = options[_COMMANDS[command][2]]
     results = _routes(command)[name](**_arguments(command, name, options))
+    if command == "eval":
+        print(_g(results))
+        return 0
     if not isinstance(results, tuple):
         results = (results,)
     for prefix, res in zip(_PREFIXES.get(name, ("",)), results):
@@ -215,8 +205,11 @@ def _run_verify(options: Mapping) -> int:
     data = vf.render_report(report, options["format"])
     out = options.get("out")
     if out:
-        with open(out, "wb") as handle:
-            handle.write(data)
+        try:
+            with open(out, "wb") as handle:
+                handle.write(data)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise DomainError(f"cannot write the report: {exc}") from None
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -279,7 +272,7 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         "extrapolate, and verify classical beta/gamma identities.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, text, dest) in _COMMANDS.items():
+    for name, (_, text, dest, _) in _COMMANDS.items():
         p_sub = sub.add_parser(name, help=text)
         if name != command:
             continue
@@ -294,13 +287,7 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "eval": _run_eval,
-    "series": _run_series,
-    "integrate": lambda options: _run_routine("integrate", options["kernel"], options),
-    "limit": lambda options: _run_routine("limit", options["name"], options),
-    "verify": _run_verify,
-}
+_HANDLERS = {"series": _run_series, "verify": _run_verify}  # eval, integrate, limit: _run_routine
 
 
 def parse(argv: Sequence[str]) -> CommandInvocation:
@@ -320,7 +307,8 @@ def parse(argv: Sequence[str]) -> CommandInvocation:
 
 def execute(inv: CommandInvocation) -> int:
     """Run a parsed invocation and return its exit code."""
-    return _HANDLERS[inv.subcommand](inv.options)
+    handler = _HANDLERS.get(inv.subcommand)
+    return handler(inv.options) if handler else _run_routine(inv.subcommand, inv.options)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -30,6 +30,7 @@ __all__ = [
     "gamma_derivative_at_1",
     "beta_pole_limit",
     "scaled_beta_limits",
+    "LIMITS",
 ]
 
 _MIN_DEPTH = 2
@@ -63,18 +64,21 @@ def richardson_limit(
     xs: list[float] = []
     rows: list[list[float]] = []
     diags: list[float] = []
-    for i in range(depth):
-        x = h0 * 2.0**-i
-        y = f(x)
-        if not math.isfinite(y):
-            raise EvaluationError(f"limit sample f({x!r}) is not finite: {y!r}")
-        xs.append(x)
-        row = [y]
-        for j in range(1, i + 1):
-            num = xs[i - j] * row[j - 1] - xs[i] * rows[i - 1][j - 1]
-            row.append(num / (xs[i - j] - xs[i]))
-        rows.append(row)
-        diags.append(row[-1])
+    try:
+        for i in range(depth):
+            x = h0 * 2.0**-i
+            y = f(x)
+            if not math.isfinite(y):
+                raise EvaluationError(f"limit sample f({x!r}) is not finite: {y!r}")
+            xs.append(x)
+            row = [y]
+            for j in range(1, i + 1):
+                num = xs[i - j] * row[j - 1] - xs[i] * rows[i - 1][j - 1]
+                row.append(num / (xs[i - j] - xs[i]))
+            rows.append(row)
+            diags.append(row[-1])
+    except TypeError:  # isfinite of a str, None or complex; the tableau of a Decimal
+        raise EvaluationError(f"limit sample f({x!r}) is not a real number") from None
     last = diags[-3:]
     spread = max(abs(b - a) for a, b in zip(last, last[1:]))
     return LimitResult(diags[-1], _ERROR_FACTOR * spread, depth)
@@ -141,3 +145,8 @@ def scaled_beta_limits(
         return (u + v) * beta(u, v + 1.0)
 
     return richardson_limit(via_log, h0, depth), richardson_limit(via_recurrence, h0, depth)
+
+
+# The limits by CLI name: the one table ``betalab limit`` offers them from.
+LIMITS = {"beta-pole": beta_pole_limit, "gamma-derivative": gamma_derivative_at_1,
+          "gamma-pole": gamma_pole_limit, "scaled-beta": scaled_beta_limits}

@@ -46,6 +46,7 @@ __all__ = [
     "beta_integral",
     "log_kernel_moment",
     "digamma_integral",
+    "KERNELS",
 ]
 
 MAX_LEVEL = 12
@@ -174,10 +175,13 @@ def integrate01(f: Callable[[float], float], tol: float = DEFAULT_TOL) -> Quadra
     runs from level 0 to the fixed cap ``MAX_LEVEL`` (12), as for every
     kernel.  Raises :class:`NonConvergenceError` (with the partial result
     attached) if the successive-level difference is still above ``tol`` at
-    the cap, :class:`EvaluationError` if ``f`` returns a non-finite value, and
-    :class:`OverflowRangeError` if a level sum or its error bound overflows.
+    the cap, :class:`EvaluationError` if ``f`` returns a non-finite or non-real
+    value, and :class:`OverflowRangeError` if a level sum or its error bound overflows.
     """
-    return _refine(lambda t, s, lt, ls: f(t), tol, interior_only=True)
+    try:  # around the whole refinement, not each evaluation
+        return _refine(lambda t, s, lt, ls: f(t), tol, interior_only=True)
+    except TypeError:  # w * f(t) or isfinite of a str, None or complex
+        raise EvaluationError("integrand must return a real number") from None
 
 
 def beta_integral(u: float, v: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
@@ -229,3 +233,7 @@ def digamma_integral(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
         return -math.expm1(u * lt) / s
 
     return _refine(g, tol, interior_only=False)
+
+
+# The kernels by CLI name: the one table ``betalab integrate`` offers them from.
+KERNELS = {"beta": beta_integral, "digamma": digamma_integral, "log-kernel": log_kernel_moment}

@@ -718,7 +718,7 @@ def trace(
     source in :data:`SERIES`, for an ``every`` that is not an integer >= 0,
     or for a ``ctrl`` that is not a SeriesControl or None.
     """
-    if name not in SERIES:
+    if not (isinstance(name, str) and name in SERIES):
         raise DomainError(f"unknown series {name!r}; choose from {sorted(SERIES)}")
     source = SERIES[name]
     code = source.__code__

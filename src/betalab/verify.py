@@ -29,9 +29,11 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Mapping, Sequence
+import sys
+from collections.abc import Callable, Iterable, Mapping
 from types import MappingProxyType
 
 from . import core_special as cs
@@ -151,12 +153,12 @@ class SuiteReport(Record):
 # --- evaluator plumbing ---------------------------------------------------
 
 
-def _route(result) -> tuple[float, Mapping]:
-    """An evaluator's value plus the ``_DIAG_KEYS`` attributes its result carries.
-
-    Bare floats (reference functions) carry none; series, quadrature and
-    limit results carry their own subset.
-    """
+def _route(side: Callable, params: tuple) -> tuple[float, Mapping]:
+    """``side`` at ``params``, called as :func:`builtin_registry` says, and the
+    ``_DIAG_KEYS`` attributes its result carries (a bare float carries none)."""
+    module = sys.modules.get(getattr(side, "__module__", None))
+    late = getattr(module, getattr(side, "__name__", ""), side) if module else side
+    result = late(*params)
     diag = {key: getattr(result, key) for key in _DIAG_KEYS if hasattr(result, key)}
     return getattr(result, "value", result), diag
 
@@ -173,12 +175,6 @@ def _merge_diag(a: Mapping, b: Mapping) -> dict:
 
 _U7 = (0.25, 0.5, 0.75, 1.0, 2.0, 3.5, 5.0)
 _V3 = (0.5, 1.0, 2.5)
-
-
-def _pairs_lt(values: Sequence[float]) -> tuple[tuple[float, float], ...]:
-    return tuple(
-        (u, v) for i, u in enumerate(values) for v in values[i + 1 :]
-    )
 
 
 def _log_moment_form(u: float) -> qd.QuadratureResult:
@@ -209,19 +205,21 @@ def _gamma_pole_route(route: str) -> lm.LimitResult:
 def builtin_registry() -> tuple[IdentitySpec, ...]:
     """The full identity registry, built once and cached.
 
-    Each evaluator looks its route up in the route's module when called, so
-    a wrapper installed on a module after the registry is cached still sees
-    every call.
+    A side that only evaluates one layer routine at the grid point is that
+    routine.  Each side ``f`` is called through the binding its module holds for
+    its name at call time, ``getattr(sys.modules[f.__module__], f.__name__, f)``,
+    or, lacking one (a lambda, a partial, a user callable), as given: a wrapper
+    installed on a module after the registry is cached still sees every call.
     """
     return (
         IdentitySpec(
             id="SYM",
             description="B(u, v) = B(v, u)",
             anchor="symmetry of the Euler beta integral",
-            grid=_pairs_lt((0.1, 0.5, 1.0, 2.5, 7.0)),
+            grid=tuple(itertools.combinations((0.1, 0.5, 1.0, 2.5, 7.0), 2)),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u, v: cs.beta(u, v),
+            lhs=cs.beta,
             rhs=lambda u, v: cs.beta(v, u),
         ),
         IdentitySpec(
@@ -252,7 +250,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((x, n) for x in (0.3, 1.5, 4.0) for n in range(0, 11)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=lambda x, n: cs.rising(x, n),
+            lhs=cs.rising,
             rhs=lambda x, n: cs.gamma(x + n) / cs.gamma(x),
         ),
         IdentitySpec(
@@ -262,7 +260,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-7,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: lm.beta_pole_limit(u),
+            lhs=lm.beta_pole_limit,
             rhs=_log_moment_form,
         ),
         IdentitySpec(
@@ -282,7 +280,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: cs.digamma(u),
+            lhs=cs.digamma,
             rhs=_eq3_rhs,
         ),
         IdentitySpec(
@@ -303,7 +301,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
             lhs=_neg_n_log_moment,
-            rhs=lambda n: cs.harmonic(n),
+            rhs=cs.harmonic,
         ),
         IdentitySpec(
             id="EQ4B",
@@ -312,7 +310,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: qd.digamma_integral(u),
+            lhs=qd.digamma_integral,
             rhs=lambda u: cs.EULER_GAMMA + cs.digamma(u + 1.0),
         ),
         IdentitySpec(
@@ -322,8 +320,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u, v) for u in _U7 for v in _V3),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u, v: sr.beta_series(u, v),
-            rhs=lambda u, v: qd.beta_integral(u, v),
+            lhs=sr.beta_series,
+            rhs=qd.beta_integral,
         ),
         IdentitySpec(
             id="EQ6",
@@ -332,8 +330,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: sr.beta_limit_series(u),
-            rhs=lambda u: lm.beta_pole_limit(u),
+            lhs=sr.beta_limit_series,
+            rhs=lm.beta_pole_limit,
         ),
         IdentitySpec(
             id="EQ7",
@@ -342,8 +340,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: sr.digamma_series(u),
-            rhs=lambda u: cs.digamma(u),
+            lhs=sr.digamma_series,
+            rhs=cs.digamma,
         ),
         IdentitySpec(
             id="EQ7H",
@@ -352,7 +350,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((0.5,),),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=lambda u: cs.digamma(u),
+            lhs=cs.digamma,
             rhs=lambda u: -cs.EULER_GAMMA - 2.0 * math.log(2.0),
         ),
         IdentitySpec(
@@ -362,7 +360,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((),),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda: sr.log2_series(),
+            lhs=sr.log2_series,
             rhs=lambda: math.log(2.0),
         ),
         IdentitySpec(
@@ -372,7 +370,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((float(m), 1.0) for m in range(1, 11)) + ((0.0, 2.5), (0.5, 0.5)),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda x, a: sr.norlund_diff(x, a),
+            lhs=sr.norlund_diff,
             rhs=lambda x, a: cs.digamma(x + a) - cs.digamma(a),
         ),
         IdentitySpec(
@@ -382,8 +380,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((0.25,), (0.5,), (0.75,)),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda u: sr.trigamma_series(u),
-            rhs=lambda u: cs.trigamma(u),
+            lhs=sr.trigamma_series,
+            rhs=cs.trigamma,
         ),
         IdentitySpec(
             id="EQ10",
@@ -392,7 +390,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=5e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda conv: sr.trigamma_half_series(conv),
+            lhs=sr.trigamma_half_series,
             rhs=lambda conv: cs.trigamma(0.5),
         ),
         IdentitySpec(
@@ -402,7 +400,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=2e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=lambda conv: sr.zeta2_series(conv),
+            lhs=sr.zeta2_series,
             rhs=lambda conv: cs.riemann_zeta(2.0),
         ),
         IdentitySpec(
@@ -422,7 +420,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((n,) for n in range(1, 11)),
             tolerance=1e-12,
             tolerance_mode=RELATIVE,
-            lhs=lambda n: cs.gamma_half(n),
+            lhs=cs.gamma_half,
             rhs=lambda n: cs.gamma(n + 0.5),
         ),
         IdentitySpec(
@@ -432,7 +430,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((n,) for n in range(1, 11)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=lambda n: cs.beta_half(n),
+            lhs=cs.beta_half,
             rhs=lambda n: cs.beta(n, 0.5),
         ),
         IdentitySpec(
@@ -497,8 +495,8 @@ def run_identity(
     records = []
     for params in spec.grid:
         try:
-            lhs_value, lhs_diag = _route(spec.lhs(*params))
-            rhs_value, rhs_diag = _route(spec.rhs(*params))
+            lhs_value, lhs_diag = _route(spec.lhs, params)
+            rhs_value, rhs_diag = _route(spec.rhs, params)
         except _SKIP_ERRORS as exc:
             records.append(CheckRecord(spec.id, params, reason=f"{type(exc).__name__}: {exc}"))
             continue
@@ -519,8 +517,8 @@ def run_identity(
 
 def _literal_observation(spec: IdentitySpec) -> Mapping:
     """EQ10 / EQ11 evaluated under the literal convention (inner k from 1)."""
-    value, _ = _route(spec.lhs(sr.LITERAL))
-    reference, _ = _route(spec.rhs(sr.LITERAL))
+    value, _ = _route(spec.lhs, (sr.LITERAL,))
+    reference, _ = _route(spec.rhs, (sr.LITERAL,))
     return dict(zip(_INFO_KEYS, (spec.id, sr.LITERAL, value, reference, abs(value - reference))))
 
 
@@ -535,17 +533,24 @@ def run_suite(
     ``{"grid": ..., "tolerance": ...}`` keyword overrides for
     :func:`run_identity`; an id it names need not be selected.  Before any
     evaluation, an id in either that is not registered raises
-    :class:`UnknownIdentityError`, and an override that is not a mapping,
-    has a key other than ``grid`` and ``tolerance`` or fails
-    :func:`run_identity`'s checks raises :class:`DomainError`.
+    :class:`UnknownIdentityError`; ``only`` that is a string or not an iterable of
+    strings, ``overrides`` that is not a mapping, and an override that is not a
+    mapping, has a key other than ``grid`` and ``tolerance`` or fails
+    :func:`run_identity`'s checks raise :class:`DomainError`.
     """
     registry = builtin_registry()
     known = [spec.id for spec in registry]
-    overrides = overrides or {}
-    wanted = set(known if only is None else only)
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, Mapping):
+        raise DomainError(f"overrides must be a mapping of identity ids, got {overrides!r}")
+    if isinstance(only, str) or not isinstance(only, (Iterable, type(None))):
+        raise DomainError(f"only must be a collection of identity ids, got {only!r}")
+    wanted = list(known if only is None else only)
+    if not all(isinstance(i, str) for i in (*wanted, *overrides)):
+        raise DomainError(f"identity ids must be strings, got {wanted!r} and {list(overrides)!r}")
     if not wanted:
         raise DomainError("only must name at least one identity id")
-    missing = sorted(wanted.union(overrides) - set(known))
+    missing = sorted(set(wanted).union(overrides) - set(known))
     if missing:
         raise UnknownIdentityError(
             f"unknown identity id(s): {', '.join(missing)}; "

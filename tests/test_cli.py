@@ -409,6 +409,14 @@ def test_verify_out_writes_file(tmp_path, capsys):
     assert len(rows) == 11  # header + 10 grid points
 
 
+@pytest.mark.parametrize("where", ["missing/report.csv", "."], ids=["missing-dir", "a-directory"])
+def test_verify_out_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "verify", "--only", "GHALF", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+
+
 def test_verify_counts_agree_across_formats(capsys):
     _, table_out, _ = run_cli(capsys, "verify", "--only", "DUP")
     _, json_out, _ = run_cli(capsys, "verify", "--only", "DUP", "--format", "json")

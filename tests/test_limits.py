@@ -68,6 +68,12 @@ def test_richardson_rejects_non_finite_samples():
         bl.richardson_limit(lambda h: math.nan, h0=0.5)
 
 
+@pytest.mark.parametrize("value", ["x", None, 1j], ids=["str", "none", "complex"])
+def test_richardson_rejects_non_real_samples(value):
+    with pytest.raises(EvaluationError, match="real number"):
+        bl.richardson_limit(lambda h: value, 0.5)
+
+
 def test_deepening_stays_within_error_estimate():
     for f in (lambda h: math.exp(h), lambda h: math.sin(h) / h):
         shallow = bl.richardson_limit(f, h0=0.5, depth=8)

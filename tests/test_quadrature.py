@@ -82,6 +82,12 @@ def test_integrate01_rejects_non_finite_integrand():
         bl.integrate01(lambda t: float("nan"))
 
 
+@pytest.mark.parametrize("value", ["x", None, 1j], ids=["str", "none", "complex"])
+def test_integrate01_rejects_non_real_integrand(value):
+    with pytest.raises(EvaluationError, match="real number"):
+        bl.integrate01(lambda t: value)
+
+
 def test_refinement_is_monotone():
     # A converged value never moves by more than the looser error estimate.
     f = lambda t: t**-0.25 * math.exp(t)
@@ -172,8 +178,6 @@ KERNEL_GRID = [("beta", (u, v)) for u in (0.25, 0.5, 0.75, 1.0, 2.0, 3.5, 5.0)
                for v in (0.5, 1.0, 2.5, 5.0)]
 KERNEL_GRID += [(name, (u,)) for name in ("log-kernel", "digamma")
                 for u in (0.25, 0.5, 1.0, 2.0, 3.5, 5.0)]
-KERNELS = {"beta": bl.beta_integral, "log-kernel": bl.log_kernel_moment,
-           "digamma": bl.digamma_integral}
 
 
 def _log_given(t, s):
@@ -204,7 +208,7 @@ def test_node_logs_are_the_logs_of_the_nearer_distance(level):
 
 @pytest.mark.parametrize("name, args", KERNEL_GRID)
 def test_carried_logs_give_the_same_bits_as_logs_per_call(name, args):
-    res = KERNELS[name](*args)
+    res = qd.KERNELS[name](*args)
     local = qd._refine(_per_call_integrand(name, args), qd.DEFAULT_TOL, interior_only=False)
     assert (res.value, res.levels_used, res.evaluations) == (
         local.value, local.levels_used, local.evaluations)
@@ -223,7 +227,7 @@ def _reference(name, args):
 def test_error_estimate_bounds_the_real_error(name, args):
     # Levels that agree to the last bit report a difference of 0; the floor
     # at the last level's rounding keeps the estimate above the real error.
-    res = KERNELS[name](*args)
+    res = qd.KERNELS[name](*args)
     assert float(abs(mpmath.mpf(res.value) - _reference(name, args))) <= res.error_estimate
     assert 0.0 < res.error_estimate <= qd.DEFAULT_TOL
 
@@ -243,7 +247,7 @@ CUT_GRID += [(name, (u,)) for name in ("log-kernel", "digamma") for u in _LOG_UV
 
 
 def _kernel_runs():
-    return [KERNELS[name](*args) for name, args in CUT_GRID]
+    return [qd.KERNELS[name](*args) for name, args in CUT_GRID]
 
 
 def _bits(res):

@@ -457,6 +457,11 @@ def test_trace_unknown_name():
         bl.trace("fibonacci", {})
 
 
+def test_trace_rejects_an_unhashable_name():
+    with pytest.raises(DomainError, match="unknown series"):
+        bl.trace(["beta"], {})
+
+
 def test_trace_rejects_unknown_params():
     with pytest.raises(DomainError, match=r"takes parameters \[\]"):
         bl.trace("log2", {"u": 1.0})

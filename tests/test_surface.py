@@ -32,18 +32,6 @@ from betalab import verify as vf
 
 MODULES = (errors, cs, sr, qd, lm, vf)
 
-# The CLI names of the kernels and limits, and the routine each one runs.
-KERNELS = {
-    "beta": qd.beta_integral,
-    "digamma": qd.digamma_integral,
-    "log-kernel": qd.log_kernel_moment,
-}
-LIMITS = {
-    "beta-pole": lm.beta_pole_limit,
-    "gamma-derivative": lm.gamma_derivative_at_1,
-    "gamma-pole": lm.gamma_pole_limit,
-    "scaled-beta": lm.scaled_beta_limits,
-}
 EVAL_FUNCTIONS = [name for name in cs.__all__ if inspect.isfunction(getattr(cs, name))]
 
 
@@ -143,6 +131,12 @@ def test_series_repeats_euler_gamma_exactly():
     assert sr.EULER_GAMMA == cs.EULER_GAMMA
 
 
+def test_pyproject_version_is_the_tool_version():
+    # Read with a regex: Python 3.10 has no tomllib.
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "([^"]*)"$', text, re.MULTILINE)[1] == vf.TOOL_VERSION
+
+
 def test_errors_export_exactly_the_exception_classes():
     classes = {
         name
@@ -166,8 +160,19 @@ def _choices(capsys, subcommand: str) -> set:
 def test_cli_offers_exactly_the_routines(capsys):
     assert _choices(capsys, "eval") == set(EVAL_FUNCTIONS)
     assert _choices(capsys, "series") == set(sr.SERIES)
-    assert _choices(capsys, "integrate") == set(KERNELS)
-    assert _choices(capsys, "limit") == set(LIMITS)
+    assert _choices(capsys, "integrate") == set(qd.KERNELS)
+    assert _choices(capsys, "limit") == set(lm.LIMITS)
+
+
+@pytest.mark.parametrize(
+    "table, module, generic",
+    [(qd.KERNELS, qd, qd.integrate01), (lm.LIMITS, lm, lm.richardson_limit)],
+    ids=["kernels", "limits"],
+)
+def test_route_table_holds_every_public_routine_but_the_generic_one(table, module, generic):
+    public = {f for name in module.__all__ if inspect.isfunction(f := getattr(module, name))}
+    assert set(table.values()) == public - {generic}
+    assert list(table) == sorted(table)  # the order the CLI lists them in
 
 
 def test_root_help_lists_each_subcommand_with_its_help(capsys):
@@ -239,17 +244,17 @@ def test_series_takes_its_term_sources_parameters(capsys, name):
     assert [type(options[flag]) for flag in flags] == [p.annotation for p in params]
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("kernel", sorted(qd.KERNELS))
 def test_integrate_takes_the_kernels_parameters(capsys, kernel):
-    params = _required(KERNELS[kernel])
+    params = _required(qd.KERNELS[kernel])
     assert {p.annotation for p in params} == {float}
     given = {p.name: "1.5" for p in params}
     _check_takes_exactly(capsys, ["integrate", kernel, "--tol", "1e-6"], given, ("u", "v"))
 
 
-@pytest.mark.parametrize("name", sorted(LIMITS))
+@pytest.mark.parametrize("name", sorted(lm.LIMITS))
 def test_limit_takes_the_routines_parameters(capsys, name):
-    params = _required(LIMITS[name])
+    params = _required(lm.LIMITS[name])
     assert {p.annotation for p in params} <= {float}
     given = {p.name: "1.5" for p in params}
     _check_takes_exactly(capsys, ["limit", name, "--depth", "4"], given, ("u",))
@@ -291,7 +296,7 @@ def _flag_help(capsys, command: str) -> dict:
 @pytest.mark.parametrize(
     "command, routes",
     [("eval", {name: getattr(cs, name) for name in EVAL_FUNCTIONS}), ("series", sr.SERIES),
-     ("integrate", KERNELS), ("limit", LIMITS)],
+     ("integrate", qd.KERNELS), ("limit", lm.LIMITS)],
 )
 def test_each_route_flag_help_names_the_routes_that_take_it(capsys, command, routes):
     takers: dict = {}

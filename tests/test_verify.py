@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
+import types
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import betalab as bl
+from betalab import core_special as cs
+from betalab import limits as lm
+from betalab import quadrature as qd
+from betalab import series as sr
 from betalab import verify
 from betalab.errors import DomainError, UnknownIdentityError
 
@@ -61,6 +67,96 @@ def test_identity_spec_rejects_malformed_fields(change):
 
 def test_registry_is_cached():
     assert bl.builtin_registry() is bl.builtin_registry()
+
+
+# --- sides ----------------------------------------------------------------
+
+
+def _route_routines() -> set:
+    """The layer routines among the CLI's routes: each kernel and limit in its table, each eval
+    function in core_special.__all__, and each series wrapper whose term source is in SERIES."""
+    routines = {*qd.KERNELS.values(), *lm.LIMITS.values()}
+    routines |= {f for name in cs.__all__ if inspect.isfunction(f := getattr(cs, name))}
+    sources = {source.__name__ for source in sr.SERIES.values()}
+    return routines | {f for name in sr.__all__ if inspect.isfunction(f := getattr(sr, name))
+                       and sources & set(f.__code__.co_names)}
+
+
+# (identity id, side) -> the routine that side is.
+ROUTINE_SIDES = {
+    ("SYM", "lhs"): cs.beta, ("POCH", "lhs"): cs.rising, ("EQ1", "lhs"): lm.beta_pole_limit,
+    ("EQ3", "lhs"): cs.digamma, ("EQ4H", "rhs"): cs.harmonic, ("EQ4B", "lhs"): qd.digamma_integral,
+    ("EQ5", "lhs"): sr.beta_series, ("EQ5", "rhs"): qd.beta_integral,
+    ("EQ6", "lhs"): sr.beta_limit_series, ("EQ6", "rhs"): lm.beta_pole_limit,
+    ("EQ7", "lhs"): sr.digamma_series, ("EQ7", "rhs"): cs.digamma, ("EQ7H", "lhs"): cs.digamma,
+    ("LOG2", "lhs"): sr.log2_series, ("EQ8", "lhs"): sr.norlund_diff,
+    ("EQ9", "lhs"): sr.trigamma_series, ("EQ9", "rhs"): cs.trigamma,
+    ("EQ10", "lhs"): sr.trigamma_half_series, ("EQ11", "lhs"): sr.zeta2_series,
+    ("GHALF", "lhs"): cs.gamma_half, ("BHALF", "lhs"): cs.beta_half,
+}
+
+
+def _sides():
+    for spec in bl.builtin_registry():
+        yield (spec.id, "lhs"), spec.lhs
+        yield (spec.id, "rhs"), spec.rhs
+
+
+def test_sides_that_evaluate_one_route_are_its_routine():
+    routines = _route_routines()
+    assert {key: side for key, side in _sides() if side in routines} == ROUTINE_SIDES
+
+
+class _Recorder:
+    """Stands in for every global of a side: each attribute is a routine that records its
+    arguments and returns ``_TOKEN``."""
+
+    def __init__(self, calls: list) -> None:
+        self.calls = calls
+
+    def __getattr__(self, name: str):
+        def routine(*args, **kwargs):
+            self.calls.append((args, kwargs))
+            return _TOKEN
+
+        return routine
+
+
+_TOKEN = object()
+
+
+def _only_forwards(side) -> bool:
+    """Whether ``side`` only passes its arguments, as given, to one call and returns its result."""
+    code, calls = side.__code__, []
+    globals_ = {name: _Recorder(calls) for name in code.co_names}
+    args = tuple(object() for _ in range(code.co_argcount))
+    try:
+        result = types.FunctionType(code, globals_, closure=side.__closure__)(*args)
+    except Exception:  # arithmetic on the opaque arguments or the token
+        return False
+    return calls == [(args, {})] and result is _TOKEN
+
+
+def test_no_side_is_a_lambda_that_only_forwards_its_point():
+    assert _only_forwards(lambda u, v: sr.beta_series(u, v))  # what the check finds
+    assert not _only_forwards(lambda u, v: cs.beta(v, u))
+    lambdas = {key: side for key, side in _sides() if side.__name__ == "<lambda>"}
+    assert lambdas and not [key for key, side in lambdas.items() if _only_forwards(side)]
+
+
+def test_a_routine_patched_after_the_registry_is_cached_is_called(monkeypatch):
+    registry = bl.builtin_registry()
+    calls = []
+
+    def counted(*args, original=sr.beta_series):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sr, "beta_series", counted)
+    report = bl.run_suite(only=["EQ5"])
+    assert bl.builtin_registry() is registry
+    assert calls == list(next(spec.grid for spec in registry if spec.id == "EQ5"))
+    assert report.counts["passed"] == len(calls)
 
 
 # --- suite results --------------------------------------------------------
@@ -204,18 +300,38 @@ def test_override_with_an_unknown_key_is_rejected():
         bl.run_suite(only=["SYM"], overrides={"EQ5": {"grd": [(2.0, 0.5)]}})
 
 
+@pytest.fixture
+def no_evaluation(monkeypatch):
+    """EQ5's series side, replaced by one that fails the test if it is called."""
+
+    def must_not_run(*args):
+        raise AssertionError("an identity was evaluated")
+
+    bl.builtin_registry()  # cached first: a registry built under the patch would keep it
+    monkeypatch.setattr(verify.sr, "beta_series", must_not_run)
+
+
 @pytest.mark.parametrize(
     "override",
     [{"grid": [(1.0,)]}, {"grid": 5}, {"grid": [1.0]}, 3],
     ids=["short-point", "grid-not-iterable", "point-not-iterable", "entry-not-a-mapping"],
 )
-def test_malformed_override_is_rejected_before_evaluation(override, monkeypatch):
-    def must_not_run(*args):
-        raise AssertionError("an identity was evaluated")
-
-    monkeypatch.setattr(verify.sr, "beta_series", must_not_run)
+def test_malformed_override_is_rejected_before_evaluation(override, no_evaluation):
     with pytest.raises(DomainError):
         bl.run_suite(only=["EQ5"], overrides={"EQ5": override})
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"overrides": 5}, "overrides must be a mapping"),
+     ({"overrides": [("EQ5", {})]}, "overrides must be a mapping"),
+     ({"only": [["EQ5"]]}, "identity ids must be strings"),
+     ({"only": "EQ5"}, "only must be a collection of identity ids")],
+    ids=["overrides-int", "overrides-pairs", "only-entry-not-a-str", "only-a-bare-str"],
+)
+def test_malformed_selection_is_rejected_before_evaluation(kwargs, message, no_evaluation):
+    with pytest.raises(DomainError, match=message):
+        bl.run_suite(**{"only": ["EQ5"], **kwargs})
 
 
 def test_unknown_eq2_route_is_a_skipped_record():
