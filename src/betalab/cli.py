@@ -148,6 +148,12 @@ def _arguments(command: str, name: str, options: Mapping) -> dict:
 # --- handlers -------------------------------------------------------------
 
 
+def _run_eval(options: Mapping) -> int:
+    name = options["function"]
+    print(_g(_routes("eval")[name](**_arguments("eval", name, options))))
+    return 0
+
+
 def _run_series(options: Mapping) -> int:
     name = options["name"]
     params = _arguments("series", name, options)
@@ -183,12 +189,9 @@ _PREFIXES = {"scaled-beta": ("via_log_gamma  ", "via_recurrence ")}
 
 
 def _run_routine(command: str, options: Mapping) -> int:
-    """Run an eval, integrate or limit route and print the value or each result it returns."""
+    """Run an integrate or limit route and print each result it returns."""
     name = options[_COMMANDS[command][2]]
     results = _routes(command)[name](**_arguments(command, name, options))
-    if command == "eval":
-        print(_g(results))
-        return 0
     if not isinstance(results, tuple):
         results = (results,)
     for prefix, res in zip(_PREFIXES.get(name, ("",)), results):
@@ -287,7 +290,9 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {"series": _run_series, "verify": _run_verify}  # eval, integrate, limit: _run_routine
+_HANDLERS = {"eval": _run_eval, "series": _run_series, "verify": _run_verify,
+             "integrate": functools.partial(_run_routine, "integrate"),
+             "limit": functools.partial(_run_routine, "limit")}
 
 
 def parse(argv: Sequence[str]) -> CommandInvocation:
@@ -307,8 +312,7 @@ def parse(argv: Sequence[str]) -> CommandInvocation:
 
 def execute(inv: CommandInvocation) -> int:
     """Run a parsed invocation and return its exit code."""
-    handler = _HANDLERS.get(inv.subcommand)
-    return handler(inv.options) if handler else _run_routine(inv.subcommand, inv.options)
+    return _HANDLERS[inv.subcommand](inv.options)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

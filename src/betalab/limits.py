@@ -64,21 +64,22 @@ def richardson_limit(
     xs: list[float] = []
     rows: list[list[float]] = []
     diags: list[float] = []
-    try:
-        for i in range(depth):
-            x = h0 * 2.0**-i
-            y = f(x)
-            if not math.isfinite(y):
-                raise EvaluationError(f"limit sample f({x!r}) is not finite: {y!r}")
-            xs.append(x)
-            row = [y]
-            for j in range(1, i + 1):
-                num = xs[i - j] * row[j - 1] - xs[i] * rows[i - 1][j - 1]
-                row.append(num / (xs[i - j] - xs[i]))
-            rows.append(row)
-            diags.append(row[-1])
-    except TypeError:  # isfinite of a str, None or complex; the tableau of a Decimal
-        raise EvaluationError(f"limit sample f({x!r}) is not a real number") from None
+    for i in range(depth):
+        x = h0 * 2.0**-i
+        y = f(x)
+        try:
+            finite = math.isfinite(y)
+        except TypeError:  # a str, None or complex
+            raise EvaluationError(f"limit sample f({x!r}) is not a real number: {y!r}") from None
+        if not finite:
+            raise EvaluationError(f"limit sample f({x!r}) is not finite: {y!r}")
+        xs.append(x)
+        row = [y]
+        for j in range(1, i + 1):
+            num = xs[i - j] * row[j - 1] - xs[i] * rows[i - 1][j - 1]
+            row.append(num / (xs[i - j] - xs[i]))
+        rows.append(row)
+        diags.append(row[-1])
     last = diags[-3:]
     spread = max(abs(b - a) for a, b in zip(last, last[1:]))
     return LimitResult(diags[-1], _ERROR_FACTOR * spread, depth)

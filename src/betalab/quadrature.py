@@ -176,12 +176,13 @@ def integrate01(f: Callable[[float], float], tol: float = DEFAULT_TOL) -> Quadra
     kernel.  Raises :class:`NonConvergenceError` (with the partial result
     attached) if the successive-level difference is still above ``tol`` at
     the cap, :class:`EvaluationError` if ``f`` returns a non-finite or non-real
-    value, and :class:`OverflowRangeError` if a level sum or its error bound overflows.
+    value or raises ``TypeError`` (chained as the cause), and
+    :class:`OverflowRangeError` if a level sum or its error bound overflows.
     """
     try:  # around the whole refinement, not each evaluation
         return _refine(lambda t, s, lt, ls: f(t), tol, interior_only=True)
-    except TypeError:  # w * f(t) or isfinite of a str, None or complex
-        raise EvaluationError("integrand must return a real number") from None
+    except TypeError as exc:  # w * f(t) or isfinite of a str, None or complex; or f's own
+        raise EvaluationError(f"integrand did not give a real number: {exc}") from exc
 
 
 def beta_integral(u: float, v: float, tol: float = DEFAULT_TOL) -> QuadratureResult:

@@ -32,9 +32,8 @@ import io
 import itertools
 import math
 import operator
-import sys
 from collections.abc import Callable, Iterable, Mapping
-from types import MappingProxyType
+from types import MappingProxyType, ModuleType
 
 from . import core_special as cs
 from . import limits as lm
@@ -153,12 +152,19 @@ class SuiteReport(Record):
 # --- evaluator plumbing ---------------------------------------------------
 
 
+class _Routine(Record):
+    """A registry side that is one layer routine, looked up in its module at each call."""
+
+    module: ModuleType
+    name: str
+
+    def __call__(self, *args):
+        return getattr(self.module, self.name)(*args)
+
+
 def _route(side: Callable, params: tuple) -> tuple[float, Mapping]:
-    """``side`` at ``params``, called as :func:`builtin_registry` says, and the
-    ``_DIAG_KEYS`` attributes its result carries (a bare float carries none)."""
-    module = sys.modules.get(getattr(side, "__module__", None))
-    late = getattr(module, getattr(side, "__name__", ""), side) if module else side
-    result = late(*params)
+    """``side`` at ``params`` and the ``_DIAG_KEYS`` attributes its result carries."""
+    result = side(*params)
     diag = {key: getattr(result, key) for key in _DIAG_KEYS if hasattr(result, key)}
     return getattr(result, "value", result), diag
 
@@ -205,11 +211,10 @@ def _gamma_pole_route(route: str) -> lm.LimitResult:
 def builtin_registry() -> tuple[IdentitySpec, ...]:
     """The full identity registry, built once and cached.
 
-    A side that only evaluates one layer routine at the grid point is that
-    routine.  Each side ``f`` is called through the binding its module holds for
-    its name at call time, ``getattr(sys.modules[f.__module__], f.__name__, f)``,
-    or, lacking one (a lambda, a partial, a user callable), as given: a wrapper
-    installed on a module after the registry is cached still sees every call.
+    A side that only evaluates one layer routine at the grid point names it,
+    ``_Routine(sr, "beta_series")``, and looks it up at each call, so a
+    wrapper installed on the module, before or after the registry is cached,
+    sees every call.  Every side is called as given.
     """
     return (
         IdentitySpec(
@@ -219,7 +224,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple(itertools.combinations((0.1, 0.5, 1.0, 2.5, 7.0), 2)),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=cs.beta,
+            lhs=_Routine(cs, "beta"),
             rhs=lambda u, v: cs.beta(v, u),
         ),
         IdentitySpec(
@@ -250,7 +255,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((x, n) for x in (0.3, 1.5, 4.0) for n in range(0, 11)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=cs.rising,
+            lhs=_Routine(cs, "rising"),
             rhs=lambda x, n: cs.gamma(x + n) / cs.gamma(x),
         ),
         IdentitySpec(
@@ -260,7 +265,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-7,
             tolerance_mode=ABSOLUTE,
-            lhs=lm.beta_pole_limit,
+            lhs=_Routine(lm, "beta_pole_limit"),
             rhs=_log_moment_form,
         ),
         IdentitySpec(
@@ -280,7 +285,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=cs.digamma,
+            lhs=_Routine(cs, "digamma"),
             rhs=_eq3_rhs,
         ),
         IdentitySpec(
@@ -301,7 +306,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
             lhs=_neg_n_log_moment,
-            rhs=cs.harmonic,
+            rhs=_Routine(cs, "harmonic"),
         ),
         IdentitySpec(
             id="EQ4B",
@@ -310,7 +315,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=qd.digamma_integral,
+            lhs=_Routine(qd, "digamma_integral"),
             rhs=lambda u: cs.EULER_GAMMA + cs.digamma(u + 1.0),
         ),
         IdentitySpec(
@@ -320,8 +325,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u, v) for u in _U7 for v in _V3),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=sr.beta_series,
-            rhs=qd.beta_integral,
+            lhs=_Routine(sr, "beta_series"),
+            rhs=_Routine(qd, "beta_integral"),
         ),
         IdentitySpec(
             id="EQ6",
@@ -330,8 +335,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=sr.beta_limit_series,
-            rhs=lm.beta_pole_limit,
+            lhs=_Routine(sr, "beta_limit_series"),
+            rhs=_Routine(lm, "beta_pole_limit"),
         ),
         IdentitySpec(
             id="EQ7",
@@ -340,8 +345,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((u,) for u in _U7),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=sr.digamma_series,
-            rhs=cs.digamma,
+            lhs=_Routine(sr, "digamma_series"),
+            rhs=_Routine(cs, "digamma"),
         ),
         IdentitySpec(
             id="EQ7H",
@@ -350,7 +355,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((0.5,),),
             tolerance=1e-9,
             tolerance_mode=ABSOLUTE,
-            lhs=cs.digamma,
+            lhs=_Routine(cs, "digamma"),
             rhs=lambda u: -cs.EULER_GAMMA - 2.0 * math.log(2.0),
         ),
         IdentitySpec(
@@ -360,7 +365,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((),),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=sr.log2_series,
+            lhs=_Routine(sr, "log2_series"),
             rhs=lambda: math.log(2.0),
         ),
         IdentitySpec(
@@ -370,7 +375,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((float(m), 1.0) for m in range(1, 11)) + ((0.0, 2.5), (0.5, 0.5)),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=sr.norlund_diff,
+            lhs=_Routine(sr, "norlund_diff"),
             rhs=lambda x, a: cs.digamma(x + a) - cs.digamma(a),
         ),
         IdentitySpec(
@@ -380,8 +385,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((0.25,), (0.5,), (0.75,)),
             tolerance=1e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=sr.trigamma_series,
-            rhs=cs.trigamma,
+            lhs=_Routine(sr, "trigamma_series"),
+            rhs=_Routine(cs, "trigamma"),
         ),
         IdentitySpec(
             id="EQ10",
@@ -390,7 +395,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=5e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=sr.trigamma_half_series,
+            lhs=_Routine(sr, "trigamma_half_series"),
             rhs=lambda conv: cs.trigamma(0.5),
         ),
         IdentitySpec(
@@ -400,7 +405,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=2e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=sr.zeta2_series,
+            lhs=_Routine(sr, "zeta2_series"),
             rhs=lambda conv: cs.riemann_zeta(2.0),
         ),
         IdentitySpec(
@@ -420,7 +425,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((n,) for n in range(1, 11)),
             tolerance=1e-12,
             tolerance_mode=RELATIVE,
-            lhs=cs.gamma_half,
+            lhs=_Routine(cs, "gamma_half"),
             rhs=lambda n: cs.gamma(n + 0.5),
         ),
         IdentitySpec(
@@ -430,7 +435,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=tuple((n,) for n in range(1, 11)),
             tolerance=1e-11,
             tolerance_mode=RELATIVE,
-            lhs=cs.beta_half,
+            lhs=_Routine(cs, "beta_half"),
             rhs=lambda n: cs.beta(n, 0.5),
         ),
         IdentitySpec(

@@ -74,6 +74,11 @@ def test_richardson_rejects_non_real_samples(value):
         bl.richardson_limit(lambda h: value, 0.5)
 
 
+def test_richardson_lets_the_functions_own_type_error_through():
+    with pytest.raises(TypeError, match="extra"):
+        bl.richardson_limit(lambda h, extra: h, 0.5)  # called with one argument
+
+
 def test_deepening_stays_within_error_estimate():
     for f in (lambda h: math.exp(h), lambda h: math.sin(h) / h):
         shallow = bl.richardson_limit(f, h0=0.5, depth=8)

@@ -88,6 +88,12 @@ def test_integrate01_rejects_non_real_integrand(value):
         bl.integrate01(lambda t: value)
 
 
+def test_integrate01_keeps_the_integrands_own_type_error_as_the_cause():
+    with pytest.raises(EvaluationError) as info:
+        bl.integrate01(lambda t, extra: t)  # called with one argument
+    assert isinstance(info.value.__cause__, TypeError) and "extra" in str(info.value.__cause__)
+
+
 def test_refinement_is_monotone():
     # A converged value never moves by more than the looser error estimate.
     f = lambda t: t**-0.25 * math.exp(t)

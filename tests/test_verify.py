@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import inspect
 import io
@@ -102,9 +103,12 @@ def _sides():
         yield (spec.id, "rhs"), spec.rhs
 
 
-def test_sides_that_evaluate_one_route_are_its_routine():
-    routines = _route_routines()
-    assert {key: side for key, side in _sides() if side in routines} == ROUTINE_SIDES
+def test_sides_that_evaluate_one_route_name_its_routine():
+    named = {key: getattr(side.module, side.name) for key, side in _sides()
+             if isinstance(side, verify._Routine)}
+    assert named == ROUTINE_SIDES and set(named.values()) <= _route_routines()
+    # None is the routine itself, which the registry would keep as it was bound when cached.
+    assert not [key for key, side in _sides() if side in _route_routines()]
 
 
 class _Recorder:
@@ -140,7 +144,7 @@ def _only_forwards(side) -> bool:
 def test_no_side_is_a_lambda_that_only_forwards_its_point():
     assert _only_forwards(lambda u, v: sr.beta_series(u, v))  # what the check finds
     assert not _only_forwards(lambda u, v: cs.beta(v, u))
-    lambdas = {key: side for key, side in _sides() if side.__name__ == "<lambda>"}
+    lambdas = {key: side for key, side in _sides() if getattr(side, "__name__", "") == "<lambda>"}
     assert lambdas and not [key for key, side in lambdas.items() if _only_forwards(side)]
 
 
@@ -157,6 +161,37 @@ def test_a_routine_patched_after_the_registry_is_cached_is_called(monkeypatch):
     assert bl.builtin_registry() is registry
     assert calls == list(next(spec.grid for spec in registry if spec.id == "EQ5"))
     assert report.counts["passed"] == len(calls)
+
+
+def test_a_registry_first_built_under_a_patch_calls_the_later_binding(monkeypatch, request):
+    def must_not_run(*args):
+        raise AssertionError("the binding of the registry's first build was called")
+
+    verify.builtin_registry.cache_clear()
+    request.addfinalizer(verify.builtin_registry.cache_clear)  # a failure leaves no stale cache
+    with monkeypatch.context() as patch:
+        patch.setattr(sr, "beta_series", must_not_run)
+        registry = bl.builtin_registry()
+    calls = []
+
+    def counted(*args, original=sr.beta_series):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sr, "beta_series", counted)
+    report = bl.run_suite(only=["EQ5"])
+    assert bl.builtin_registry() is registry
+    assert calls == list(next(spec.grid for spec in registry if spec.id == "EQ5"))
+    assert report.counts["passed"] == len(calls)
+
+
+def test_a_user_side_is_called_as_given():
+    # wraps() copies cs.beta's __module__ and __name__; the side is still this lambda.
+    doubled = functools.wraps(cs.beta)(lambda u, v: 2.0 * cs.beta(u, v))
+    spec = bl.IdentitySpec(id="TWICE", description="2 B = B", anchor="none", grid=((1.0, 2.0),),
+                           tolerance=1e-9, tolerance_mode="absolute", lhs=doubled, rhs=cs.beta)
+    (record,) = bl.run_identity(spec)
+    assert record.passed is False and record.lhs_value == 2.0 * record.rhs_value == 1.0
 
 
 # --- suite results --------------------------------------------------------
@@ -307,7 +342,6 @@ def no_evaluation(monkeypatch):
     def must_not_run(*args):
         raise AssertionError("an identity was evaluated")
 
-    bl.builtin_registry()  # cached first: a registry built under the patch would keep it
     monkeypatch.setattr(verify.sr, "beta_series", must_not_run)
 
 
