@@ -57,7 +57,9 @@ def richardson_limit(
     reported error estimate is 8 times the larger of ``|T[d,d] - T[d-1,d-1]|``
     and ``|T[d-1,d-1] - T[d-2,d-2]|`` (the first alone at depth 2).  Measured
     against 30-digit references, the last difference alone under-read the
-    error of ``beta_pole_limit`` on 92 of 200 u in [0.1, 6].
+    error of ``beta_pole_limit`` on 92 of 200 u in [0.1, 6].  A sample that
+    is not finite, or not an int or float, raises :class:`EvaluationError`
+    (chaining the ``TypeError`` of the latter), as :func:`integrate01` does.
     """
     h0 = positive_real(h0, "h0")
     depth = integer(depth, "depth", _MIN_DEPTH, _MAX_DEPTH)
@@ -66,18 +68,17 @@ def richardson_limit(
     diags: list[float] = []
     for i in range(depth):
         x = h0 * 2.0**-i
-        y = f(x)
+        y = f(x)  # outside the try: a TypeError of f's own passes through
         try:
-            finite = math.isfinite(y)
-        except TypeError:  # a str, None or complex
-            raise EvaluationError(f"limit sample f({x!r}) is not a real number: {y!r}") from None
-        if not finite:
-            raise EvaluationError(f"limit sample f({x!r}) is not finite: {y!r}")
-        xs.append(x)
-        row = [y]
-        for j in range(1, i + 1):
-            num = xs[i - j] * row[j - 1] - xs[i] * rows[i - 1][j - 1]
-            row.append(num / (xs[i - j] - xs[i]))
+            if not math.isfinite(y):
+                raise EvaluationError(f"limit sample f({x!r}) is not finite: {y!r}")
+            xs.append(x)
+            row = [y]
+            for j in range(1, i + 1):
+                num = xs[i - j] * row[j - 1] - xs[i] * rows[i - 1][j - 1]
+                row.append(num / (xs[i - j] - xs[i]))
+        except TypeError as exc:  # isfinite of a str, None or complex; the tableau of a Decimal
+            raise EvaluationError(f"limit sample f({x!r}) is not a real number: {y!r}") from exc
         rows.append(row)
         diags.append(row[-1])
     last = diags[-3:]

@@ -84,7 +84,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Generator, Mapping
 
 from .errors import DomainError, OverflowRangeError, Record, finite_real, integer, positive_real
 
@@ -144,13 +144,13 @@ _NORLUND_X_MAX = 10.0
 
 _RESIDUAL_FACTOR = 8.0  # residual = 8 x the larger of the last two transform differences
 _EPS = 2.0**-52  # one ulp of 1.0
+_INF = math.inf
 # The order cap of d2: order 9 takes 19 samples, the last at term 1,477; d1
 # reaches order 18 on the same samples.  Order 10 of d2 would take 3,325 terms
 # to gain one to two digits of residual.
 _D2_MAX_ORDER = 9
 # The indices the accelerator samples, R_l = max(R_{l-1} + 1, floor(1.5**l)) for l = 0..18.
 _D2_SAMPLES = (1, 2, 3, 4, 5, 7, 11, 17, 25, 38, 57, 86, 129, 194, 291, 437, 656, 985, 1477)
-_D2_SAMPLED = frozenset(_D2_SAMPLES)
 
 
 class SeriesControl(Record):
@@ -297,60 +297,46 @@ def _run(
 ) -> tuple[SeriesResult, tuple[TraceRow, ...]]:
     """Sum a validated series under ``ctrl``; see module docstring.
 
-    The loop sums ``base + sum(terms) / div``.  ``div`` divides rather than
+    The engine sums ``base + sum(terms) / div``.  ``div`` divides rather than
     scales because ``x * (1/3)`` and ``x / 3`` differ for about a third of
     doubles, and zeta2 must stay exactly one third of its parent series.
-    Each generated term is a ``(term, rest)`` pair: ``term`` is the rounded
-    double driving all bookkeeping (counting, zero detection, the
-    accelerator, trace rows) and ``rest`` is the sub-ulp remainder of
-    computing it, folded into the compensated accumulator so that exactness
-    contracts survive heavy cancellation.  For d2 ``rest`` is instead the
-    forward difference ``a_{n+1} - a_n`` (nan off the samples), which only the
-    accelerator reads; there a zero term does not end the run.  Trace rows
-    carry the current residual under tail correction, and the bound on the
-    partial sum without it.
+    The summand's kernel adds the terms itself (see :data:`_Summand`); the
+    engine sends it each checkpoint in turn, the smallest of the next sample,
+    the next trace row and the stop, and does its accelerator, tolerance,
+    stop and trace work there alone.  Trace rows carry the current residual
+    under tail correction, and the bound on the partial sum without it.
     """
     if ctrl is None:
         ctrl = _DEFAULT_CTRL
     elif not isinstance(ctrl, SeriesControl):
         raise DomainError(f"ctrl must be a SeriesControl or None, got {ctrl!r}")
-    terms, base, div, reductions, m = summand
+    kernel, base, div, reductions, m = summand
     correct = ctrl.tail_correction
     tol = ctrl.tol if correct else -math.inf  # without tail correction only max_terms stops
     max_terms = ctrl.max_terms
     stop_n = max_terms  # lowered to n when the accelerator is done under tail correction
-    fold = m != 2  # rest is a rounding remainder, and 0 ends the sum
+    next_row = every or max_terms + 1  # the next trace row; past the stop without rows
     next_sample = 0  # the next index the accelerator samples; 0: none
     if m:
         accel = _DTransform(m, base, div, reductions)
         next_sample = 1
-    s = 0.0
-    comp = 0.0
-    abs_sum = 0.0  # sum |term|, which floors the residual
-    n = 0
     best = math.nan  # the transform with the smallest residual so far
     best_residual = math.inf
     residual = 0.0  # the latest transform's
     termination = MAX_TERMS
     rows: list[TraceRow] = []
-    for term, rest in terms:
-        if term == 0.0 and fold:
-            termination = EXACT_TERMINATION
-            best_residual = math.inf  # the sum is exact
-            break
-        if not math.isfinite(term):
+    send = kernel.send
+    next(kernel)
+    while True:
+        target = min(stop_n, next_row, next_sample or stop_n)
+        count, s, comp, abs_sum, term, rest = send(float(target))
+        n = int(count)
+        if n < target:  # the kernel met a term it does not add
+            if term == 0.0:
+                termination = EXACT_TERMINATION
+                best_residual = math.inf  # the sum is exact
+                break
             raise OverflowRangeError(f"series term {n + 1} overflows double precision")
-        n += 1
-        t = s + term
-        size = abs(term)
-        abs_sum += size
-        if abs(s) >= size:
-            comp += (s - t) + term
-        else:
-            comp += (term - t) + s
-        s = t
-        if fold:
-            comp += rest
         if n == next_sample:
             next_sample, estimate = accel.sample(n, s + comp, term, rest, abs_sum)
             if estimate is not None:
@@ -359,7 +345,8 @@ def _run(
                     best, best_residual = transform, residual
             if not next_sample and correct:
                 stop_n = n
-        if every and n % every == 0:
+        if n == next_row:
+            next_row += every
             partial = base + (s + comp) / div
             tail = residual if correct else _bound(partial, best, best_residual)
             rows.append(TraceRow(n, term / div, partial, tail))
@@ -376,11 +363,14 @@ def _run(
     else:
         value, tail = raw, _bound(raw, best, best_residual)
     if termination == EXACT_TERMINATION or (not m and termination == MAX_TERMS):
-        # A finite sum, bounded by its rounding and the terms a cut left out.
+        # A finite sum, bounded by its rounding and the terms a cut left out,
+        # which the kernel hands over one checkpoint each.
         left = 0.0
         if termination == MAX_TERMS:
-            for term, rest in terms:
-                if term == 0.0 or not math.isfinite(left):
+            while math.isfinite(left):
+                count += 1.0
+                term, rest = send(count)[4:]
+                if term == 0.0:
                     break
                 left += abs(term) + abs(rest)
         tail = left / abs(div) + _floor(reductions, raw, abs_sum, base, div)
@@ -389,7 +379,15 @@ def _run(
     return SeriesResult(value, raw, tail, n, termination, reductions), tuple(rows)
 
 
-# --- term generators (all infinite; ratio recurrences only) ---------------
+# --- kernels: term recurrences fused with the compensated sum ------------
+#
+# Each kernel is a generator that runs its term recurrence on a float index
+# and adds every term to s + comp, Neumaier's compensated sum, in one local
+# loop, with sum |a_n| beside it.  Primed by next(), it is sent a checkpoint,
+# the float index to sum up to, and yields its state there:
+# (n, s, comp, sum |a_n|, a_n, rest).  A term it does not add ends the loop
+# short of the checkpoint, and the kernel yields that term as a_n with n
+# uncounted: a zero term, where the series is finite, or a non-finite one.
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 
@@ -411,101 +409,143 @@ def _div_rest(a: float, b: float, q: float) -> float:
     return ((a - p) - err) / b
 
 
-def _shifted_ratio_terms(u: float, v: float) -> Iterator[tuple[float, float]]:
-    """(1-u)_n / (n! (n+v)) built from r_n = r_{n-1} (n-u)/n.
+def _shifted_ratio_kernel(u: float, v: float) -> Generator[tuple, float, None]:
+    """(1-u)_n / (n! (n+v)) built from r_n = r_{n-1} (n-u)/n; v = 0 gives
+    the limit series (1-u)_n / (n n!).
 
     Multiply-before-divide keeps r exact at integer u (binomial values), and
-    the division remainder rides along so the finite integer-u sums stay
-    correct to the last bit despite their large internal cancellation.
+    the division remainder, ``rest``, rides along in ``comp`` so the finite
+    integer-u sums stay correct to the last bit despite their large internal
+    cancellation.
     """
     r = 1.0
-    n = 0.0
+    n = s = comp = abs_sum = term = rest = 0.0
+    target = yield
     while True:
-        n += 1.0
-        r = r * (n - u) / n
-        b = n + v
-        q = r / b
-        yield q, _div_rest(r, b, q)
+        while n < target:
+            k = n + 1.0
+            r = r * (k - u) / k
+            b = k + v
+            term = r / b
+            rest = _div_rest(r, b, term)
+            size = abs(term)
+            if not 0.0 < size < _INF:
+                break
+            n = k
+            t = s + term
+            abs_sum += size
+            if abs(s) >= size:
+                comp += (s - t) + term
+            else:
+                comp += (term - t) + s
+            s = t
+            comp += rest
+        target = yield n, s, comp, abs_sum, term, rest
 
 
-def _limit_terms(u: float) -> Iterator[tuple[float, float]]:
-    """(1-u)_n / (n n!)."""
-    r = 1.0
-    n = 0.0
-    while True:
-        n += 1.0
-        r = r * (n - u) / n
-        q = r / n
-        yield q, _div_rest(r, n, q)
-
-
-def _log2_terms() -> Iterator[tuple[float, float]]:
-    """C(2n,n) / (n 2^{2n+1}) via c_n = c_{n-1} (2n-1)/(2n)."""
+def _log2_kernel() -> Generator[tuple, float, None]:
+    """C(2n,n) / (n 2^{2n+1}) via c_n = c_{n-1} (2n-1)/(2n); exact quotients
+    need no rest."""
     c = 1.0
-    n = 0.0
+    n = s = comp = abs_sum = term = 0.0
+    target = yield
     while True:
-        n += 1.0
-        c *= (2.0 * n - 1.0) / (2.0 * n)
-        yield c / (2.0 * n), 0.0
+        while n < target:
+            k = n + 1.0
+            two_k = 2.0 * k
+            c *= (two_k - 1.0) / two_k
+            term = c / two_k
+            size = abs(term)
+            if not 0.0 < size < _INF:
+                break
+            n = k
+            t = s + term
+            abs_sum += size
+            if abs(s) >= size:
+                comp += (s - t) + term
+            else:
+                comp += (term - t) + s
+            s = t
+        target = yield n, s, comp, abs_sum, term, 0.0
 
 
-def _norlund_terms(x: float, a: float) -> Iterator[tuple[float, float]]:
-    """(-1)^{k+1}/k * falling(x,k)/rising(a,k)."""
+def _norlund_kernel(x: float, a: float) -> Generator[tuple, float, None]:
+    """(-1)^{k+1}/k * falling(x,k)/rising(a,k), with the division's rest."""
     g = 1.0
-    k = 0.0
+    sign = -1.0  # that of the previous term
+    n = s = comp = abs_sum = term = rest = 0.0
+    target = yield
     while True:
-        k += 1.0
-        g = g * (x - (k - 1.0)) / (a + (k - 1.0))
-        q = g / k
-        rest = _div_rest(g, k, q)
-        yield (q, rest) if k % 2.0 == 1.0 else (-q, -rest)
+        while n < target:
+            k = n + 1.0
+            g = g * (x - n) / (a + n)
+            q = g / k
+            sign = -sign
+            term = sign * q
+            rest = sign * _div_rest(g, k, q)
+            size = abs(term)
+            if not 0.0 < size < _INF:
+                break
+            n = k
+            t = s + term
+            abs_sum += size
+            if abs(s) >= size:
+                comp += (s - t) + term
+            else:
+                comp += (term - t) + s
+            s = t
+            comp += rest
+        target = yield n, s, comp, abs_sum, term, rest
 
 
-# The trigamma family's generators yield (a_n, a_{n+1} - a_n) for d2, with the
-# difference nan off _D2_SAMPLES: a sample taken elsewhere skips its orders
-# rather than use a wrong difference.  It comes from the recurrence, as
-# accurate relative to itself as a_n is; subtracting two rounded terms would
-# add a few ulps of a_n, about n times more, and cost one to two digits.
+def _trigamma_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
+    """(1-u)_n/(n n!) * [psi(n+1-u) - psi(1-u) + d], the bracket grown by
+    1/(n-u) from ``d``.
 
-
-def _trigamma_terms(u: float) -> Iterator[tuple[float, float]]:
-    """(1-u)_n/(n n!) * [psi(n+1-u) - psi(1-u)], the bracket grown by 1/(n-u)."""
+    ``rest`` is the forward difference a_{n+1} - a_n that d2 reads, computed
+    at the checkpoints alone.  It comes from the recurrence, as accurate
+    relative to itself as a_n is; subtracting two rounded terms would add a
+    few ulps of a_n, about n times more, and cost one to two digits.  Zero
+    terms are added: literal trigamma-half opens with one.
+    """
     r = 1.0
-    d = 0.0
-    n = 0.0
+    n = s = comp = abs_sum = term = 0.0
+    target = yield
     while True:
-        n += 1.0
-        r *= (n - u) / n
-        d += 1.0 / (n - u)
-        diff = r * (n - d * (n * (1.0 + u) + 1.0)) / (n * (n + 1.0) ** 2) if n in _D2_SAMPLED else math.nan
-        yield (r / n) * d, diff
+        while n < target:
+            k = n + 1.0
+            ku = k - u
+            r *= ku / k
+            d += 1.0 / ku
+            term = (r / k) * d
+            size = abs(term)
+            if not size < _INF:
+                break
+            n = k
+            t = s + term
+            abs_sum += size
+            if abs(s) >= size:
+                comp += (s - t) + term
+            else:
+                comp += (term - t) + s
+            s = t
+        diff = r * (n - d * (n * (1.0 + u) + 1.0)) / (n * (n + 1.0) ** 2)
+        target = yield n, s, comp, abs_sum, term, diff
 
 
-def _trigamma_half_terms(include_k0: bool) -> Iterator[tuple[float, float]]:
-    """2 C(2n,n)/(n 4^n) * sum of odd reciprocals; k0 term included or not."""
-    c = 1.0
-    inner = 0.0 if include_k0 else -1.0
-    n = 0.0
-    while True:
-        n += 1.0
-        c *= (2.0 * n - 1.0) / (2.0 * n)
-        inner += 1.0 / (2.0 * n - 1.0)
-        diff = c * (n - inner * (3.0 * n + 2.0)) / (n * (n + 1.0) ** 2) if n in _D2_SAMPLED else math.nan
-        yield (2.0 * c / n) * inner, diff
+# --- term sources: validate parameters, say what the engine sums ----------
 
 
-# --- term sources: validate parameters, say what the loop sums -----------
+_Summand = namedtuple("_Summand", "kernel base div reductions m", defaults=(0.0, 1.0, 0, 0))
+_Summand.__doc__ = """A validated series: the engine sums ``base + sum(terms) / div``.
 
-
-_Summand = namedtuple("_Summand", "terms base div reductions m", defaults=(0.0, 1.0, 0, 0))
-_Summand.__doc__ = """A validated series: the loop sums ``base + sum(terms) / div``.
-
-``terms`` iterates over ``(float, float)`` pairs; ``base`` (0.0) and ``div``
-(1.0) are floats, ``reductions`` (0) and ``m`` (0) ints.  ``m`` is the order
-of the d^(m) transform that extrapolates an infinite series, 1 or 2, and 0
-for a finite one.  The terms of a d2 series come as ``(a_n, a_{n+1} - a_n)``
-pairs (nan off the samples), carry no rounding remainder and may be 0; every
-other series ends at its first zero term.
+``kernel`` is a fresh kernel generator over the terms (see the kernels
+above); ``base`` (0.0) and ``div`` (1.0) are floats, ``reductions`` (0) and
+``m`` (0) ints.  ``m`` is the order of the d^(m) transform that extrapolates
+an infinite series, 1 or 2, and 0 for a finite one.  The kernel of a d2
+series yields the forward difference ``a_{n+1} - a_n`` as ``rest``, carries
+no rounding remainder and adds zero terms; every other kernel folds its
+``rest``, a rounding remainder, into ``comp`` and ends at its first zero term.
 """
 
 
@@ -536,7 +576,7 @@ def _beta(u: float, v: float) -> _Summand:
             div *= (u + v) / v
             reductions += 1
     return _Summand(
-        _shifted_ratio_terms(u, v), base=1.0 / (v * div), div=div,
+        _shifted_ratio_kernel(u, v), base=1.0 / (v * div), div=div,
         reductions=reductions, m=0 if u.is_integer() else 1,
     )
 
@@ -558,7 +598,7 @@ def _beta_limit(u: float) -> _Summand:
         acc -= 1.0 / u
         reductions += 1
     return _Summand(
-        _limit_terms(u), base=acc, reductions=reductions,
+        _shifted_ratio_kernel(u, 0.0), base=acc, reductions=reductions,
         m=0 if u.is_integer() else 1,
     )
 
@@ -575,13 +615,13 @@ def _digamma(u: float) -> _Summand:
         acc += 1.0 / y
         reductions += 1
     return _Summand(
-        _limit_terms(y), base=acc - EULER_GAMMA, div=-1.0, reductions=reductions,
+        _shifted_ratio_kernel(y, 0.0), base=acc - EULER_GAMMA, div=-1.0, reductions=reductions,
         m=0 if y == 1.0 else 1,
     )
 
 
 def _log2() -> _Summand:
-    return _Summand(_log2_terms(), m=1)
+    return _Summand(_log2_kernel(), m=1)
 
 
 def _norlund(x: float, a: float) -> _Summand:
@@ -598,7 +638,7 @@ def _norlund(x: float, a: float) -> _Summand:
         acc += 1.0 / (x + a)
         reductions += 1
     return _Summand(
-        _norlund_terms(x, a), base=acc, reductions=reductions,
+        _norlund_kernel(x, a), base=acc, reductions=reductions,
         m=0 if x >= 0.0 and x.is_integer() else 1,
     )
 
@@ -607,13 +647,17 @@ def _trigamma(u: float) -> _Summand:
     u = finite_real(u, "u")
     if not 0.0 < u < 1.0:
         raise DomainError(f"trigamma_series requires 0 < u < 1, got {u!r}")
-    return _Summand(_trigamma_terms(u), m=2)
+    return _Summand(_trigamma_kernel(u), m=2)
 
 
 def _trigamma_half(convention: str) -> _Summand:
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return _Summand(_trigamma_half_terms(include_k0=(convention == CORRECTED)), m=2)
+    # The term 2 C(2n,n)/(n 4^n) * sum_{k<n} 1/(2k+1) is the trigamma term at
+    # u = 1/2, bit for bit: there r_n = C(2n,n)/4^n, and the bracket
+    # sum_{k<n} 2/(2k+1) is twice the inner sum, an exact scaling.  The literal
+    # inner sum starts at k = 1, without k = 0's 1, so its bracket starts at -2.
+    return _Summand(_trigamma_kernel(0.5, 0.0 if convention == CORRECTED else -2.0), m=2)
 
 
 def _zeta2(convention: str) -> _Summand:

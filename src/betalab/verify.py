@@ -494,7 +494,10 @@ def run_identity(
     that is not a finite positive real raises :class:`DomainError`.
     Domain errors, overflow, and refinement-cap signals from either side
     yield a skipped record with the reason attached; they never propagate.
+    A ``spec`` that is not an :class:`IdentitySpec` raises :class:`DomainError`.
     """
+    if not isinstance(spec, IdentitySpec):
+        raise DomainError(f"spec must be an IdentitySpec, got {spec!r}")
     spec = _overridden(spec, grid, tolerance)
     tol = float(spec.tolerance)
     records = []
@@ -701,8 +704,11 @@ def render_report(report: SuiteReport, format: str = "table") -> bytes:
     """Serialize a report as UTF-8 bytes in ``table``, ``json``, or ``csv`` form.
 
     All three carry identical record data (floats always at 17 significant
-    digits); rendering the same report twice is byte-identical.
+    digits); rendering the same report twice is byte-identical.  A ``report``
+    that is not a :class:`SuiteReport` raises :class:`DomainError`.
     """
+    if not isinstance(report, SuiteReport):
+        raise DomainError(f"report must be a SuiteReport, got {report!r}")
     if format == "json":
         return _render_json(report)
     if format == "csv":

@@ -1,7 +1,7 @@
 """The d2 transform's W^(2) recursion against a 40-digit solve of the same samples.
 
 mpmath appears only in the tests.  Each case drives ``series._DTransform``
-with m = 2 on the samples the summation loop hands it,
+with m = 2 on the samples a series kernel hands it,
 (R, S_R, a_R, a_{R+1} - a_R), and solves each order's 2 nu + 1 equations
 again with ``mpmath.lu_solve``.  Synthetic samples that fit an order's model
 exactly must return its ``d`` at that order and every later one.
@@ -17,9 +17,7 @@ import pytest
 
 import betalab as bl
 from betalab import series as sr
-
-TO_ORDER_9 = bl.SeriesControl(tol=1e-300)  # no residual meets it: every run reaches order 9
-
+import drive
 
 def _geometric(lo: float, hi: float, n: int) -> list[float]:
     return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
@@ -38,16 +36,7 @@ def _drive(samples):
 
 def _loop_samples(name: str, params: dict) -> list[tuple[int, float, float, float]]:
     """The samples a run of series ``name`` takes, at the indices the accelerator picks."""
-    _, rows = bl.trace(name, params, TO_ORDER_9, every=1)
-    terms = list(itertools.islice(sr.SERIES[name](**params).terms, len(rows)))
-    samples = []
-    d2 = sr._DTransform(2, 0.0, 1.0, 0)
-    n = 1
-    while n:
-        sample = (n, rows[n - 1].partial_sum, *terms[n - 1])
-        samples.append(sample)
-        n = d2.sample(*sample)[0]
-    return samples
+    return drive.requested(sr.SERIES[name](**params).kernel, sr._DTransform(2, 0.0, 1.0, 0))
 
 
 @mpmath.workdps(40)
@@ -138,12 +127,12 @@ def _with_term(terms, at: int, term: float):
 
 @pytest.mark.parametrize(
     "terms",
-    [itertools.repeat((0.0, 0.0)), _with_term(sr._trigamma_terms(0.5), 4, 0.0)],
+    [itertools.repeat((0.0, 0.0)), _with_term(drive.pairs(sr._trigamma_kernel(0.5)), 4, 0.0)],
     ids=["all-zero", "zero-fourth-term"],
 )
 def test_zero_denominators_in_a_run_raise_nothing(terms):
     # The fourth sample's g_1 = 0 leaves only order 1, which has no residual.
-    res, rows = sr._run(sr._Summand(terms, m=2), None, every=1)
+    res, rows = sr._run(sr._Summand(drive.pair_kernel(terms), m=2), None, every=1)
     assert (res.termination, res.terms_used) == (bl.PRECISION_LIMIT, 1477)
     assert (res.value, res.tail_estimate) == (res.raw_partial_sum, 0.0)
     assert all(math.isfinite(x) for row in rows for x in row)

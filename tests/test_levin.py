@@ -5,7 +5,6 @@ References come from mpmath at 30 digits; mpmath appears only in the tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import mpmath
@@ -14,6 +13,7 @@ import pytest
 import betalab as bl
 from betalab import series as sr
 from betalab.errors import DomainError
+import drive
 
 ACCELERATED = ("beta", "beta-limit", "digamma", "log2", "norlund")
 
@@ -187,14 +187,8 @@ def test_subnormal_terms_are_extrapolated():
 
 def test_d1_requests_exactly_the_shared_samples():
     d1 = sr._DTransform(1, 0.0, 1.0, 0)
-    requested, partial, n = [], 0.0, 1
-    for m, (term, rest) in enumerate(itertools.islice(sr._log2_terms(), 1500), 1):
-        partial += term
-        if m == n:
-            requested.append(m)
-            n = d1.sample(m, partial, term, rest)[0]
-    assert n == 0
-    assert tuple(requested) == sr._D2_SAMPLES
+    samples = drive.requested(sr._log2_kernel(), d1)
+    assert tuple(n for n, *_ in samples) == sr._D2_SAMPLES
     assert len(d1.transforms) == len(sr._D2_SAMPLES) - 1  # orders 1 to 18
 
 
@@ -212,12 +206,8 @@ def _solve(samples) -> mpmath.mpf:
     [("log2", {}), ("beta", {"u": 0.5, "v": 0.5}), ("norlund", {"x": 0.5, "a": 0.5})],
 )
 def test_each_order_matches_a_40_digit_solve(name, params):
-    terms = itertools.islice(sr.SERIES[name](**params).terms, sr._D2_SAMPLES[-1])
-    samples, partial = [], 0.0
-    for m, (term, rest) in enumerate(terms, 1):
-        partial += term + rest
-        if m in sr._D2_SAMPLED:
-            samples.append((m, partial, term))
+    states = drive.states(sr.SERIES[name](**params).kernel, sr._D2_SAMPLES)
+    samples = [(r, s + comp, a) for r, (_, s, comp, _, a, _) in zip(sr._D2_SAMPLES, states)]
     d1 = sr._DTransform(1, 0.0, 1.0, 0)
     estimates = [d1.sample(r, s, a, 0.0)[1] for r, s, a in samples]
     for nu in range(3, len(samples)):

@@ -5,7 +5,6 @@ References come from mpmath at 30 digits; mpmath appears only in the tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import mpmath
@@ -13,6 +12,7 @@ import pytest
 
 import betalab as bl
 from betalab import series as sr
+import drive
 
 ORDER_CAP_TERMS = 1477  # the 19th geometric sample, where order 9 is solved
 
@@ -93,25 +93,27 @@ def test_a_zero_first_term_does_not_end_the_sum():
     assert (res.termination, res.terms_used) == (bl.PRECISION_LIMIT, ORDER_CAP_TERMS)
 
 
+CHECKED = (2, 11, 129, 985, ORDER_CAP_TERMS)
+
+
 @pytest.mark.parametrize(
-    "terms, exact",
+    "kernel, exact",
     [
-        (sr._trigamma_terms(0.3), lambda n: mpmath.rf(0.7, n) / (n * mpmath.factorial(n))
+        (sr._trigamma_kernel(0.3), lambda n: mpmath.rf(0.7, n) / (n * mpmath.factorial(n))
          * (mpmath.digamma(n + 0.7) - mpmath.digamma(0.7))),
-        (sr._trigamma_half_terms(include_k0=False), lambda n: 2 * mpmath.binomial(2 * n, n)
+        (sr.SERIES["trigamma-half"](bl.LITERAL).kernel, lambda n: 2 * mpmath.binomial(2 * n, n)
          / (n * mpmath.mpf(4) ** n) * sum(mpmath.mpf(1) / (2 * k + 1) for k in range(1, n))),
     ],
     ids=["trigamma", "trigamma-half-literal"],
 )
 @mpmath.workdps(30)
-def test_differences_come_from_the_recurrence(terms, exact):
+def test_differences_come_from_the_recurrence(kernel, exact):
     # a_{n+1} - a_n as accurate, relative to itself, as a_n is: subtracting
     # two rounded terms would add a few ulps of a_n, about n times more.
-    for n, (term, diff) in enumerate(itertools.islice(terms, ORDER_CAP_TERMS), 1):
-        if n in (2, 11, 129, 985, ORDER_CAP_TERMS):
-            term_error = float(abs(term - exact(n)) / abs(exact(n)))
-            want = exact(n + 1) - exact(n)
-            assert float(abs(diff - want) / abs(want)) <= 2.0 * term_error + 1e-15, n
+    for n, (*_, term, diff) in zip(CHECKED, drive.states(kernel, CHECKED)):
+        term_error = float(abs(term - exact(n)) / abs(exact(n)))
+        want = exact(n + 1) - exact(n)
+        assert float(abs(diff - want) / abs(want)) <= 2.0 * term_error + 1e-15, n
 
 
 def test_d2_samples_follow_the_geometric_rule():
@@ -123,19 +125,15 @@ def test_d2_samples_follow_the_geometric_rule():
 
 
 @pytest.mark.parametrize(
-    "terms",
-    [sr._trigamma_terms(0.3), sr._trigamma_half_terms(include_k0=True)],
+    "kernel",
+    [sr._trigamma_kernel(0.3), sr.SERIES["trigamma-half"](bl.CORRECTED).kernel],
     ids=["trigamma", "trigamma-half-corrected"],
 )
-def test_d2_requests_exactly_the_samples_where_a_difference_is_computed(terms):
+def test_d2_requests_exactly_the_samples_where_a_difference_is_computed(kernel):
+    # The kernel computes a_{n+1} - a_n at the checkpoints it is sent alone:
+    # on an untraced run, the samples the accelerator requests.
     d2 = sr._DTransform(2, 0.0, 1.0, 0)
-    requested, partial, n = [], 0.0, 1
-    for m, (term, diff) in enumerate(itertools.islice(terms, ORDER_CAP_TERMS + 10), 1):
-        partial += term
-        assert math.isfinite(term)
-        assert math.isnan(diff) == (m not in sr._D2_SAMPLES), m
-        if m == n:
-            requested.append(m)
-            n = d2.sample(m, partial, term, diff)[0]
-    assert n == 0
-    assert tuple(requested) == sr._D2_SAMPLES
+    samples = drive.requested(kernel, d2)
+    assert tuple(n for n, *_ in samples) == sr._D2_SAMPLES
+    assert all(math.isfinite(term) and math.isfinite(diff) for _, _, term, diff in samples)
+    assert len(d2.transforms) == sr._D2_MAX_ORDER

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import mpmath
 import pytest
@@ -72,6 +73,15 @@ def test_richardson_rejects_non_finite_samples():
 def test_richardson_rejects_non_real_samples(value):
     with pytest.raises(EvaluationError, match="real number"):
         bl.richardson_limit(lambda h: value, 0.5)
+
+
+def test_richardson_rejects_a_decimal_sample_as_integrate01_does():
+    f = lambda h: Decimal(1) + Decimal(h)
+    with pytest.raises(EvaluationError, match="real number") as info:
+        bl.richardson_limit(f, 0.5)
+    assert isinstance(info.value.__cause__, TypeError)
+    with pytest.raises(EvaluationError):
+        bl.integrate01(f)
 
 
 def test_richardson_lets_the_functions_own_type_error_through():

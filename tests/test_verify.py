@@ -563,6 +563,21 @@ def test_formats_agree_on_counts(full_report):
             assert value == (cell if isinstance(value, str) else float(cell))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bl.run_identity("EQ5"), "IdentitySpec"),
+        (lambda: bl.run_identity(None), "IdentitySpec"),
+        (lambda: bl.render_report("x", "json"), "SuiteReport"),
+        (lambda: bl.render_report(bl.builtin_registry()[0], "table"), "SuiteReport"),
+    ],
+    ids=["id-for-spec", "none-for-spec", "str-for-report", "spec-for-report"],
+)
+def test_entry_points_reject_an_argument_of_the_wrong_type(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_render_rejects_unknown_format(full_report):
     with pytest.raises(DomainError):
         bl.render_report(full_report, "yaml")
