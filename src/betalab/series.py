@@ -1,14 +1,18 @@
-"""Slowly convergent series: one compensated summation loop, one accelerator scheme.
+"""Slowly convergent series: one kernel protocol, one accelerator scheme.
 
 Each series here is summed in ascending order with compensated (Kahan-
 Babuska) accumulation, terms produced by a ratio recurrence (no per-term
 gamma or factorial evaluations) on a float index: integers below 2^53 are
 exact doubles, so each term is the one an int index gives, and the arithmetic
-stays float-only, which Python runs faster than mixed int/float.  One loop
-sums every series.  An infinite series also names an accelerator, which the
-loop hands the partial sum at the indices it samples; a sample may yield a
-transform, an estimate of the limit, with a residual that bounds its error.
-The loop keeps the transform with the smallest residual.
+stays float-only, which Python runs faster than mixed int/float.  Each term
+source is a kernel: a generator that runs its recurrence and the compensated
+sum in one local loop, up to the checkpoint the engine, ``_run``, sends it,
+and yields its running state there.  The checkpoints are the indices the
+accelerator samples, the trace rows and the stop, so the engine's own work
+is done once per checkpoint, not once per term.  An infinite series names an
+accelerator, which the engine hands the partial sum at each sample; a sample
+may yield a transform, an estimate of the limit, with a residual that bounds
+its error.  The engine keeps the transform with the smallest residual.
 
 The accelerator is the Levin-Sidi d^(m) transformation (Levin & Sidi 1981;
 Sidi, *Practical Extrapolation Methods*, 2003), m = 1 or 2, with the partial
@@ -26,7 +30,7 @@ family: ``trigamma``, ``trigamma-half``, ``zeta2``) keeps it: their terms, a
 hypergeometric factor times a harmonic-type bracket, satisfy a linear
 recurrence of order 2, which d1 does not model.  Only S_R, a_R and
 a_{R+1} - a_R are read at each R_l, so the forward difference is computed at
-the 19 R_l alone.
+the checkpoints alone.
 
 No system is solved: the W^(m)-algorithm (Sidi 1979; Ford & Sidi 1987)
 updates every order as a sample arrives.  With t = 1/R its columns are
@@ -60,7 +64,7 @@ Under tail correction (the default) a run stops with ``tolerance_met`` once
 the best residual is at most ``ctrl.tol``, and with ``precision_limit`` when
 its accelerator is done; ``value`` is the best transform and
 ``tail_estimate`` its residual.  Without it the accelerator runs to its own
-end while the loop sums on, and ``value`` is the plain compensated sum, with
+end while the kernel sums on, and ``value`` is the plain compensated sum, with
 ``tail_estimate = |best transform - value| + residual``, a bound on
 ``|value - limit|`` by the triangle inequality.
 
@@ -77,7 +81,9 @@ and count the steps in ``reductions``.
 Two series families sum an inner reciprocal-odd sum whose published lower
 index is ambiguous by one; both readings are first-class here as the
 ``literal`` (inner k starts at 1) and ``corrected`` (k starts at 0)
-conventions.  The two differ by exactly ``4 log 2``.
+conventions.  The two differ by exactly ``4 log 2``.  Trigamma-half (and
+so zeta2) is the trigamma series at u = 1/2, whose bracket is twice the inner
+sum; the literal convention starts that bracket at -2.
 """
 
 from __future__ import annotations
@@ -506,10 +512,13 @@ def _trigamma_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
     at the checkpoints alone.  It comes from the recurrence, as accurate
     relative to itself as a_n is; subtracting two rounded terms would add a
     few ulps of a_n, about n times more, and cost one to two digits.  Zero
-    terms are added: literal trigamma-half opens with one.
+    terms are added: literal trigamma-half opens with one.  No term is
+    negative, as r_n > 0 on 0 < u < 1 and the bracket is 0 at most at n = 1
+    (d = -2, u = 1/2), so the sum takes |a_n| = a_n and |s| = s, and sum
+    |a_n| is s itself.
     """
     r = 1.0
-    n = s = comp = abs_sum = term = 0.0
+    n = s = comp = term = 0.0
     target = yield
     while True:
         while n < target:
@@ -518,19 +527,17 @@ def _trigamma_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
             r *= ku / k
             d += 1.0 / ku
             term = (r / k) * d
-            size = abs(term)
-            if not size < _INF:
+            if not term < _INF:
                 break
             n = k
             t = s + term
-            abs_sum += size
-            if abs(s) >= size:
+            if s >= term:
                 comp += (s - t) + term
             else:
                 comp += (term - t) + s
             s = t
         diff = r * (n - d * (n * (1.0 + u) + 1.0)) / (n * (n + 1.0) ** 2)
-        target = yield n, s, comp, abs_sum, term, diff
+        target = yield n, s, comp, s, term, diff
 
 
 # --- term sources: validate parameters, say what the engine sums ----------
