@@ -450,8 +450,8 @@ def _shifted_ratio_kernel(u: float, v: float) -> Generator[tuple, float, None]:
 
 
 def _log2_kernel() -> Generator[tuple, float, None]:
-    """C(2n,n) / (n 2^{2n+1}) via c_n = c_{n-1} (2n-1)/(2n); exact quotients
-    need no rest."""
+    """C(2n,n) / (n 2^{2n+1}) via c_n = c_{n-1} (2n-1)/(2n); no remainder is
+    carried, so ``rest`` is 0."""
     c = 1.0
     n = s = comp = abs_sum = term = 0.0
     target = yield
@@ -513,9 +513,9 @@ def _trigamma_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
     relative to itself as a_n is; subtracting two rounded terms would add a
     few ulps of a_n, about n times more, and cost one to two digits.  Zero
     terms are added: literal trigamma-half opens with one.  No term is
-    negative, as r_n > 0 on 0 < u < 1 and the bracket is 0 at most at n = 1
-    (d = -2, u = 1/2), so the sum takes |a_n| = a_n and |s| = s, and sum
-    |a_n| is s itself.
+    negative: r_n > 0 on 0 < u < 1, and the bracket is positive from n = 1,
+    or from n = 2 where it starts at d = -2 (u = 1/2, whose first bracket is
+    0).  So the sum takes |a_n| = a_n and |s| = s, and sum |a_n| is s itself.
     """
     r = 1.0
     n = s = comp = term = 0.0
