@@ -19,6 +19,7 @@ import betalab as bl
 from betalab import series as sr
 import drive
 
+
 def _geometric(lo: float, hi: float, n: int) -> list[float]:
     return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
