@@ -58,18 +58,18 @@ def richardson_limit(
     and ``|T[d-1,d-1] - T[d-2,d-2]|`` (the first alone at depth 2).  Measured
     against 30-digit references, the last difference alone under-read the
     error of ``beta_pole_limit`` on 92 of 200 u in [0.1, 6].  A sample that
-    is not finite, or not an int or float, raises :class:`EvaluationError`
-    (chaining the ``TypeError`` of the latter), as :func:`integrate01` does.
+    is not finite or real, or a ``TypeError`` of ``f``'s own, raises
+    :class:`EvaluationError` (chaining the ``TypeError``), as :func:`integrate01` does.
     """
     h0 = positive_real(h0, "h0")
     depth = integer(depth, "depth", _MIN_DEPTH, _MAX_DEPTH)
     xs: list[float] = []
     rows: list[list[float]] = []
     diags: list[float] = []
-    for i in range(depth):
-        x = h0 * 2.0**-i
-        y = f(x)  # outside the try: a TypeError of f's own passes through
-        try:
+    try:  # around the whole sampling, not each sample
+        for i in range(depth):
+            x = h0 * 2.0**-i
+            y = f(x)
             if not math.isfinite(y):
                 raise EvaluationError(f"limit sample f({x!r}) is not finite: {y!r}")
             xs.append(x)
@@ -77,10 +77,10 @@ def richardson_limit(
             for j in range(1, i + 1):
                 num = xs[i - j] * row[j - 1] - xs[i] * rows[i - 1][j - 1]
                 row.append(num / (xs[i - j] - xs[i]))
-        except TypeError as exc:  # isfinite of a str, None or complex; the tableau of a Decimal
-            raise EvaluationError(f"limit sample f({x!r}) is not a real number: {y!r}") from exc
-        rows.append(row)
-        diags.append(row[-1])
+            rows.append(row)
+            diags.append(row[-1])
+    except TypeError as exc:  # f's own; isfinite of a str, None or complex; a Decimal's tableau
+        raise EvaluationError(f"limit sample f({x!r}) did not give a real number: {exc}") from exc
     last = diags[-3:]
     spread = max(abs(b - a) for a, b in zip(last, last[1:]))
     return LimitResult(diags[-1], _ERROR_FACTOR * spread, depth)

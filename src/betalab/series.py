@@ -9,7 +9,10 @@ source is a kernel: a generator that runs its recurrence and the compensated
 sum in one local loop, up to the checkpoint the engine, ``_run``, sends it,
 and yields its running state there.  The checkpoints are the indices the
 accelerator samples, the trace rows and the stop, so the engine's own work
-is done once per checkpoint, not once per term.  An infinite series names an
+is done once per checkpoint, not once per term.  Two kernels serve the eight
+series: the ratio kernel sums beta, beta-limit, digamma, log2 (half the
+beta-limit series at u = 1/2) and Norlund's series, and the trigamma kernel
+sums trigamma, trigamma-half and zeta2.  An infinite series names an
 accelerator, which the engine hands the partial sum at each sample; a sample
 may yield a transform, an estimate of the limit, with a residual that bounds
 its error.  The engine keeps the transform with the smallest residual.
@@ -391,9 +394,10 @@ def _run(
 # and adds every term to s + comp, Neumaier's compensated sum, in one local
 # loop, with sum |a_n| beside it.  Primed by next(), it is sent a checkpoint,
 # the float index to sum up to, and yields its state there:
-# (n, s, comp, sum |a_n|, a_n, rest).  A term it does not add ends the loop
-# short of the checkpoint, and the kernel yields that term as a_n with n
-# uncounted: a zero term, where the series is finite, or a non-finite one.
+# (n, s, comp, sum |a_n|, a_n, rest).  The ratio kernel stops short of the
+# checkpoint at a term it does not add, a zero term, where the series is
+# finite, or a non-finite one, and yields that term as a_n with n uncounted.
+# The trigamma kernel adds every term.
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 
@@ -415,29 +419,35 @@ def _div_rest(a: float, b: float, q: float) -> float:
     return ((a - p) - err) / b
 
 
-def _shifted_ratio_kernel(u: float, v: float) -> Generator[tuple, float, None]:
-    """(1-u)_n / (n! (n+v)) built from r_n = r_{n-1} (n-u)/n; v = 0 gives
-    the limit series (1-u)_n / (n n!).
+def _ratio_kernel(
+    u: float, v: float, q: float = 0.0, start: float = 1.0
+) -> Generator[tuple, float, None]:
+    """r_j / (j+v) for j = start, start+1, ..., r_j = r_{j-1} (j-u)/(j+q), r_{start-1} = 1.
 
-    Multiply-before-divide keeps r exact at integer u (binomial values), and
-    the division remainder, ``rest``, rides along in ``comp`` so the finite
-    integer-u sums stay correct to the last bit despite their large internal
-    cancellation.
+    At q = 0 and start = 1 the terms are (1-u)_n / (n! (n+v)); at (x, 1, a, 0)
+    they are Norlund's terms negated, bit for bit, as rounding is
+    sign-symmetric and ``_div_rest`` odd.  Multiply-before-divide keeps r
+    exact at integer u (binomial values), and the division remainder,
+    ``rest``, rides along in ``comp`` so the finite integer-u sums stay
+    correct to the last bit despite their large internal cancellation.
     """
     r = 1.0
-    n = s = comp = abs_sum = term = rest = 0.0
+    shift = start - 1.0  # term n has index j = n + shift
+    j = shift
+    s = comp = abs_sum = term = rest = 0.0
     target = yield
     while True:
-        while n < target:
-            k = n + 1.0
-            r = r * (k - u) / k
+        end = target + shift
+        while j < end:
+            k = j + 1.0
+            r = r * (k - u) / (k + q)
             b = k + v
             term = r / b
             rest = _div_rest(r, b, term)
             size = abs(term)
             if not 0.0 < size < _INF:
                 break
-            n = k
+            j = k
             t = s + term
             abs_sum += size
             if abs(s) >= size:
@@ -446,62 +456,7 @@ def _shifted_ratio_kernel(u: float, v: float) -> Generator[tuple, float, None]:
                 comp += (term - t) + s
             s = t
             comp += rest
-        target = yield n, s, comp, abs_sum, term, rest
-
-
-def _log2_kernel() -> Generator[tuple, float, None]:
-    """C(2n,n) / (n 2^{2n+1}) via c_n = c_{n-1} (2n-1)/(2n); no remainder is
-    carried, so ``rest`` is 0."""
-    c = 1.0
-    n = s = comp = abs_sum = term = 0.0
-    target = yield
-    while True:
-        while n < target:
-            k = n + 1.0
-            two_k = 2.0 * k
-            c *= (two_k - 1.0) / two_k
-            term = c / two_k
-            size = abs(term)
-            if not 0.0 < size < _INF:
-                break
-            n = k
-            t = s + term
-            abs_sum += size
-            if abs(s) >= size:
-                comp += (s - t) + term
-            else:
-                comp += (term - t) + s
-            s = t
-        target = yield n, s, comp, abs_sum, term, 0.0
-
-
-def _norlund_kernel(x: float, a: float) -> Generator[tuple, float, None]:
-    """(-1)^{k+1}/k * falling(x,k)/rising(a,k), with the division's rest."""
-    g = 1.0
-    sign = -1.0  # that of the previous term
-    n = s = comp = abs_sum = term = rest = 0.0
-    target = yield
-    while True:
-        while n < target:
-            k = n + 1.0
-            g = g * (x - n) / (a + n)
-            q = g / k
-            sign = -sign
-            term = sign * q
-            rest = sign * _div_rest(g, k, q)
-            size = abs(term)
-            if not 0.0 < size < _INF:
-                break
-            n = k
-            t = s + term
-            abs_sum += size
-            if abs(s) >= size:
-                comp += (s - t) + term
-            else:
-                comp += (term - t) + s
-            s = t
-            comp += rest
-        target = yield n, s, comp, abs_sum, term, rest
+        target = yield j - shift, s, comp, abs_sum, term, rest
 
 
 def _trigamma_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
@@ -516,6 +471,8 @@ def _trigamma_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
     negative: r_n > 0 on 0 < u < 1, and the bracket is positive from n = 1,
     or from n = 2 where it starts at d = -2 (u = 1/2, whose first bracket is
     0).  So the sum takes |a_n| = a_n and |s| = s, and sum |a_n| is s itself.
+    No term overflows: r_n <= 1, and the bracket is at most 1/(1-u) + H_n, so
+    every term is added and the loop always reaches its checkpoint.
     """
     r = 1.0
     n = s = comp = term = 0.0
@@ -527,8 +484,6 @@ def _trigamma_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
             r *= ku / k
             d += 1.0 / ku
             term = (r / k) * d
-            if not term < _INF:
-                break
             n = k
             t = s + term
             if s >= term:
@@ -550,9 +505,10 @@ _Summand.__doc__ = """A validated series: the engine sums ``base + sum(terms) / 
 above); ``base`` (0.0) and ``div`` (1.0) are floats, ``reductions`` (0) and
 ``m`` (0) ints.  ``m`` is the order of the d^(m) transform that extrapolates
 an infinite series, 1 or 2, and 0 for a finite one.  The kernel of a d2
-series yields the forward difference ``a_{n+1} - a_n`` as ``rest``, carries
-no rounding remainder and adds zero terms; every other kernel folds its
-``rest``, a rounding remainder, into ``comp`` and ends at its first zero term.
+series, the trigamma kernel, yields the forward difference ``a_{n+1} - a_n``
+as ``rest``, carries no rounding remainder and adds every term, zeros
+included; the ratio kernel folds its ``rest``, a rounding remainder, into
+``comp`` and ends at its first zero or non-finite term.
 """
 
 
@@ -583,7 +539,7 @@ def _beta(u: float, v: float) -> _Summand:
             div *= (u + v) / v
             reductions += 1
     return _Summand(
-        _shifted_ratio_kernel(u, v), base=1.0 / (v * div), div=div,
+        _ratio_kernel(u, v), base=1.0 / (v * div), div=div,
         reductions=reductions, m=0 if u.is_integer() else 1,
     )
 
@@ -605,7 +561,7 @@ def _beta_limit(u: float) -> _Summand:
         acc -= 1.0 / u
         reductions += 1
     return _Summand(
-        _shifted_ratio_kernel(u, 0.0), base=acc, reductions=reductions,
+        _ratio_kernel(u, 0.0), base=acc, reductions=reductions,
         m=0 if u.is_integer() else 1,
     )
 
@@ -622,13 +578,13 @@ def _digamma(u: float) -> _Summand:
         acc += 1.0 / y
         reductions += 1
     return _Summand(
-        _shifted_ratio_kernel(y, 0.0), base=acc - EULER_GAMMA, div=-1.0, reductions=reductions,
+        _ratio_kernel(y, 0.0), base=acc - EULER_GAMMA, div=-1.0, reductions=reductions,
         m=0 if y == 1.0 else 1,
     )
 
 
 def _log2() -> _Summand:
-    return _Summand(_log2_kernel(), m=1)
+    return _beta_limit(0.5)._replace(div=2.0)
 
 
 def _norlund(x: float, a: float) -> _Summand:
@@ -637,7 +593,7 @@ def _norlund(x: float, a: float) -> _Summand:
     if x + a <= 0.0:
         raise DomainError(f"norlund_diff requires x + a > 0, got x={x!r}, a={a!r}")
     _check_reducible("norlund_diff", "x", x)
-    # N(x, a) = N(x-1, a) + 1/(x-1+a).
+    # N(x, a) = N(x-1, a) + 1/(x-1+a); div = -1 undoes the kernel's negation.
     acc = 0.0
     reductions = 0
     while x > _NORLUND_X_MAX:
@@ -645,7 +601,7 @@ def _norlund(x: float, a: float) -> _Summand:
         acc += 1.0 / (x + a)
         reductions += 1
     return _Summand(
-        _norlund_kernel(x, a), base=acc, reductions=reductions,
+        _ratio_kernel(x, 1.0, a, 0.0), base=acc, div=-1.0, reductions=reductions,
         m=0 if x >= 0.0 and x.is_integer() else 1,
     )
 
@@ -721,7 +677,11 @@ def digamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
 
 
 def log2_series(ctrl: SeriesControl | None = None) -> SeriesResult:
-    """log 2 as ``sum_{n>=1} C(2n,n) / (n 2^{2n+1})`` (terms ~ n^-1.5)."""
+    """log 2 as ``sum_{n>=1} C(2n,n) / (n 2^{2n+1})`` (terms ~ n^-1.5).
+
+    It is summed as half the beta-limit series at u = 1/2, whose terms
+    (1/2)_n / (n n!) are twice these: that series is -psi(1/2) - gamma = 2 log 2.
+    """
     return _run(_log2(), ctrl)[0]
 
 

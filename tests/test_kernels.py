@@ -1,4 +1,4 @@
-"""The fused series kernels against a per-term oracle, bit for bit.
+"""The two fused series kernels against a per-term oracle, bit for bit.
 
 The oracle below is the summation as one loop over ``(term, rest)`` pairs,
 with the term generators written out one term at a time, as betalab summed
@@ -6,10 +6,13 @@ its series before each term source became a kernel.  It reads the summand
 (base, div, reductions, m) and the kernel's own arguments from the term
 source, so both sides sum the same reduced series.  beta-limit and digamma
 keep their own generator, (1-u)_n / (n n!), which checks that they are the
-shifted-ratio kernel at v = 0 bit for bit; trigamma-half and zeta2 keep
+ratio kernel at v = 0 bit for bit, and log2 is that generator at u = 1/2.
+Norlund keeps its own, with the alternating sign, negated to match its
+``div = -1``, which checks that it is the ratio kernel at
+(u, v, q, start) = (x, 1, a, 0) bit for bit.  trigamma-half and zeta2 keep
 theirs, an inner sum of odd reciprocals, which checks that they are the
-trigamma kernel at u = 1/2 bit for bit.  Every value, bound,
-count, termination, trace row and error message must agree exactly.
+trigamma kernel at u = 1/2 bit for bit.  Every value, bound, count,
+termination, trace row and error message must agree exactly.
 """
 
 from __future__ import annotations
@@ -46,15 +49,6 @@ def _limit_terms(u):
         yield q, sr._div_rest(r, n, q)
 
 
-def _log2_terms():
-    c = 1.0
-    n = 0.0
-    while True:
-        n += 1.0
-        c *= (2.0 * n - 1.0) / (2.0 * n)
-        yield c / (2.0 * n), 0.0
-
-
 def _norlund_terms(x, a):
     g = 1.0
     k = 0.0
@@ -64,6 +58,12 @@ def _norlund_terms(x, a):
         q = g / k
         rest = sr._div_rest(g, k, q)
         yield (q, rest) if k % 2.0 == 1.0 else (-q, -rest)
+
+
+def _negated(terms):
+    """Norlund's pairs negated, as the ratio kernel makes them for ``div = -1``."""
+    for term, rest in terms:
+        yield -term, -rest
 
 
 SAMPLED = frozenset(sr._D2_SAMPLES)
@@ -175,11 +175,11 @@ def _oracle_terms(name, params, kernel):
     if name in ("beta-limit", "digamma"):
         return _limit_terms(args["u"])
     if name == "norlund":
-        return _norlund_terms(args["x"], args["a"])
+        return _negated(_norlund_terms(args["u"], args["q"]))
     if name == "trigamma":
         return _trigamma_terms(args["u"])
     if name == "log2":
-        return _log2_terms()
+        return _limit_terms(0.5)
     return _trigamma_half_terms(params["convention"] == bl.CORRECTED)
 
 

@@ -187,7 +187,7 @@ def test_subnormal_terms_are_extrapolated():
 
 def test_d1_requests_exactly_the_shared_samples():
     d1 = sr._DTransform(1, 0.0, 1.0, 0)
-    samples = drive.requested(sr._log2_kernel(), d1)
+    samples = drive.requested(sr.SERIES["log2"]().kernel, d1)
     assert tuple(n for n, *_ in samples) == sr._D2_SAMPLES
     assert len(d1.transforms) == len(sr._D2_SAMPLES) - 1  # orders 1 to 18
 

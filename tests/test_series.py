@@ -213,7 +213,7 @@ def test_log2_series_tail_corrected_accuracy():
     res = bl.log2_series(CTRL_1E4)
     assert res.termination == bl.TOLERANCE_MET
     assert res.terms_used <= 129
-    # measured: extrapolated error 2.3e-14 (residual 3.4e-11) vs raw error 0.05
+    # measured: extrapolated error 1.0e-14 (residual 3.5e-11) vs raw error 0.05
     assert abs(res.value - log2_oracle()) <= res.tail_estimate <= 1e-10
     assert abs(res.raw_partial_sum - log2_oracle()) > 1e-3
 
@@ -221,6 +221,25 @@ def test_log2_series_tail_corrected_accuracy():
 def test_log2_series_deepens_cleanly():
     res = bl.log2_series(CTRL_1E5)
     assert abs(res.value - log2_oracle()) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "ctrl",
+    [bl.SeriesControl(), bl.SeriesControl(max_terms=3_000, tail_correction=False)],
+    ids=["default", "uncorrected"],
+)
+def test_log2_series_is_half_the_beta_limit_series_at_one_half(ctrl):
+    # sum (1/2)_n / (n n!) = -psi(1/2) - gamma = 2 log 2, and halving is exact.
+    two, limit = bl.log2_series(ctrl), bl.beta_limit_series(0.5, ctrl)
+    assert (two.value, two.raw_partial_sum, two.tail_estimate) == (
+        limit.value / 2.0, limit.raw_partial_sum / 2.0, limit.tail_estimate / 2.0
+    )
+    assert (two.terms_used, two.termination) == (limit.terms_used, limit.termination)
+
+
+@mpmath.workdps(30)
+def test_log2_series_default_run_is_within_1_1e_14():
+    assert float(abs(bl.log2_series().value - mpmath.log(2))) <= 1.1e-14
 
 
 # --- Norlund difference series --------------------------------------------
@@ -364,6 +383,26 @@ def test_trigamma_series_agrees_with_half_variant_termwise():
     assert len(general) == len(half) == 20
     for g, h in zip(general, half):
         assert abs(g.term - h.term) <= 1e-12 * abs(h.term)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("trigamma", {"u": u}) for u in (5e-324, 1e-300, 0.5, 1.0 - 2.0**-53)]
+    + [("trigamma-half", {"convention": c}) for c in bl.CONVENTIONS],
+)
+def test_trigamma_terms_are_finite_and_bounded(name, params):
+    # r_n <= 1 and the bracket is at most 1/(1-u) + H_n, so every term is
+    # finite, through the last sample at 1,477 terms: the trigamma kernel
+    # adds each one unchecked.
+    u = params.get("u", 0.5)
+    ctrl = bl.SeriesControl(max_terms=1_477, tail_correction=False)
+    _, rows = bl.trace(name, params, ctrl, every=1)
+    assert len(rows) == 1_477
+    harmonic = 0.0
+    for row in rows:
+        harmonic += 1.0 / row.n
+        assert math.isfinite(row.term)
+        assert 0.0 <= row.term <= (1.0 / (1.0 - u) + harmonic) / row.n, row
 
 
 def test_trigamma_half_corrected_value():

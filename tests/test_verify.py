@@ -442,6 +442,11 @@ REPORT_SHA256 = {
         "csv": "1802eb1a67c45421c1ccbec1c02821e457417a47ebab52caf0144a54b8c000cc",
         "table": "7486abcfc2e9320cdc6472ebfa41c683363f67b9bb34f7080e03924f28535761",
     },
+    "0.7.0": {
+        "json": "af264469ff9d4e134db10d50091062f6df764be09099572e0755edd7c832a277",
+        "csv": "6a8ddc9ebe8159d244a2d6e16c491668a11fd08b31736f61bca3c526965cfc93",
+        "table": "404a9382065697e54945b1aac964f9a4917b7b58e99a65f330b013d7eb89532f",
+    },
 }
 
 
@@ -469,6 +474,7 @@ DENSE_GRIDS = {
 }
 DENSE_JSON_SHA256 = {
     "0.6.0": "1cb84a8f82f0cb7baa9ce748cf5e13e6701da40e5b4fcaaf29aa95d53e105986",
+    "0.7.0": "47fb8c7b03e5fa67948b6182277d065a76d1970ce05fb24f3b04bbdc047756d2",
 }
 
 
