@@ -94,6 +94,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Generator, Mapping
+from contextvars import ContextVar
 
 from .errors import DomainError, OverflowRangeError, Record, finite_real, integer, positive_real
 
@@ -495,20 +496,52 @@ def _trigamma_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
         target = yield n, s, comp, s, term, diff
 
 
+# Inside a verify pass, each trigamma kernel by the bits of its (u, d), with the states it
+# yielded by checkpoint; None outside a pass and in other threads.  A state at n depends on
+# (u, d, n) alone, so the runs of a pass at one (u, d) replay them and drive one kernel on.
+_checkpoints: ContextVar[dict | None] = ContextVar("checkpoints", default=None)
+
+
+def _d2_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
+    """The trigamma kernel at (u, d), shared within a pass (see above)."""
+    shared = _checkpoints.get()
+    if shared is None:
+        return _trigamma_kernel(u, d)
+    key = (u.hex(), d.hex())
+    if key not in shared:
+        shared[key] = _trigamma_kernel(u, d), {}
+        next(shared[key][0])
+    return _replay(*shared[key], u, d)
+
+
+def _replay(kernel: Generator, states: dict, u: float, d: float) -> Generator[tuple, float, None]:
+    """Replay ``states`` and record there what ``kernel`` yields past them.  A
+    target below the last one reached and not among them, such as a trace row,
+    takes a kernel of its own."""
+    target = yield
+    while True:
+        if target not in states:
+            if states and target < next(reversed(states)):  # below the last one reached
+                kernel, states = _trigamma_kernel(u, d), {}
+                next(kernel)
+            states[target] = kernel.send(target)
+        target = yield states[target]
+
+
 # --- term sources: validate parameters, say what the engine sums ----------
 
 
 _Summand = namedtuple("_Summand", "kernel base div reductions m", defaults=(0.0, 1.0, 0, 0))
 _Summand.__doc__ = """A validated series: the engine sums ``base + sum(terms) / div``.
 
-``kernel`` is a fresh kernel generator over the terms (see the kernels
-above); ``base`` (0.0) and ``div`` (1.0) are floats, ``reductions`` (0) and
-``m`` (0) ints.  ``m`` is the order of the d^(m) transform that extrapolates
-an infinite series, 1 or 2, and 0 for a finite one.  The kernel of a d2
-series, the trigamma kernel, yields the forward difference ``a_{n+1} - a_n``
-as ``rest``, carries no rounding remainder and adds every term, zeros
-included; the ratio kernel folds its ``rest``, a rounding remainder, into
-``comp`` and ends at its first zero or non-finite term.
+``kernel`` is a fresh kernel generator over the terms, or in a verify pass a
+d2 replay (see above); ``base`` (0.0) and ``div`` (1.0) are floats,
+``reductions`` (0) and ``m`` (0) ints.  ``m`` is the order of the d^(m)
+transform that extrapolates an infinite series, 1 or 2, and 0 for a finite
+one.  The kernel of a d2 series, the trigamma kernel, yields the forward
+difference ``a_{n+1} - a_n`` as ``rest``, carries no rounding remainder and
+adds every term, zeros included; the ratio kernel folds its ``rest``, a
+rounding remainder, into ``comp`` and ends at its first zero or non-finite term.
 """
 
 
@@ -610,7 +643,7 @@ def _trigamma(u: float) -> _Summand:
     u = finite_real(u, "u")
     if not 0.0 < u < 1.0:
         raise DomainError(f"trigamma_series requires 0 < u < 1, got {u!r}")
-    return _Summand(_trigamma_kernel(u), m=2)
+    return _Summand(_d2_kernel(u), m=2)
 
 
 def _trigamma_half(convention: str) -> _Summand:
@@ -620,7 +653,7 @@ def _trigamma_half(convention: str) -> _Summand:
     # u = 1/2, bit for bit: there r_n = C(2n,n)/4^n, and the bracket
     # sum_{k<n} 2/(2k+1) is twice the inner sum, an exact scaling.  The literal
     # inner sum starts at k = 1, without k = 0's 1, so its bracket starts at -2.
-    return _Summand(_trigamma_kernel(0.5, 0.0 if convention == CORRECTED else -2.0), m=2)
+    return _Summand(_d2_kernel(0.5, 0.0 if convention == CORRECTED else -2.0), m=2)
 
 
 def _zeta2(convention: str) -> _Summand:

@@ -26,6 +26,7 @@ The two differ by ``4 log 2``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -33,6 +34,7 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Mapping
+from contextvars import ContextVar
 from types import MappingProxyType, ModuleType
 
 from . import core_special as cs
@@ -148,18 +150,50 @@ class SuiteReport(Record):
     tool_version: str
     informational: tuple[Mapping, ...]
 
+    @functools.cached_property
+    def _cell_texts(self) -> tuple[list, list]:
+        """Each record's cells, and each informational entry's, as a pair (CSV and table
+        texts, JSON texts): formatted at the first render, kept as long as the report."""
+        return ([_texts(_cells(r)) for r in self.records],
+                [_texts(map(obs.get, _INFO_KEYS)) for obs in self.informational])
+
 
 # --- evaluator plumbing ---------------------------------------------------
 
 
+# Inside a run_suite pass, each routine result by (module, name, argument types and
+# reprs); None outside one.  A context variable, so a pass is its own thread's alone.
+_results: ContextVar[dict | None] = ContextVar("results", default=None)
+
+
+@contextlib.contextmanager
+def _one_pass():
+    """The scope of one suite pass: every distinct routine call of the pass, and every
+    d2 kernel checkpoint (see ``series._checkpoints``), runs once; nothing outlives it."""
+    tokens = _results.set({}), sr._checkpoints.set({})
+    try:
+        yield
+    finally:
+        _results.reset(tokens[0])
+        sr._checkpoints.reset(tokens[1])
+
+
 class _Routine(Record):
-    """A registry side that is one layer routine, looked up in its module at each call."""
+    """A registry side that is one layer routine, looked up in its module at each call.
+    Within a pass, calls with the same int, float and str arguments by exact type and
+    ``repr`` (``5`` is not ``5.0``) share the first one's result, unless it raised."""
 
     module: ModuleType
     name: str
 
     def __call__(self, *args):
-        return getattr(self.module, self.name)(*args)
+        results = _results.get()
+        if results is None or not all(type(a) in (int, float, str) for a in args):
+            return getattr(self.module, self.name)(*args)
+        key = (self.module, self.name, *[(type(a), repr(a)) for a in args])
+        if key not in results:
+            results[key] = getattr(self.module, self.name)(*args)
+        return results[key]
 
 
 def _route(side: Callable, params: tuple) -> tuple[float, Mapping]:
@@ -181,15 +215,16 @@ def _merge_diag(a: Mapping, b: Mapping) -> dict:
 
 _U7 = (0.25, 0.5, 0.75, 1.0, 2.0, 3.5, 5.0)
 _V3 = (0.5, 1.0, 2.5)
+_log_moment = _Routine(qd, "log_kernel_moment")  # EQ1, EQ3, EQ4 and EQ4H share it
 
 
 def _log_moment_form(u: float) -> qd.QuadratureResult:
-    res = qd.log_kernel_moment(u)
+    res = _log_moment(u)
     return res._replace(value=u * res.value + 1.0 / u)
 
 
 def _neg_n_log_moment(n: float) -> qd.QuadratureResult:
-    res = qd.log_kernel_moment(n)
+    res = _log_moment(n)
     return res._replace(value=-n * res.value)
 
 
@@ -214,7 +249,8 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
     A side that only evaluates one layer routine at the grid point names it,
     ``_Routine(sr, "beta_series")``, and looks it up at each call, so a
     wrapper installed on the module, before or after the registry is cached,
-    sees every call.  Every side is called as given.
+    sees every call; within one :func:`run_suite` pass it sees each distinct
+    call once.  Every other side is called as given.
     """
     return (
         IdentitySpec(
@@ -574,10 +610,11 @@ def run_suite(
     selected = [spec for spec in specs if spec.id in wanted]
     records: list[CheckRecord] = []
     informational: list[Mapping] = []
-    for spec in selected:
-        records.extend(run_identity(spec))
-        if spec.id in ("EQ10", "EQ11"):
-            informational.append(_literal_observation(spec))
+    with _one_pass():
+        for spec in selected:
+            records.extend(run_identity(spec))
+            if spec.id in ("EQ10", "EQ11"):
+                informational.append(_literal_observation(spec))
     records.sort(key=lambda r: r.identity_id)  # stable: grid order kept within an id
     informational.sort(key=lambda obs: obs["identity_id"])
     outcomes = [r.passed for r in records]  # None where a record is skipped
@@ -588,15 +625,14 @@ def run_suite(
 
 # --- rendering ------------------------------------------------------------
 
-# CSV and table text of a cell by the value's exact type, or else the first type it is an
-# instance of: floats at 17 significant digits, ``;`` between a params tuple's entries.
+# CSV and table text of a scalar cell by the value's exact type, or else the first type
+# it is an instance of: floats at 17 significant digits.
 _TEXT: dict[type, Callable[[object], str]] = {
     type(None): lambda value: "",
     bool: lambda value: "true" if value else "false",
     float: "{:.17g}".format,
     int: str,
     str: str,
-    tuple: lambda value: ";".join(_texts(_TEXT, value)),
     object: str,
 }
 
@@ -605,19 +641,30 @@ _JSON_ESCAPES = str.maketrans(
     {'"': '\\"', "\\": "\\\\", **{chr(c): f"\\u{c:04x}" for c in range(0x20)}}
 )
 
-# JSON text of a scalar or a params tuple.
+# JSON text of a scalar cell where it is not the CSV text.
 _JSON: dict[type, Callable[[object], str]] = {
-    **_TEXT,
     type(None): lambda value: "null",
     str: lambda value: '"' + value.translate(_JSON_ESCAPES) + '"',
-    tuple: lambda value: "[" + ", ".join(_texts(_JSON, value)) + "]",
 }
 
 
-def _texts(table: dict[type, Callable[[object], str]], values: Iterable) -> list[str]:
-    """Each value's text by ``table``, an entry found by exact type first."""
-    return [(table.get(type(v)) or next(t for k, t in table.items() if isinstance(v, k)))(v)
-            for v in values]
+def _texts(values: Iterable) -> tuple[list[str], list[str]]:
+    """Each value's CSV and table text, and its JSON text: a params tuple's
+    entries joined by ``;`` in the one and listed in the other."""
+    texts, jsons = [], []
+    for value in values:
+        kind = type(value)
+        if kind not in _TEXT:
+            if isinstance(value, tuple):
+                entry_texts, entry_jsons = _texts(value)
+                texts.append(";".join(entry_texts))
+                jsons.append("[" + ", ".join(entry_jsons) + "]")
+                continue
+            kind = next(k for k in _TEXT if isinstance(value, k))
+        text = _TEXT[kind](value)
+        texts.append(text)
+        jsons.append(_JSON[kind](value) if kind in _JSON else text)
+    return texts, jsons
 
 
 def _cells(record: CheckRecord) -> tuple:
@@ -641,18 +688,15 @@ def _json_array(key: str, items: list[str], end: str) -> list[str]:
 
 
 def _render_json(report: SuiteReport) -> bytes:
+    records, info = report._cell_texts
     lines = [
         "{",
-        f'  "tool_version": {_texts(_JSON, [report.tool_version])[0]},',
+        f'  "tool_version": {_texts([report.tool_version])[1][0]},',
         '  "counts": {"total": %(total)s, "passed": %(passed)s, "failed": %(failed)s, '
         '"skipped": %(skipped)s},' % report.counts,
     ]
-    records = [_JSON_RECORD % tuple(_texts(_JSON, _cells(r))) for r in report.records]
-    lines += _json_array("records", records, ",")
-    info = [
-        _JSON_INFO % tuple(_texts(_JSON, map(obs.get, _INFO_KEYS))) for obs in report.informational
-    ]
-    lines += _json_array("informational", info, "")
+    lines += _json_array("records", [_JSON_RECORD % tuple(jsons) for _, jsons in records], ",")
+    lines += _json_array("informational", [_JSON_INFO % tuple(jsons) for _, jsons in info], "")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -661,21 +705,22 @@ def _render_csv(report: SuiteReport) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([name for name, _ in _COLUMNS] + list(_DIAG_KEYS))
-    writer.writerows(_texts(_TEXT, _cells(r)) for r in report.records)
+    writer.writerows(texts for texts, _ in report._cell_texts[0])
     return buf.getvalue().encode("utf-8")
 
 
 def _render_table(report: SuiteReport) -> bytes:
+    records, info = report._cell_texts
     shown = [
-        col for col in _COLUMNS
-        if col[1] in ("params", "lhs_value", "rhs_value", "abs_err", "effective_tol")
+        i for i, (_, attr) in enumerate(_COLUMNS)
+        if attr in ("params", "lhs_value", "rhs_value", "abs_err", "effective_tol")
     ]
-    shown_values = operator.attrgetter(*(attr for _, attr in shown))
-    headers = ("identity",) + tuple(name for name, _ in shown) + ("status",)
+    shown_texts = operator.itemgetter(*shown)
+    headers = ("identity",) + tuple(_COLUMNS[i][0] for i in shown) + ("status",)
     rows = []
-    for r in report.records:
+    for r, (texts, _) in zip(report.records, records):
         status = "skip" if r.skipped else "pass" if r.passed else "FAIL"
-        rows.append((r.identity_id, *_texts(_TEXT, shown_values(r)), status))
+        rows.append((r.identity_id, *shown_texts(texts), status))
     widths = [
         max(len(h), max((len(row[i]) for row in rows), default=0))
         for i, h in enumerate(headers)
@@ -691,8 +736,8 @@ def _render_table(report: SuiteReport) -> bytes:
         f"total {c['total']}  passed {c['passed']}  failed {c['failed']}  "
         f"skipped {c['skipped']}  (tool {report.tool_version})"
     )
-    for obs in report.informational:
-        value, reference, difference = _texts(_TEXT, map(obs.get, _INFO_KEYS[2:]))
+    for obs, (texts, _) in zip(report.informational, info):
+        value, reference, difference = texts[2:]
         out.append(
             f"info: {obs['identity_id']} {obs['convention']} convention -> "
             f"value {value}, reference {reference}, |difference| {difference}"
@@ -704,7 +749,8 @@ def render_report(report: SuiteReport, format: str = "table") -> bytes:
     """Serialize a report as UTF-8 bytes in ``table``, ``json``, or ``csv`` form.
 
     All three carry identical record data (floats always at 17 significant
-    digits); rendering the same report twice is byte-identical.  A ``report``
+    digits), formatted at the report's first render and kept with it, so every
+    render shows the report as it was then and is byte-identical.  A ``report``
     that is not a :class:`SuiteReport` raises :class:`DomainError`.
     """
     if not isinstance(report, SuiteReport):

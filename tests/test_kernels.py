@@ -24,6 +24,7 @@ import pytest
 
 import betalab as bl
 from betalab import series as sr
+from betalab import verify
 
 # --- the oracle: per-term generators ----------------------------------------
 
@@ -281,3 +282,63 @@ def test_the_cases_reach_every_edge_path():
         seen.add(outcome[1] if isinstance(outcome[0], str) else outcome[0][4])
     assert seen >= {*bl.TERMINATIONS, "series term 1 overflows double precision",
                     "series value or its error bound overflows double precision"}
+
+
+# --- one verify pass shares each d2 kernel's checkpoints ------------------------
+
+D2_RUNS = [
+    ("trigamma", {"u": 0.5}),
+    *[(name, {"convention": c}) for name in ("trigamma-half", "zeta2") for c in bl.CONVENTIONS],
+]
+D2_PUBLIC = {
+    "trigamma": sr.trigamma_series,
+    "trigamma-half": sr.trigamma_half_series,
+    "zeta2": sr.zeta2_series,
+}
+# Short runs first, so that later ones replay, drive the shared kernel past
+# them and, for trace rows and max_terms=100, ask for targets out of order.
+D2_CONTROLS = [
+    bl.SeriesControl(max_terms=100),
+    None,
+    bl.SeriesControl(max_terms=3_000),
+    bl.SeriesControl(max_terms=3_000, tail_correction=False),
+]
+
+
+def _d2_runs():
+    """Each public d2 call and its trace every 7 terms under each control, then
+    trigamma at 1/2 and corrected zeta2, one kernel, uncorrected to 1,000,000 terms."""
+    runs = []
+    for ctrl, (name, params) in itertools.product(D2_CONTROLS, D2_RUNS):
+        args = (*params.values(), ctrl)
+        runs.append(lambda name=name, args=args: (D2_PUBLIC[name](*args), ()))
+        runs.append(lambda name=name, params=params, ctrl=ctrl: sr.trace(name, params, ctrl, 7))
+    uncorrected = bl.SeriesControl(tail_correction=False)
+    runs.append(lambda: (sr.trigamma_series(0.5, uncorrected), ()))
+    runs.append(lambda: (sr.zeta2_series(bl.CORRECTED, uncorrected), ()))
+    return runs
+
+
+@pytest.mark.parametrize("order", ["short-first", "long-first"])
+def test_d2_runs_in_a_pass_match_the_same_runs_outside_it_bit_for_bit(order, monkeypatch):
+    runs = _d2_runs()
+    if order == "long-first":
+        runs.reverse()
+    want = [_outcome(run) for run in runs]
+    starts = []
+    kernel = sr._trigamma_kernel
+    monkeypatch.setattr(sr, "_trigamma_kernel", lambda u, d: starts.append(u) or kernel(u, d))
+    with verify._one_pass():
+        got = [_outcome(run) for run in runs]
+    assert got == want
+    assert 2 < len(starts) < len(runs)  # shared, with kernels of their own for out-of-order targets
+    assert sr._checkpoints.get() is None
+
+
+def test_a_builtin_pass_starts_the_trigamma_kernel_four_times(monkeypatch):
+    starts = []
+    kernel = sr._trigamma_kernel
+    monkeypatch.setattr(sr, "_trigamma_kernel", lambda u, d: starts.append((u, d)) or kernel(u, d))
+    bl.run_suite()
+    # EQ9 at 0.5 and EQ10 and EQ11 corrected share one kernel, the two literal runs another.
+    assert sorted(starts) == [(0.25, 0.0), (0.5, -2.0), (0.5, 0.0), (0.75, 0.0)]

@@ -9,6 +9,9 @@ import inspect
 import io
 import json
 import math
+import os
+import sys
+import threading
 import types
 from decimal import Decimal
 from fractions import Fraction
@@ -192,6 +195,119 @@ def test_a_user_side_is_called_as_given():
                            tolerance=1e-9, tolerance_mode="absolute", lhs=doubled, rhs=cs.beta)
     (record,) = bl.run_identity(spec)
     assert record.passed is False and record.lhs_value == 2.0 * record.rhs_value == 1.0
+
+
+# --- one pass runs each distinct routine call once -------------------------
+
+
+def _recorded(monkeypatch, module, name, fail=lambda *args: False):
+    """Wrap ``module.name`` as the bench does and return the list of its calls'
+    argument reprs; a call for which ``fail`` holds raises DomainError instead."""
+    calls = []
+    routine = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(repr(args))
+        if fail(*args):
+            raise DomainError(f"{name} refused {args!r}")
+        return routine(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_a_pass_calls_each_shared_route_once(monkeypatch):
+    moments = _recorded(monkeypatch, qd, "log_kernel_moment")
+    poles = _recorded(monkeypatch, lm, "beta_pole_limit")
+    report = bl.run_suite()
+    assert report.counts["passed"] == 199
+    assert moments.count("(5.0,)") == 1  # EQ1, EQ3 and EQ4
+    assert moments.count("(5,)") == 1  # EQ4H's int is a call of its own
+    assert poles.count("(5.0,)") == 1  # EQ1 and EQ6
+    assert len(set(moments)) == len(moments) and len(set(poles)) == len(poles)
+
+
+def test_each_pass_repeats_every_call(monkeypatch):
+    moments = _recorded(monkeypatch, qd, "log_kernel_moment")
+    bl.run_suite()
+    first = list(moments)
+    bl.run_suite()
+    assert len(set(first)) == len(first)
+    assert moments == first + first
+    assert verify._results.get() is None and sr._checkpoints.get() is None
+
+
+def test_a_call_that_raises_is_not_shared(monkeypatch):
+    # Only the first call at 5.0 raises: EQ1 skips, EQ3 calls again, EQ4 shares EQ3's result.
+    moments = _recorded(monkeypatch, qd, "log_kernel_moment",
+                        fail=lambda *args: moments == [repr(args)] and args == (5.0,))
+    report = bl.run_suite(only=["EQ4", "EQ3", "EQ1"], overrides={
+        key: {"grid": [(5.0,)]} for key in ("EQ1", "EQ3", "EQ4")
+    })
+    assert [(r.identity_id, r.skipped, r.passed) for r in report.records] == [
+        ("EQ1", True, None), ("EQ3", False, True), ("EQ4", False, True)
+    ]
+    assert report.records[0].reason == "DomainError: log_kernel_moment refused (5.0,)"
+    assert moments == ["(5.0,)", "(5.0,)"]
+
+
+@pytest.mark.parametrize(
+    "module, name, ids",
+    [(qd, "log_kernel_moment", ["EQ1", "EQ3", "EQ4", "EQ4H"]), (lm, "beta_pole_limit", ["EQ1", "EQ6"])],
+    ids=["log_kernel_moment", "beta_pole_limit"],
+)
+def test_a_route_that_raises_skips_every_identity_that_shares_it(monkeypatch, module, name, ids):
+    _recorded(monkeypatch, module, name, fail=lambda u, *rest: u == 5)
+    report = bl.run_suite()
+    skipped = [(r.identity_id, r.params, r.reason) for r in report.records if r.skipped]
+    points = {i: (5,) if i == "EQ4H" else (5.0,) for i in ids}
+    assert skipped == [(i, points[i], f"DomainError: {name} refused {points[i]!r}") for i in ids]
+    assert report.counts["passed"] == 199 - len(ids)
+
+
+def test_run_identity_outside_a_pass_shares_nothing(monkeypatch):
+    moments = _recorded(monkeypatch, qd, "log_kernel_moment")
+    specs = {spec.id: spec for spec in bl.builtin_registry()}
+    for identity_id in ("EQ1", "EQ3", "EQ1"):
+        bl.run_identity(specs[identity_id])
+    assert moments == [repr(point) for point in specs["EQ1"].grid] * 3
+
+
+def test_a_pass_that_raises_leaves_nothing_shared(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("not a skip")
+
+    monkeypatch.setattr(sr, "zeta2_series", broken)
+    with pytest.raises(RuntimeError, match="not a skip"):
+        bl.run_suite(only=["EQ1", "EQ10", "EQ11"])  # EQ1 and EQ10 share first
+    assert verify._results.get() is None and sr._checkpoints.get() is None
+
+
+def test_passes_in_threads_share_nothing():
+    # Each thread's pass drives its own d2 kernels: a shared one would raise
+    # "generator already executing" or hand one thread another's states.
+    only = ["EQ1", "EQ6", "EQ9", "EQ10", "EQ11"]
+    want = bl.render_report(bl.run_suite(only=only), "csv")
+    outcomes = []
+
+    def work():
+        try:
+            outcomes.extend(bl.render_report(bl.run_suite(only=only), "csv") for _ in range(4))
+        except Exception as exc:  # a thread's failure is the test's outcome
+            outcomes.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range((os.cpu_count() or 1) + 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == [want] * (4 * len(threads))
 
 
 # --- suite results --------------------------------------------------------
@@ -472,19 +588,25 @@ DENSE_GRIDS = {
     "EQ8": [(x, (0.25, 1.0, 4.0)[i % 3]) for i, x in enumerate(_log_grid(0.1, 10.0, 15))],
     "EQ9": [(i / 10,) for i in range(1, 10)],
 }
-DENSE_JSON_SHA256 = {
-    "0.6.0": "1cb84a8f82f0cb7baa9ce748cf5e13e6701da40e5b4fcaaf29aa95d53e105986",
-    "0.7.0": "47fb8c7b03e5fa67948b6182277d065a76d1970ce05fb24f3b04bbdc047756d2",
+# sha256 of each render of the dense report, its tool version set to "dense",
+# so that a version bump that keeps every value needs no new digest.
+DENSE_SHA256 = {
+    "json": "0cd4ab1b96ea21342628f6715064ca487584e25a384b5055bb1a8aad757595f9",
+    "csv": "01de9a012cf2b536e19aabb68e7179f1cea58182fc4153d427076119b8b0181a",
+    "table": "784469d7ba13783e199a29eeae7a39530849bb6aa3bf34c3fadf2f1fcb86e3b3",
 }
 
 
-def test_dense_grid_report_bytes_are_pinned_to_the_tool_version():
+def test_dense_grid_report_bytes_are_pinned():
     report = bl.run_suite(
         only=list(DENSE_GRIDS), overrides={k: {"grid": g} for k, g in DENSE_GRIDS.items()}
     )
     assert report.counts == {"total": 103, "passed": 103, "failed": 0, "skipped": 0}
-    digest = hashlib.sha256(bl.render_report(report, "json")).hexdigest()
-    assert digest == DENSE_JSON_SHA256[verify.TOOL_VERSION]
+    report = report._replace(tool_version="dense")
+    digests = {
+        fmt: hashlib.sha256(bl.render_report(report, fmt)).hexdigest() for fmt in DENSE_SHA256
+    }
+    assert digests == DENSE_SHA256
 
 
 def test_json_schema_field_order(full_report):
@@ -665,3 +787,138 @@ def test_params_of_other_types_render_through_the_fallback(fmt):
     report = bl.run_suite(only=["EQ5"], overrides={"EQ5": {"grid": grid}})
     assert report.counts["skipped"] == 2
     assert _FALLBACK_TEXT[fmt] in bl.render_report(report, fmt).decode()
+
+
+# A hand-built report that reaches every cell type the renderers format: a
+# str, an int and a -0.0 param, 1e-300, -0.0 and exact zeros, a failed and a
+# skipped record, partial diagnostics, and a reason holding a comma, a quote,
+# a backslash and control characters.  Its bytes were taken from 0.7.0.
+GOLDEN_REPORT = verify.SuiteReport(
+    records=(
+        verify.CheckRecord("EQ10", ("corrected",), 4.934802200544679, 4.934802200544679, 0.0, 0.0,
+                           0.0005000000012, True, False, None,
+                           {"terms_used": 1477, "tail_estimate": 1.2e-9}),
+        verify.CheckRecord("EQ4H", (3,), 1.8333333333333333, 1.8333333333333335,
+                           2.220446049250313e-16, 1.2111524e-16, 1e-09, True, False, None,
+                           {"levels_used": 7}),
+        verify.CheckRecord("EQ5", (0.25, -0.0), 1e-300, -0.0, 1e-300, 1.0, 0.0001, False, False,
+                           None, {"terms_used": 129, "tail_estimate": 3.4861891151649615e-11,
+                                  "table_depth": 6}),
+        verify.CheckRecord("EQ9", (0.5,), reason='DomainError: u, "v" \\ w\x07x\ty'),
+    ),
+    counts={"total": 4, "passed": 2, "failed": 1, "skipped": 1},
+    tool_version="golden",
+    informational=(
+        {"identity_id": "EQ10", "convention": "literal", "value": 2.1622134364009064,
+         "reference": 4.934802200544679, "abs_difference": 2.7725887641437726},
+        {"identity_id": "EQ11", "convention": "literal", "value": -0.0,
+         "reference": 1.6449340668482264, "abs_difference": 1e-300},
+    ),
+)
+_NO_DIAG = '"terms_used": null, "tail_estimate": null, "levels_used": null, "table_depth": null'
+_GOLDEN_JSON_RECORDS = (
+    '{\n'
+    '  "tool_version": "golden",\n'
+    '  "counts": {"total": 4, "passed": 2, "failed": 1, "skipped": 1},\n'
+    '  "records": [\n'
+    '    {"identity_id": "EQ10", "params": ["corrected"], "lhs": 4.934802200544679, '
+    '"rhs": 4.934802200544679, "abs_err": 0, "rel_err": 0, '
+    '"effective_tol": 0.00050000000119999996, "pass": true, "skipped": false, "reason": null, '
+    '"diagnostics": {"terms_used": 1477, "tail_estimate": 1.2e-09, "levels_used": null, '
+    '"table_depth": null}},\n'
+    '    {"identity_id": "EQ4H", "params": [3], "lhs": 1.8333333333333333, '
+    '"rhs": 1.8333333333333335, "abs_err": 2.2204460492503131e-16, "rel_err": 1.2111524e-16, '
+    '"effective_tol": 1.0000000000000001e-09, "pass": true, "skipped": false, "reason": null, '
+    '"diagnostics": {"terms_used": null, "tail_estimate": null, "levels_used": 7, '
+    '"table_depth": null}},\n'
+    '    {"identity_id": "EQ5", "params": [0.25, -0], "lhs": 1e-300, "rhs": -0, '
+    '"abs_err": 1e-300, "rel_err": 1, "effective_tol": 0.0001, "pass": false, '
+    '"skipped": false, "reason": null, "diagnostics": {"terms_used": 129, '
+    '"tail_estimate": 3.4861891151649615e-11, "levels_used": null, "table_depth": 6}},\n'
+    '    {"identity_id": "EQ9", "params": [0.5], "lhs": null, "rhs": null, "abs_err": null, '
+    '"rel_err": null, "effective_tol": null, "pass": null, "skipped": true, '
+    '"reason": "DomainError: u, \\"v\\" \\\\ w\\u0007x\\u0009y", '
+    '"diagnostics": {' + _NO_DIAG + '}}\n'
+    '  ],\n'
+)
+_GOLDEN_CSV = (
+    "identity_id,params,lhs,rhs,abs_err,rel_err,effective_tol,pass,skipped,reason,"
+    "terms_used,tail_estimate,levels_used,table_depth\n"
+    "EQ10,corrected,4.934802200544679,4.934802200544679,0,0,0.00050000000119999996,"
+    "true,false,,1477,1.2e-09,,\n"
+    "EQ4H,3,1.8333333333333333,1.8333333333333335,2.2204460492503131e-16,1.2111524e-16,"
+    "1.0000000000000001e-09,true,false,,,,7,\n"
+    "EQ5,0.25;-0,1e-300,-0,1e-300,1,0.0001,false,false,,129,3.4861891151649615e-11,,6\n"
+    'EQ9,0.5,,,,,,,true,"DomainError: u, ""v"" \\ w\x07x\ty",,,,\n'
+)
+_GOLDEN_TABLE_RECORDS = (
+    "identity  params     lhs                 rhs                 abs_err                 "
+    "effective_tol           status\n"
+    "--------  ---------  ------------------  ------------------  ----------------------  "
+    "----------------------  ------\n"
+    "EQ10      corrected  4.934802200544679   4.934802200544679   0                       "
+    "0.00050000000119999996  pass\n"
+    "EQ4H      3          1.8333333333333333  1.8333333333333335  2.2204460492503131e-16  "
+    "1.0000000000000001e-09  pass\n"
+    "EQ5       0.25;-0    1e-300              -0                  1e-300                  "
+    "0.0001                  FAIL\n"
+    "EQ9       0.5                                                                        "
+    "                        skip\n"
+    "\n"
+    "total 4  passed 2  failed 1  skipped 1  (tool golden)\n"
+)
+# Per informational section (full, empty): the bytes of each format.
+GOLDEN_BYTES = {
+    "full": {
+        "json": _GOLDEN_JSON_RECORDS + (
+            '  "informational": [\n'
+            '    {"identity_id": "EQ10", "convention": "literal", "value": 2.1622134364009065, '
+            '"reference": 4.934802200544679, "abs_difference": 2.7725887641437725},\n'
+            '    {"identity_id": "EQ11", "convention": "literal", "value": -0, '
+            '"reference": 1.6449340668482264, "abs_difference": 1e-300}\n'
+            '  ]\n'
+            '}\n'
+        ),
+        "csv": _GOLDEN_CSV,
+        "table": _GOLDEN_TABLE_RECORDS + (
+            "info: EQ10 literal convention -> value 2.1622134364009065, "
+            "reference 4.934802200544679, |difference| 2.7725887641437725\n"
+            "info: EQ11 literal convention -> value -0, reference 1.6449340668482264, "
+            "|difference| 1e-300\n"
+        ),
+    },
+    "empty": {
+        "json": _GOLDEN_JSON_RECORDS + '  "informational": []\n}\n',
+        "csv": _GOLDEN_CSV,
+        "table": _GOLDEN_TABLE_RECORDS,
+    },
+}
+
+
+def _golden_report(informational):
+    return GOLDEN_REPORT if informational == "full" else GOLDEN_REPORT._replace(informational=())
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("informational", ["full", "empty"])
+def test_hand_built_report_renders_its_golden_bytes(informational, fmt):
+    rendered = bl.render_report(_golden_report(informational), fmt)
+    assert rendered == GOLDEN_BYTES[informational][fmt].encode("utf-8")
+
+
+@pytest.mark.parametrize("informational", ["full", "empty"])
+def test_render_order_does_not_change_the_bytes(informational):
+    report = _golden_report(informational)._replace()  # a fresh report, rendered in a new order
+    rendered = {fmt: bl.render_report(report, fmt) for fmt in ("table", "json", "csv")}
+    for fmt, data in rendered.items():
+        assert data == GOLDEN_BYTES[informational][fmt].encode("utf-8")
+        assert bl.render_report(report, fmt) == data
+
+
+def test_a_fresh_report_rendered_table_first_keeps_its_digests():
+    report = bl.run_suite()
+    digests = {
+        fmt: hashlib.sha256(bl.render_report(report, fmt)).hexdigest()
+        for fmt in ("table", "json", "csv")
+    }
+    assert digests == REPORT_SHA256[verify.TOOL_VERSION]
