@@ -28,14 +28,15 @@ sum, far below its last bit.  `integrate01` cannot know the tails of its ``f``
 and keeps every node.  Level sums use exact summation (`math.fsum`), making
 results deterministic and rerun-stable.
 The error estimate, the last two levels' difference, is floored at the last
-level's rounding, ``4 eps h sum |w_i f_i|``, so that it never reads 0.
+level's rounding, ``4 eps h sum |w_i f_i|``, so that it never reads 0; that sum
+adds in node order, not through builtin ``sum`` (compensated from Python 3.12).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 from .errors import DomainError, EvaluationError, NonConvergenceError, OverflowRangeError
 from .errors import Record, finite_real, positive_real
@@ -54,7 +55,6 @@ DEFAULT_TOL = 1e-12  # successive-level agreement every kernel refines to
 _MIN_WEIGHT = 1e-300
 _TAIL_CUT = 2.0**-100  # a kernel's level-0 |w f| below this share of the largest ends its side
 _MIN_ARG = 0.05  # kernel parameters below this under-resolve the endpoint singularity
-_MIN_ARG_RULE = f">= {_MIN_ARG} (endpoint resolution limit)"
 _HALF_PI = math.pi / 2.0
 _EPS = 2.0**-52  # one ulp of 1.0
 
@@ -102,50 +102,45 @@ def _build_level(level: int) -> tuple[tuple[float, float, float, float, float], 
     return tuple(pts)
 
 
-def _outward(nodes: tuple, phi: list[float], cut: list[int]) -> Iterator[tuple]:
-    """Level 0's nodes from the centre out, side 0 (t near 0) first at each step k.  A side ends
-    (``cut[side] = k``) at a |w f|, read back from ``phi``, below ``_TAIL_CUT`` of the largest."""
-    for i, node in enumerate(nodes):
-        k, side = divmod(i + 1, 2)  # the centre, i = 0, counts as step 0
-        if k < cut[side]:
-            yield node
-            if abs(phi[-1]) < _TAIL_CUT * max(map(abs, phi)):
-                cut[side] = k
-
-
-def _inside(nodes: tuple, cut: list[int], level: int) -> tuple:
-    """The nodes of ``level`` >= 1 short of both cuts: a side cut at step k keeps k 2^(level-1)."""
-    near0, near1 = (k << (level - 1) for k in cut)
-    pairs = 2 * min(near0, near1)  # the sides alternate up to here; the longer one goes on alone
-    return nodes[:pairs] + nodes[pairs + (near1 > near0) : 2 * max(near0, near1) : 2]
-
-
 def _refine(
     g: Callable[[float, float, float, float], float], tol: float, interior_only: bool
 ) -> QuadratureResult:
     """Run the level refinement for an integrand ``g(t, s, log t, log s)``."""
     tol = positive_real(tol, "tol")
     phi: list[float] = []
-    evaluations = 0
     prev = math.nan
     total = math.nan
     err = math.inf
+    peak = mass = 0.0  # the largest |w f| of level 0; sum |w f|, added in node order
     cut = [len(_build_level(0)) // 2 + 1] * 2  # per side, the level-0 step it ends at; none yet
     for level in range(MAX_LEVEL + 1):
         nodes = _build_level(level)
         if interior_only:
             nodes = [node for node in nodes if 0.0 < node[0] < 1.0]
-        else:
-            nodes = _inside(nodes, cut, level) if level else _outward(nodes, phi, cut)
+        elif level:  # the nodes short of both cuts: a side cut at step k keeps k 2^(level-1)
+            near0, near1 = (k << (level - 1) for k in cut)
+            pairs = 2 * min(near0, near1)  # the sides alternate up to here; the longer goes on
+            nodes = nodes[:pairs] + nodes[pairs + (near1 > near0) : 2 * max(near0, near1) : 2]
+        cutting = not (level or interior_only)  # a kernel's level 0 sets each side's cut
+        i = 0
         for t, s, w, lt, ls in nodes:
+            if cutting:
+                i += 1
+                k, side = divmod(i, 2)  # out from the centre (step 0), side 0 first at each step
+                if k >= cut[side]:
+                    continue
             fv = g(t, s, lt, ls)
-            evaluations += 1
             wf = w * fv
             if not math.isfinite(wf):
                 if math.isfinite(fv):
                     raise OverflowRangeError(f"weight times integrand {fv!r} overflows at t={t!r}")
                 raise EvaluationError(f"integrand returned non-finite value {fv!r} at t={t!r}")
             phi.append(wf)
+            mass += abs(wf)
+            if cutting:
+                peak = max(peak, abs(wf))
+                if abs(wf) < _TAIL_CUT * peak:
+                    cut[side] = k
         try:
             total = math.fsum(phi) * 2.0**-level
         except OverflowError:  # fsum's own, not a BetalabError
@@ -155,10 +150,10 @@ def _refine(
             if err <= tol:
                 break
         prev = total
-    floor = 4.0 * _EPS * 2.0**-level * sum(map(abs, phi))
+    floor = 4.0 * _EPS * 2.0**-level * mass
     if not math.isfinite(floor):
         raise OverflowRangeError("tanh-sinh error bound overflows double precision")
-    result = QuadratureResult(total, max(err, floor), level, evaluations)
+    result = QuadratureResult(total, max(err, floor), level, len(phi))
     if err <= tol:
         return result
     raise NonConvergenceError(
@@ -185,17 +180,23 @@ def integrate01(f: Callable[[float], float], tol: float = DEFAULT_TOL) -> Quadra
         raise EvaluationError(f"integrand did not give a real number: {exc}") from exc
 
 
+def _kernel_args(**args: float) -> list[float]:
+    """A kernel's parameters as floats: all finite, then all at least ``_MIN_ARG``."""
+    values = [finite_real(x, name) for name, x in args.items()]
+    for name, x in zip(args, values):
+        if x < _MIN_ARG:
+            raise DomainError(f"{name} must be >= {_MIN_ARG} (endpoint resolution limit), "
+                              f"got {x!r}")
+    return values
+
+
 def beta_integral(u: float, v: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """``int_0^1 t^{u-1} (1-t)^{v-1} dt`` for ``u, v >= 0.05``.
 
     Below 0.05 the double-exponential nodes under-resolve the endpoint
     singularity, so that region is excluded from the domain.
     """
-    u = finite_real(u, "u")
-    v = finite_real(v, "v")
-    for name, x in (("u", u), ("v", v)):
-        if x < _MIN_ARG:
-            raise DomainError(f"{name} must be {_MIN_ARG_RULE}, got {x!r}")
+    u, v = _kernel_args(u=u, v=v)
 
     def g(t: float, s: float, lt: float, ls: float) -> float:
         return math.exp((u - 1.0) * lt + (v - 1.0) * ls)
@@ -208,9 +209,7 @@ def log_kernel_moment(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
 
     This is the beta derivative with respect to its second argument at v = 1.
     """
-    u = finite_real(u, "u")
-    if u < _MIN_ARG:
-        raise DomainError(f"u must be {_MIN_ARG_RULE}, got {u!r}")
+    [u] = _kernel_args(u=u)
 
     def g(t: float, s: float, lt: float, ls: float) -> float:
         return math.exp((u - 1.0) * lt) * ls
@@ -224,9 +223,7 @@ def digamma_integral(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     The integrand has a removable point at t = 1; evaluating through the
     distance ``s = 1 - t`` keeps it finite and fully accurate there.
     """
-    u = finite_real(u, "u")
-    if u < _MIN_ARG:
-        raise DomainError(f"u must be {_MIN_ARG_RULE}, got {u!r}")
+    [u] = _kernel_args(u=u)
 
     def g(t: float, s: float, lt: float, ls: float) -> float:
         if t <= 0.5:

@@ -155,11 +155,9 @@ _NORLUND_X_MAX = 10.0
 _RESIDUAL_FACTOR = 8.0  # residual = 8 x the larger of the last two transform differences
 _EPS = 2.0**-52  # one ulp of 1.0
 _INF = math.inf
-# The order cap of d2: order 9 takes 19 samples, the last at term 1,477; d1
-# reaches order 18 on the same samples.  Order 10 of d2 would take 3,325 terms
-# to gain one to two digits of residual.
-_D2_MAX_ORDER = 9
 # The indices the accelerator samples, R_l = max(R_{l-1} + 1, floor(1.5**l)) for l = 0..18.
+# Their count caps d2 at order 9, the last sample at term 1,477; d1 reaches order 18 on
+# them.  Order 10 of d2 would take 3,325 terms to gain one to two digits of residual.
 _D2_SAMPLES = (1, 2, 3, 4, 5, 7, 11, 17, 25, 38, 57, 86, 129, 194, 291, 437, 656, 985, 1477)
 
 

@@ -116,7 +116,8 @@ class CheckRecord(Record):
 
     ``passed`` is True/False for evaluated points and None for skipped ones
     (where the numeric fields are None as well and ``reason`` says why).
-    The defaults describe a skipped record, whose diagnostics are read-only.
+    The defaults describe a skipped record.  ``diagnostics`` is kept as a
+    read-only copy, since a report keeps the cells it renders from it.
     """
 
     identity_id: str
@@ -131,6 +132,9 @@ class CheckRecord(Record):
     reason: str | None = None
     diagnostics: Mapping = MappingProxyType({})
 
+    def __post_init__(self) -> None:
+        vars(self)["diagnostics"] = MappingProxyType(dict(self.diagnostics))
+
 
 # Report columns as (name, CheckRecord field): every field but the trailing
 # diagnostics, in declaration order, three under a shorter name.  The
@@ -143,12 +147,23 @@ _column_values = operator.attrgetter(*(f for _, f in _COLUMNS))  # record -> tup
 
 
 class SuiteReport(Record):
-    """All records of a suite run plus counts and informational entries."""
+    """All records of a suite run plus counts and informational entries.
+
+    The records and entries are kept as tuples and the mappings as read-only
+    copies, so the cells formatted at the first render stay those of the report.
+    """
 
     records: tuple[CheckRecord, ...]
     counts: Mapping[str, int]
     tool_version: str
     informational: tuple[Mapping, ...]
+
+    def __post_init__(self) -> None:
+        vars(self).update(
+            records=tuple(self.records),
+            counts=MappingProxyType(dict(self.counts)),
+            informational=tuple(MappingProxyType(dict(obs)) for obs in self.informational),
+        )
 
     @functools.cached_property
     def _cell_texts(self) -> tuple[list, list]:
@@ -620,7 +635,7 @@ def run_suite(
     outcomes = [r.passed for r in records]  # None where a record is skipped
     counts = {"total": len(records), "passed": outcomes.count(True),
               "failed": outcomes.count(False), "skipped": outcomes.count(None)}
-    return SuiteReport(tuple(records), counts, TOOL_VERSION, tuple(informational))
+    return SuiteReport(records, counts, TOOL_VERSION, informational)
 
 
 # --- rendering ------------------------------------------------------------
@@ -749,8 +764,8 @@ def render_report(report: SuiteReport, format: str = "table") -> bytes:
     """Serialize a report as UTF-8 bytes in ``table``, ``json``, or ``csv`` form.
 
     All three carry identical record data (floats always at 17 significant
-    digits), formatted at the report's first render and kept with it, so every
-    render shows the report as it was then and is byte-identical.  A ``report``
+    digits), formatted at the report's first render and kept with it; a report
+    cannot change, so every render is byte-identical.  A ``report``
     that is not a :class:`SuiteReport` raises :class:`DomainError`.
     """
     if not isinstance(report, SuiteReport):

@@ -14,6 +14,7 @@ import betalab as bl
 from betalab import series as sr
 import drive
 
+ORDER_CAP = 9  # the highest d2 order, solved on 2 * 9 + 1 samples
 ORDER_CAP_TERMS = 1477  # the 19th geometric sample, where order 9 is solved
 
 
@@ -118,7 +119,7 @@ def test_differences_come_from_the_recurrence(kernel, exact):
 
 def test_d2_samples_follow_the_geometric_rule():
     want = [1]
-    while len(want) < 2 * sr._D2_MAX_ORDER + 1:
+    while len(want) < 2 * ORDER_CAP + 1:
         want.append(max(want[-1] + 1, int(1.5 ** len(want))))
     assert sr._D2_SAMPLES == tuple(want)
     assert sr._D2_SAMPLES[-1] == ORDER_CAP_TERMS
@@ -136,4 +137,4 @@ def test_d2_requests_exactly_the_samples_where_a_difference_is_computed(kernel):
     samples = drive.requested(kernel, d2)
     assert tuple(n for n, *_ in samples) == sr._D2_SAMPLES
     assert all(math.isfinite(term) and math.isfinite(diff) for _, _, term, diff in samples)
-    assert len(d2.transforms) == sr._D2_MAX_ORDER
+    assert len(d2.transforms) == ORDER_CAP

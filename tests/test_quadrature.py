@@ -238,6 +238,29 @@ def test_error_estimate_bounds_the_real_error(name, args):
     assert 0.0 < res.error_estimate <= qd.DEFAULT_TOL
 
 
+def _compensated_sum(values, start=0):
+    """Builtin ``sum`` over floats as Python 3.12 and later run it: Neumaier's compensated sum."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+@pytest.mark.parametrize("name, args, floor", [
+    ("beta", (0.5, 0.5), "0x1.921fb54442d16p-49"),
+    ("log-kernel", (2.0,), "0x1.7fffffffffffep-51"),
+    ("beta", (5.0, 5.0), "0x1.a01a01a01a01ep-60"),
+    ("beta", (0.5, 0.7), "0x1.40bde8d16c1edp-49"),
+])
+def test_error_floor_bits_do_not_depend_on_builtin_sum(monkeypatch, name, args, floor):
+    # Each estimate here is the rounding floor, which plain float adds give on every Python;
+    # a floor taken through builtin sum moves by an ulp or two where that sum is compensated.
+    monkeypatch.setattr(qd, "sum", _compensated_sum, raising=False)
+    assert qd.KERNELS[name](*args).error_estimate.hex() == floor
+
+
 @mpmath.workdps(30)
 def test_integrate01_error_estimate_bounds_the_real_error():
     res = bl.integrate01(lambda t: t * t)

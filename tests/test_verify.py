@@ -915,6 +915,28 @@ def test_render_order_does_not_change_the_bytes(informational):
         assert bl.render_report(report, fmt) == data
 
 
+def test_a_report_is_frozen_at_construction():
+    # What a report renders stays what it holds: changing the list and dicts it was built from,
+    # after its first render, changes neither.
+    diagnostics = dict(GOLDEN_REPORT.records[0].diagnostics)
+    records = [GOLDEN_REPORT.records[0]._replace(diagnostics=diagnostics),
+               *GOLDEN_REPORT.records[1:]]
+    counts = dict(GOLDEN_REPORT.counts)
+    informational = [dict(obs) for obs in GOLDEN_REPORT.informational]
+    report = verify.SuiteReport(records, counts, "golden", informational)
+    first = {fmt: bl.render_report(report, fmt) for fmt in ("csv", "json", "table")}
+    records.append(records[-1])
+    counts["total"] = 5
+    informational[0]["value"] = 0.0
+    diagnostics["terms_used"] = 0
+    assert report == GOLDEN_REPORT
+    for fmt, data in first.items():
+        assert data == bl.render_report(report, fmt) == GOLDEN_BYTES["full"][fmt].encode("utf-8")
+    for mapping in (report.counts, report.informational[0], report.records[0].diagnostics):
+        with pytest.raises(TypeError):
+            mapping["total"] = 0
+
+
 def test_a_fresh_report_rendered_table_first_keeps_its_digests():
     report = bl.run_suite()
     digests = {
