@@ -60,8 +60,9 @@ ulps of ``max(|value|, sum |a_n| / |div|) + |base|``, the rounding of the sum
 and of the argument reduction that the transforms cannot see.  Measured
 against 30-digit references it bounds the real error.  The accelerator is
 done after the last sample: past it rounding grows faster than the transform
-gains (order 10 of d2 would take 3,325 terms).  Near u -> 0 the series get
-hard, and their residual there stays above ``ctrl.tol``.
+gains (order 10 of d2 would take 3,325 terms).  Terms fall like n^-(u+1):
+at u = 1/2 (log2, trigamma-half, zeta2) they crawl, and in the window below
+like n^-7, meeting the default tol in 11 to 291 terms.
 
 Under tail correction (the default) a run stops with ``tolerance_met`` once
 the best residual is at most ``ctrl.tol``, and with ``precision_limit`` when
@@ -77,9 +78,11 @@ rising/falling factor vanished, so all later terms vanish too.  (A d2 series
 may open with a zero term: literal trigamma-half and zeta2.)  Such finite
 series take no accelerator, and their ``tail_estimate`` is the rounding
 floor; one cut short by ``max_terms`` adds the terms it left out, at most 49.
-Finite sums cancel more as their argument grows, so beta, beta-limit and
-Norlund first reduce large arguments by their recurrences, one step per unit,
-and count the steps in ``reductions``.
+Beta, beta-limit, digamma and trigamma step a non-integer u into the window
+(5, 6] by their recurrences, one step per unit, and Norlund x above 10 down;
+``reductions`` counts the steps.  A step up may round u onto an integer (u
+below 2^-53, or 1 - 2^-53), whose finite sum is exact, the step's error below
+an ulp of the result; trigamma's kernel runs at exactly 5 + u.
 
 Two series families sum an inner reciprocal-odd sum whose published lower
 index is ambiguous by one; both readings are first-class here as the
@@ -144,10 +147,14 @@ _EXACT_U_LIMIT = 50
 # so integer u above this steps down as well (at u = 50, v = 3.7 the finite sum
 # was 2e-2 relative off; from 12 every v in [0.01, 100] is within 3e-13).
 _EXACT_U_BETA = 12
-# Other u above this step down into (5, 6]: the binomial terms' size, and so
-# the cancellation in their sum, grows like 2**u (d1 is within 5e-14 relative
-# on u in [0.25, 6]).
+# The window (5, 6] where beta, beta-limit, digamma and trigamma sum, other u
+# stepping into it one unit at a time: above it the cancellation of the binomial
+# terms grows like 2**u, below it the terms fall like n**-(u+1), slowly.
 _U_MAX = 6.0
+# Beta's u steps up only for v <= 64 or u < 0.015: each v step adds 4 ulps of the
+# shifted sum |a_n| to the floor, which then stays above the default tol where the
+# unshifted series meets it (u = 0.058, v = 88: 437 -> 1,477 terms).
+_V_STEP_UP, _U_STEP_UP = 64.0, 0.015
 # Norlund's x above this steps down into (9, 10]: its terms grow like 2**x / a.
 # Integer x through 10 sums to 4e-16 relative at a = 0.5 (8e-13 at x = 20).
 _NORLUND_X_MAX = 10.0
@@ -188,8 +195,7 @@ class SeriesResult(Record):
     ``termination`` is one of ``exact_termination``, ``tolerance_met`` and
     ``precision_limit`` (under tail correction only) and ``max_terms``.
     ``reductions`` counts argument-reduction recurrence steps taken before
-    summing (beta, beta-limit, digamma and Norlund; 0 means the pure series
-    path).
+    summing (0 means the pure series path).
     """
 
     value: float
@@ -458,61 +464,64 @@ def _ratio_kernel(
         target = yield j - shift, s, comp, abs_sum, term, rest
 
 
-def _trigamma_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
-    """(1-u)_n/(n n!) * [psi(n+1-u) - psi(1-u) + d], the bracket grown by
-    1/(n-u) from ``d``.
+def _trigamma_kernel(
+    u: float, d: float = 0.0, shift: float = 0.0
+) -> Generator[tuple, float, None]:
+    """(1-x)_n/(n n!) * [psi(n+1-x) - psi(1-x) + d] at x = shift + u, the
+    bracket grown by 1/(n-x) from ``d``.
 
-    ``rest`` is the forward difference a_{n+1} - a_n that d2 reads, computed
-    at the checkpoints alone.  It comes from the recurrence, as accurate
-    relative to itself as a_n is; subtracting two rounded terms would add a
-    few ulps of a_n, about n times more, and cost one to two digits.  Zero
-    terms are added: literal trigamma-half opens with one.  No term is
-    negative: r_n > 0 on 0 < u < 1, and the bracket is positive from n = 1,
-    or from n = 2 where it starts at d = -2 (u = 1/2, whose first bracket is
-    0).  So the sum takes |a_n| = a_n and |s| = s, and sum |a_n| is s itself.
-    No term overflows: r_n <= 1, and the bracket is at most 1/(1-u) + H_n, so
-    every term is added and the loop always reaches its checkpoint.
+    n - x is formed as (n - shift) - u, one rounding: an integer ``shift``
+    moves the argument exactly, and x is no integer for 0 < u < 1.  ``rest``
+    is the forward difference a_{n+1} - a_n that d2 reads, computed at the
+    checkpoints alone.  It comes from the recurrence, as accurate relative to
+    itself as a_n is; subtracting two rounded terms would add a few ulps of
+    a_n, about n times more, and cost one to two digits.  Zero terms are
+    added: literal trigamma-half opens with one.  At shift 5 the terms change
+    sign, so the sum compares |s| with |a_n| and keeps sum |a_n|.  No term
+    overflows (|a_n| <= (21 + H_n) / n), so the loop reaches its checkpoint.
     """
     r = 1.0
-    n = s = comp = term = 0.0
+    n = s = comp = abs_sum = term = 0.0
     target = yield
     while True:
         while n < target:
             k = n + 1.0
-            ku = k - u
+            ku = (k - shift) - u
             r *= ku / k
             d += 1.0 / ku
             term = (r / k) * d
+            size = term if term >= 0.0 else -term
             n = k
             t = s + term
-            if s >= term:
+            abs_sum += size
+            if (s if s >= 0.0 else -s) >= size:
                 comp += (s - t) + term
             else:
                 comp += (term - t) + s
             s = t
-        diff = r * (n - d * (n * (1.0 + u) + 1.0)) / (n * (n + 1.0) ** 2)
-        target = yield n, s, comp, s, term, diff
+        diff = r * (n - d * (n * (1.0 + shift + u) + 1.0)) / (n * (n + 1.0) ** 2)
+        target = yield n, s, comp, abs_sum, term, diff
 
 
-# Inside a verify pass, each trigamma kernel by the bits of its (u, d), with the states it
-# yielded by checkpoint; None outside a pass and in other threads.  A state at n depends on
-# (u, d, n) alone, so the runs of a pass at one (u, d) replay them and drive one kernel on.
+# Inside a verify pass, each trigamma kernel by the bits of its (u, d, shift), with the states
+# it yielded by checkpoint; None outside a pass and in other threads.  A state at n depends on
+# its arguments and n alone, so the runs of a pass at one key replay them and drive one kernel on.
 _checkpoints: ContextVar[dict | None] = ContextVar("checkpoints", default=None)
 
 
-def _d2_kernel(u: float, d: float = 0.0) -> Generator[tuple, float, None]:
-    """The trigamma kernel at (u, d), shared within a pass (see above)."""
+def _d2_kernel(u: float, d: float = 0.0, shift: float = 0.0) -> Generator[tuple, float, None]:
+    """The trigamma kernel at (u, d, shift), shared within a pass (see above)."""
     shared = _checkpoints.get()
     if shared is None:
-        return _trigamma_kernel(u, d)
-    key = (u.hex(), d.hex())
+        return _trigamma_kernel(u, d, shift)
+    key = (u.hex(), d.hex(), shift)
     if key not in shared:
-        shared[key] = _trigamma_kernel(u, d), {}
+        shared[key] = _trigamma_kernel(u, d, shift), {}
         next(shared[key][0])
-    return _replay(*shared[key], u, d)
+    return _replay(*shared[key], (u, d, shift))
 
 
-def _replay(kernel: Generator, states: dict, u: float, d: float) -> Generator[tuple, float, None]:
+def _replay(kernel: Generator, states: dict, args: tuple) -> Generator[tuple, float, None]:
     """Replay ``states`` and record there what ``kernel`` yields past them.  A
     target below the last one reached and not among them, such as a trace row,
     takes a kernel of its own."""
@@ -520,7 +529,7 @@ def _replay(kernel: Generator, states: dict, u: float, d: float) -> Generator[tu
     while True:
         if target not in states:
             if states and target < next(reversed(states)):  # below the last one reached
-                kernel, states = _trigamma_kernel(u, d), {}
+                kernel, states = _trigamma_kernel(*args), {}
                 next(kernel)
             states[target] = kernel.send(target)
         target = yield states[target]
@@ -549,7 +558,7 @@ def _check_reducible(name: str, param: str, value: float) -> None:
 
 
 def _beta(u: float, v: float) -> _Summand:
-    u = positive_real(u, "u")
+    u0 = u = positive_real(u, "u")
     v = positive_real(v, "v")
     # B(u, v) = B(u-1, v) (u-1)/(u+v-1), and alike in v: u steps into (5, 6],
     # integer u down to 12 at most, then v into (0, 2].
@@ -561,6 +570,12 @@ def _beta(u: float, v: float) -> _Summand:
         u -= 1.0
         div *= (u + v) / u
         reductions += 1
+    while (v <= _V_STEP_UP or u0 < _U_STEP_UP) and not u.is_integer() and u <= _U_MAX - 1.0:
+        div *= u / (u + v)
+        u += 1.0
+        reductions += 1
+    if div < 2.0**-1022:  # B(u, v) ~ 1/u is within a factor v of overflow
+        raise OverflowRangeError(f"beta_series overflows double precision at u = {u0!r}")
     # A finite sum cancels against its base 1/v as v grows, unless it is
     # empty: B(1, v) = 1/v keeps any v.
     if u != 1.0:
@@ -591,6 +606,10 @@ def _beta_limit(u: float) -> _Summand:
         u -= 1.0
         acc -= 1.0 / u
         reductions += 1
+    while not u.is_integer() and u <= _U_MAX - 1.0:
+        acc += 1.0 / u
+        u += 1.0
+        reductions += 1
     return _Summand(
         _ratio_kernel(u, 0.0), base=acc, reductions=reductions,
         m=0 if u.is_integer() else 1,
@@ -600,22 +619,26 @@ def _beta_limit(u: float) -> _Summand:
 def _digamma(u: float) -> _Summand:
     y = positive_real(u, "u")
     _check_reducible("digamma_series", "u", u)
-    # psi(y+1) = psi(y) + 1/y, one step per unit, into [1, 2): the series is
-    # empty at y = 1, and d1 needs y well away from 0.
+    # psi(y+1) = psi(y) + 1/y, one step per unit: integer y down to 1, whose
+    # series is empty, other y into (5, 6].
     acc = 0.0
     reductions = 0
-    while y >= 2.0:
+    while y > (1.0 if y.is_integer() else _U_MAX):
         y -= 1.0
         acc += 1.0 / y
         reductions += 1
+    while not y.is_integer() and y <= _U_MAX - 1.0:
+        acc -= 1.0 / y
+        y += 1.0
+        reductions += 1
     return _Summand(
         _ratio_kernel(y, 0.0), base=acc - EULER_GAMMA, div=-1.0, reductions=reductions,
-        m=0 if y == 1.0 else 1,
+        m=0 if y.is_integer() else 1,
     )
 
 
 def _log2() -> _Summand:
-    return _beta_limit(0.5)._replace(div=2.0)
+    return _Summand(_ratio_kernel(0.5, 0.0), div=2.0, m=1)
 
 
 def _norlund(x: float, a: float) -> _Summand:
@@ -641,7 +664,9 @@ def _trigamma(u: float) -> _Summand:
     u = finite_real(u, "u")
     if not 0.0 < u < 1.0:
         raise DomainError(f"trigamma_series requires 0 < u < 1, got {u!r}")
-    return _Summand(_d2_kernel(u), m=2)
+    # psi'(u) = sum_{j<5} 1/(u+j)^2 + psi'(u+5): the kernel sums at exactly 5 + u.
+    base = math.fsum(w * w for w in [1.0 / (u + j) for j in (0.0, 1.0, 2.0, 3.0, 4.0)])
+    return _Summand(_d2_kernel(u, 0.0, _U_MAX - 1.0), base=base, reductions=5, m=2)
 
 
 def _trigamma_half(convention: str) -> _Summand:
@@ -679,10 +704,12 @@ def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> Series
     """B(u, v) as ``1/v + sum_{n>=1} (1-u)_n / ((n+v) n!)``.
 
     Terminates exactly for positive integer u (the rising factor vanishes).
-    Other u above 6, and integer u above 12, are first reduced one step per
-    unit with ``B(u, v) = B(u-1, v) (u-1)/(u+v-1)``, so u <= 1e6; v above 2
-    is then reduced alike, so v <= 1e6 as well, except at u = 1, whose empty
-    sum B = 1/v keeps any v.  ``reductions`` counts the steps.
+    Other u are first stepped into (5, 6], and integer u above 12 down to 12,
+    one step per unit with ``B(u, v) = B(u-1, v) (u-1)/(u+v-1)``, so u <= 1e6;
+    u below 5 steps up only where v <= 64 or u < 0.015.  v above 2 is then
+    reduced alike, so v <= 1e6 as well, except at u = 1, whose empty sum
+    B = 1/v keeps any v.  ``reductions`` counts the steps.  u below about
+    2.2e-308 v raises :class:`OverflowRangeError`.
     """
     return _run(_beta(u, v), ctrl)[0]
 
@@ -691,8 +718,8 @@ def beta_limit_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResu
     """``sum_{n>=1} (1-u)_n / (n n!)``: the v->0 limit of ``B(u,v) - 1/v``.
 
     Terminates exactly for positive integer u.  As in :func:`beta_series`,
-    other u above 6, and integer u above 50, are first reduced one step per
-    unit with ``L(u) = L(u-1) - 1/(u-1)``, so u <= 1e6.
+    other u are first stepped into (5, 6], and integer u above 50 down to 50,
+    one step per unit with ``L(u) = L(u-1) - 1/(u-1)``, so u <= 1e6.
     """
     return _run(_beta_limit(u), ctrl)[0]
 
@@ -700,9 +727,9 @@ def beta_limit_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResu
 def digamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
     """psi(u) as ``-gamma - sum_{n>=1} (1-u)_n / (n n!)``.
 
-    Arguments of 2 and above are first reduced into [1, 2) with
-    ``psi(y+1) = psi(y) + 1/y``, one step per unit, so u <= 1e6.  The
-    number of steps is reported in ``reductions`` (0: the pure series path).
+    Integer u is first stepped down to its empty series at 1, and other u
+    into (5, 6], with ``psi(y+1) = psi(y) + 1/y``, one step per unit, so
+    u <= 1e6.  The number of steps is reported in ``reductions``.
     """
     return _run(_digamma(u), ctrl)[0]
 
@@ -710,7 +737,7 @@ def digamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
 def log2_series(ctrl: SeriesControl | None = None) -> SeriesResult:
     """log 2 as ``sum_{n>=1} C(2n,n) / (n 2^{2n+1})`` (terms ~ n^-1.5).
 
-    It is summed as half the beta-limit series at u = 1/2, whose terms
+    It is summed as half the beta-limit series at u = 1/2, unshifted, whose terms
     (1/2)_n / (n n!) are twice these: that series is -psi(1/2) - gamma = 2 log 2.
     """
     return _run(_log2(), ctrl)[0]
@@ -730,8 +757,10 @@ def norlund_diff(x: float, a: float, ctrl: SeriesControl | None = None) -> Serie
 def trigamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
     """psi'(u) for 0 < u < 1 by termwise differentiation of the psi series.
 
-    Term n is ``(1/(n n!)) (1-u)_n [psi(n+1-u) - psi(1-u)]`` with the bracket
-    maintained incrementally (adds ``1/(n-u)`` per step).
+    Term n is ``(1/(n n!)) (1-x)_n [psi(n+1-x) - psi(1-x)]`` at x = 5 + u,
+    with the bracket maintained incrementally (adds ``1/(n-x)`` per step), and
+    ``psi'(u) = sum_{j<5} 1/(u+j)^2 + psi'(u+5)``.  u below about 1.3e-154,
+    where 1/u^2 overflows, raises :class:`OverflowRangeError`.
     """
     return _run(_trigamma(u), ctrl)[0]
 

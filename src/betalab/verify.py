@@ -27,9 +27,7 @@ The two differ by ``4 log 2``.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
-import io
 import itertools
 import math
 import operator
@@ -64,7 +62,7 @@ __all__ = [
     "render_report",
 ]
 
-TOOL_VERSION = "0.7.0"
+TOOL_VERSION = "0.8.0"
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
@@ -116,8 +114,9 @@ class CheckRecord(Record):
 
     ``passed`` is True/False for evaluated points and None for skipped ones
     (where the numeric fields are None as well and ``reason`` says why).
-    The defaults describe a skipped record.  ``diagnostics`` is kept as a
-    read-only copy, since a report keeps the cells it renders from it.
+    The defaults describe a skipped record.  ``params`` is kept as a tuple and
+    ``diagnostics`` as a read-only copy, since a report keeps the cells it
+    renders from them.
     """
 
     identity_id: str
@@ -133,7 +132,8 @@ class CheckRecord(Record):
     diagnostics: Mapping = MappingProxyType({})
 
     def __post_init__(self) -> None:
-        vars(self)["diagnostics"] = MappingProxyType(dict(self.diagnostics))
+        diagnostics = MappingProxyType(dict(self.diagnostics))
+        vars(self).update(params=tuple(self.params), diagnostics=diagnostics)
 
 
 # Report columns as (name, CheckRecord field): every field but the trailing
@@ -716,12 +716,20 @@ def _render_json(report: SuiteReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _csv_line(texts: list[str]) -> str:
+    """``texts`` as one CSV line, a cell holding a comma, a quote, CR or LF quoted with
+    its quotes doubled: one rule on every Python (``csv.writer`` quotes CR from 3.13)."""
+    line = ",".join(texts)
+    if line.count(",") == len(texts) - 1 and '"' not in line and line.isprintable():
+        return line
+    return ",".join('"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t
+                    for t in texts)
+
+
 def _render_csv(report: SuiteReport) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([name for name, _ in _COLUMNS] + list(_DIAG_KEYS))
-    writer.writerows(texts for texts, _ in report._cell_texts[0])
-    return buf.getvalue().encode("utf-8")
+    lines = [_csv_line([name for name, _ in _COLUMNS] + list(_DIAG_KEYS))]
+    lines += [_csv_line(texts) for texts, _ in report._cell_texts[0]]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _render_table(report: SuiteReport) -> bytes:

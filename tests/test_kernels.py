@@ -11,8 +11,9 @@ Norlund keeps its own, with the alternating sign, negated to match its
 ``div = -1``, which checks that it is the ratio kernel at
 (u, v, q, start) = (x, 1, a, 0) bit for bit.  trigamma-half and zeta2 keep
 theirs, an inner sum of odd reciprocals, which checks that they are the
-trigamma kernel at u = 1/2 bit for bit.  Every value, bound, count,
-termination, trace row and error message must agree exactly.
+trigamma kernel at u = 1/2 bit for bit; trigamma's generator runs at
+shift + u, forming each n - (shift + u) as (n - shift) - u.  Every value,
+bound, count, termination, trace row and error message must agree exactly.
 """
 
 from __future__ import annotations
@@ -70,15 +71,16 @@ def _negated(terms):
 SAMPLED = frozenset(sr._D2_SAMPLES)
 
 
-def _trigamma_terms(u):
+def _trigamma_terms(u, shift):
     r = 1.0
     d = 0.0
     n = 0.0
     while True:
         n += 1.0
-        r *= (n - u) / n
-        d += 1.0 / (n - u)
-        diff = r * (n - d * (n * (1.0 + u) + 1.0)) / (n * (n + 1.0) ** 2) if n in SAMPLED else math.nan
+        r *= ((n - shift) - u) / n
+        d += 1.0 / ((n - shift) - u)
+        x = shift + u
+        diff = r * (n - d * (n * (1.0 + x) + 1.0)) / (n * (n + 1.0) ** 2) if n in SAMPLED else math.nan
         yield (r / n) * d, diff
 
 
@@ -178,7 +180,7 @@ def _oracle_terms(name, params, kernel):
     if name == "norlund":
         return _negated(_norlund_terms(args["u"], args["q"]))
     if name == "trigamma":
-        return _trigamma_terms(args["u"])
+        return _trigamma_terms(args["u"], args["shift"])
     if name == "log2":
         return _limit_terms(0.5)
     return _trigamma_half_terms(params["convention"] == bl.CORRECTED)
@@ -307,7 +309,7 @@ D2_CONTROLS = [
 
 def _d2_runs():
     """Each public d2 call and its trace every 7 terms under each control, then
-    trigamma at 1/2 and corrected zeta2, one kernel, uncorrected to 1,000,000 terms."""
+    trigamma at 1/2 and corrected zeta2 uncorrected to 1,000,000 terms."""
     runs = []
     for ctrl, (name, params) in itertools.product(D2_CONTROLS, D2_RUNS):
         args = (*params.values(), ctrl)
@@ -327,7 +329,7 @@ def test_d2_runs_in_a_pass_match_the_same_runs_outside_it_bit_for_bit(order, mon
     want = [_outcome(run) for run in runs]
     starts = []
     kernel = sr._trigamma_kernel
-    monkeypatch.setattr(sr, "_trigamma_kernel", lambda u, d: starts.append(u) or kernel(u, d))
+    monkeypatch.setattr(sr, "_trigamma_kernel", lambda *args: starts.append(args) or kernel(*args))
     with verify._one_pass():
         got = [_outcome(run) for run in runs]
     assert got == want
@@ -335,10 +337,12 @@ def test_d2_runs_in_a_pass_match_the_same_runs_outside_it_bit_for_bit(order, mon
     assert sr._checkpoints.get() is None
 
 
-def test_a_builtin_pass_starts_the_trigamma_kernel_four_times(monkeypatch):
+def test_a_builtin_pass_starts_the_trigamma_kernel_five_times(monkeypatch):
     starts = []
     kernel = sr._trigamma_kernel
-    monkeypatch.setattr(sr, "_trigamma_kernel", lambda u, d: starts.append((u, d)) or kernel(u, d))
+    monkeypatch.setattr(sr, "_trigamma_kernel", lambda *args: starts.append(args) or kernel(*args))
     bl.run_suite()
-    # EQ9 at 0.5 and EQ10 and EQ11 corrected share one kernel, the two literal runs another.
-    assert sorted(starts) == [(0.25, 0.0), (0.5, -2.0), (0.5, 0.0), (0.75, 0.0)]
+    # EQ9 runs at 5 + u, one kernel per u; EQ10 and EQ11 share one kernel per convention.
+    assert sorted(starts) == [
+        (0.25, 0.0, 5.0), (0.5, -2.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.0, 5.0), (0.75, 0.0, 5.0)
+    ]

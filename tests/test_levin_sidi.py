@@ -54,7 +54,9 @@ def test_residual_bounds_the_real_error(name, params):
         assert res.tail_estimate <= 1e-6
 
 
-@pytest.mark.parametrize("u", [0.005, 0.01, 0.02, 0.05])
+# psi'(u) ~ 1/u**2 puts the rounding floor of the absolute tol above 1e-10 from
+# u ~ 0.01 down: such runs go on to the last sample.
+@pytest.mark.parametrize("u", [0.001, 0.002, 0.005, 0.01])
 @mpmath.workdps(30)
 def test_small_u_ends_in_precision_limit(u):
     res = bl.trigamma_series(u)
@@ -72,7 +74,7 @@ def test_tolerance_met_means_the_residual_is_within_tol():
 
 
 def test_precision_limit_reports_the_best_transform():
-    res, rows = bl.trace("trigamma", {"u": 0.25}, every=1)
+    res, rows = bl.trace("trigamma", {"u": 0.005}, every=1)
     assert res.termination == bl.PRECISION_LIMIT
     assert len(rows) == res.terms_used == ORDER_CAP_TERMS
     assert res.tail_estimate == min(row.tail_estimate for row in rows if row.tail_estimate > 0.0)

@@ -518,9 +518,10 @@ def test_relative_mode_scales_with_magnitude(full_report):
 
 
 def test_removing_tail_correction_widens_error():
+    # At the terms the corrected run used, the plain sum is farther off.
     corrected = bl.digamma_series(0.5, bl.SeriesControl(max_terms=100_000))
     raw = bl.digamma_series(
-        0.5, bl.SeriesControl(max_terms=100_000, tail_correction=False)
+        0.5, bl.SeriesControl(max_terms=corrected.terms_used, tail_correction=False)
     )
     reference = bl.digamma(0.5)
     assert abs(raw.value - reference) > abs(corrected.value - reference)
@@ -563,6 +564,11 @@ REPORT_SHA256 = {
         "csv": "6a8ddc9ebe8159d244a2d6e16c491668a11fd08b31736f61bca3c526965cfc93",
         "table": "404a9382065697e54945b1aac964f9a4917b7b58e99a65f330b013d7eb89532f",
     },
+    "0.8.0": {
+        "json": "00f51fafbbb935a391194954a56bd7e808f9447bc111e4335c5777623d4a35c2",
+        "csv": "fa31652c78764e3d78659b1535818adf7d03b897bc4371e0ba6a01f69d1979ca",
+        "table": "fd466ef7c436b81bf1f6a3fb8a89553616e664400b6357a054eb3e7996c5f552",
+    },
 }
 
 
@@ -591,9 +597,9 @@ DENSE_GRIDS = {
 # sha256 of each render of the dense report, its tool version set to "dense",
 # so that a version bump that keeps every value needs no new digest.
 DENSE_SHA256 = {
-    "json": "0cd4ab1b96ea21342628f6715064ca487584e25a384b5055bb1a8aad757595f9",
-    "csv": "01de9a012cf2b536e19aabb68e7179f1cea58182fc4153d427076119b8b0181a",
-    "table": "784469d7ba13783e199a29eeae7a39530849bb6aa3bf34c3fadf2f1fcb86e3b3",
+    "json": "88302e7d27699b9711eb42737fdfeab8cfa54773f813cb3dee7018ca8d7db4af",
+    "csv": "6ddf5bb752e76bbdd66365dda8c3facc4517c50f26b0b3c093578b2ab89b192f",
+    "table": "bf8de298c5ea5435a121e4ea7d5bdad9a4449acb1afe9ddeab2b5284b727d9d2",
 }
 
 
@@ -935,6 +941,39 @@ def test_a_report_is_frozen_at_construction():
     for mapping in (report.counts, report.informational[0], report.records[0].diagnostics):
         with pytest.raises(TypeError):
             mapping["total"] = 0
+
+
+def test_a_record_keeps_its_params_as_a_tuple():
+    # A list given as params is frozen: the cells a report renders stay the record's,
+    # and show a grid point, 0.5, not the fallback text of a list, [0.5].
+    params = [0.5]
+    record = verify.CheckRecord("EQ9", params, reason="by hand")
+    counts = {"total": 1, "passed": 0, "failed": 0, "skipped": 1}
+    report = verify.SuiteReport([record], counts, "golden", [])
+    first = bl.render_report(report, "csv")
+    params[0] = 0.75
+    assert record.params == (0.5,) and report.records[0].params == (0.5,)
+    assert first == bl.render_report(report, "csv")
+    assert first.endswith(b"\nEQ9,0.5,,,,,,,true,by hand,,,,\n")
+    assert b'"params": [0.5]' in bl.render_report(report, "json")
+
+
+_CSV_ROUTE = "DomainError: EQ2 route must be 'pole' or 'lhopital', got "
+
+
+def test_csv_quotes_by_one_rule_on_every_python_version():
+    # A cell holding a comma, a quote, CR or LF is quoted, its quotes doubled, and no
+    # other; csv.writer left a lone CR unquoted before Python 3.13.
+    grid = [("po\rle",), ("a,b",), ('q"x',), ("n\nl",), ("t\tab",)]
+    report = bl.run_suite(only=["EQ2"], overrides={"EQ2": {"grid": grid}})
+    rows = bl.render_report(report, "csv").decode().split("\n", 1)[1]
+    assert rows == (
+        f'EQ2,"po\rle",,,,,,,true,"{_CSV_ROUTE}\'po\\rle\'",,,,\n'
+        f'EQ2,"a,b",,,,,,,true,"{_CSV_ROUTE}\'a,b\'",,,,\n'
+        f'EQ2,"q""x",,,,,,,true,"{_CSV_ROUTE}\'q""x\'",,,,\n'
+        f'EQ2,"n\nl",,,,,,,true,"{_CSV_ROUTE}\'n\\nl\'",,,,\n'
+        f'EQ2,t\tab,,,,,,,true,"{_CSV_ROUTE}\'t\\tab\'",,,,\n'
+    )
 
 
 def test_a_fresh_report_rendered_table_first_keeps_its_digests():
