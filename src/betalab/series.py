@@ -55,9 +55,9 @@ term (literal trigamma-half) makes level 0 of the first sample infinite;
 level 1 there is its limit, (S / g_2, 1 / g_2, 0, t) of that sample.
 
 The residual is 8 times the larger of the last two differences between
-successive transforms, never below the rounding floor: (8 + 4 reductions)
-ulps of ``max(|value|, sum |a_n| / |div|) + |base|``, the rounding of the sum
-and of the argument reduction that the transforms cannot see.  Measured
+successive transforms, never below the rounding floor that the transforms
+cannot see: 8 ulps of ``max(|value|, sum |a_n| / |div|) + |base|`` for the
+sum, and 4 ulps of ``|value| + |base|`` per argument-reduction step.  Measured
 against 30-digit references it bounds the real error.  The accelerator is
 done after the last sample: past it rounding grows faster than the transform
 gains (order 10 of d2 would take 3,325 terms).  Terms fall like n^-(u+1):
@@ -77,12 +77,13 @@ series, it stops with ``exact_termination`` at its first zero term: a
 rising/falling factor vanished, so all later terms vanish too.  (A d2 series
 may open with a zero term: literal trigamma-half and zeta2.)  Such finite
 series take no accelerator, and their ``tail_estimate`` is the rounding
-floor; one cut short by ``max_terms`` adds the terms it left out, at most 49.
-Beta, beta-limit, digamma and trigamma step a non-integer u into the window
-(5, 6] by their recurrences, one step per unit, and Norlund x above 10 down;
-``reductions`` counts the steps.  A step up may round u onto an integer (u
-below 2^-53, or 1 - 2^-53), whose finite sum is exact, the step's error below
-an ulp of the result; trigamma's kernel runs at exactly 5 + u.
+floor; one cut short by ``max_terms`` adds the terms it left out, at most 10.
+Beta, beta-limit, digamma (beta-limit's summand negated) and trigamma step u
+into the window (5, 6] by their recurrences, one step per unit, an integer u
+above it down to 6, and Norlund x above 10 down; ``reductions`` counts the
+steps.  A step up may round u onto an integer (u below 2^-53, or 1 - 2^-53),
+whose finite sum is exact, the step's error below an ulp of the result;
+trigamma's kernel runs at exactly 5 + u.
 
 Two series families sum an inner reciprocal-odd sum whose published lower
 index is ambiguous by one; both readings are first-class here as the
@@ -139,21 +140,13 @@ CONVENTIONS = (LITERAL, CORRECTED)
 EULER_GAMMA = 0.5772156649015329
 
 _MAX_REDUCED = 1_000_000  # the argument reductions take one step per unit
-# Integer u up to here keeps the exact finite sum of beta-limit: its binomial
-# terms, times the next factor, stay below 2**53, so the sum carries no rounding
-# (u = 60 does: beta-limit is then 7e-3 relative off).
-_EXACT_U_LIMIT = 50
-# Beta's terms divide by n + v, which rounds, and their sum cancels like 2**u,
-# so integer u above this steps down as well (at u = 50, v = 3.7 the finite sum
-# was 2e-2 relative off; from 12 every v in [0.01, 100] is within 3e-13).
-_EXACT_U_BETA = 12
-# The window (5, 6] where beta, beta-limit, digamma and trigamma sum, other u
+# The window (5, 6] where beta, beta-limit, digamma and trigamma sum, any other u
 # stepping into it one unit at a time: above it the cancellation of the binomial
 # terms grows like 2**u, below it the terms fall like n**-(u+1), slowly.
 _U_MAX = 6.0
-# Beta's u steps up only for v <= 64 or u < 0.015: each v step adds 4 ulps of the
-# shifted sum |a_n| to the floor, which then stays above the default tol where the
-# unshifted series meets it (u = 0.058, v = 88: 437 -> 1,477 terms).
+# Beta's u steps up only for v <= 64 or u < 0.015: thousands of v steps at 4 ulps of
+# |value| + |base| each keep the floor above the default tol (u = 0.072, v = 3727.6:
+# 194 -> 1,477 terms), and at tiny B tol is met farther off (u = 3.77: 1.2e-4 -> 6.4e-3).
 _V_STEP_UP, _U_STEP_UP = 64.0, 0.015
 # Norlund's x above this steps down into (9, 10]: its terms grow like 2**x / a.
 # Integer x through 10 sums to 4e-16 relative at a = 0.5 (8e-13 at x = 20).
@@ -188,10 +181,10 @@ class SeriesResult(Record):
     ``raw_partial_sum``: the plain compensated sum of the terms used.
     ``tail_estimate`` bounds ``|value - limit|``.  It is 0 only before a
     first transform has a residual: order 3 or four terms for d1, order 3 or
-    11 terms for d2.  An exact termination reports the rounding floor,
-    ``(8 + 4 reductions)`` ulps of ``max(|value|, sum |terms| / |div|) +
-    |base|``, and a finite series cut short by ``max_terms`` adds
-    ``sum |terms left out| / |div|``.
+    11 terms for d2.  An exact termination reports the rounding floor, 8 ulps
+    of ``max(|value|, sum |terms| / |div|) + |base|`` plus ``4 reductions`` ulps
+    of ``|value| + |base|``, and a finite series cut short by ``max_terms``
+    adds ``sum |terms left out| / |div|``.
     ``termination`` is one of ``exact_termination``, ``tolerance_met`` and
     ``precision_limit`` (under tail correction only) and ``max_terms``.
     ``reductions`` counts argument-reduction recurrence steps taken before
@@ -216,8 +209,10 @@ _DEFAULT_CTRL = SeriesControl()
 
 def _floor(reductions: int, value: float, abs_sum: float, base: float, div: float) -> float:
     """The rounding that the sum and the argument reduction leave in ``value``:
-    (8 + 4 reductions) ulps of ``max(|value|, sum |a_n| / |div|) + |base|``."""
-    return (8.0 + 4.0 * reductions) * _EPS * (max(abs(value), abs_sum / abs(div)) + abs(base))
+    8 ulps of ``max(|value|, sum |a_n| / |div|) + |base|`` for the sum, and 4 of
+    ``|value| + |base|`` per step, which moves ``base`` or scales ``div`` alone."""
+    return _EPS * (8.0 * (max(abs(value), abs_sum / abs(div)) + abs(base))
+                   + 4.0 * reductions * (abs(value) + abs(base)))
 
 
 _NAN_ENTRY = (math.nan,) * 5
@@ -559,16 +554,16 @@ def _check_reducible(name: str, param: str, value: float) -> None:
 
 def _beta(u: float, v: float) -> _Summand:
     u0 = u = positive_real(u, "u")
-    v = positive_real(v, "v")
-    # B(u, v) = B(u-1, v) (u-1)/(u+v-1), and alike in v: u steps into (5, 6],
-    # integer u down to 12 at most, then v into (0, 2].
+    v0 = v = positive_real(v, "v")
+    # B(u, v) = B(u-1, v) (u-1)/(u+v-1), and alike in v: u into (5, 6], then v into (0, 2].
     # ``div`` gathers the inverse factors, so B(reduced u, v) / div is B(u, v).
     _check_reducible("beta_series", "u", u)
     div = 1.0
     reductions = 0
-    while _steps_down(u, _EXACT_U_BETA):
+    while u > _U_MAX:
         u -= 1.0
-        div *= (u + v) / u
+        # div (u+v)/u without forming u + v, which rounds v alike for all u of a binade
+        div += div * v / u
         reductions += 1
     while (v <= _V_STEP_UP or u0 < _U_STEP_UP) and not u.is_integer() and u <= _U_MAX - 1.0:
         div *= u / (u + v)
@@ -584,16 +579,12 @@ def _beta(u: float, v: float) -> _Summand:
             v -= 1.0
             div *= (u + v) / v
             reductions += 1
+    if div > 2.0**1016:  # B(u, v) >= B(6, 2) / div = 1 / (42 div) may leave the normal range
+        raise OverflowRangeError(f"beta_series underflows at u = {u0!r}, v = {v0!r}")
     return _Summand(
         _ratio_kernel(u, v), base=1.0 / (v * div), div=div,
         reductions=reductions, m=0 if u.is_integer() else 1,
     )
-
-
-def _steps_down(u: float, exact_u: int) -> bool:
-    """Whether beta's or beta-limit's u, whose integer values through
-    ``exact_u`` keep their finite sums, takes one more reduction step."""
-    return u > _U_MAX and not (u.is_integer() and u <= exact_u)
 
 
 def _beta_limit(u: float) -> _Summand:
@@ -602,7 +593,7 @@ def _beta_limit(u: float) -> _Summand:
     # L(u) = L(u-1) - 1/(u-1), with L the series: -(psi(u) + gamma).
     acc = 0.0
     reductions = 0
-    while _steps_down(u, _EXACT_U_LIMIT):
+    while u > _U_MAX:
         u -= 1.0
         acc -= 1.0 / u
         reductions += 1
@@ -617,24 +608,10 @@ def _beta_limit(u: float) -> _Summand:
 
 
 def _digamma(u: float) -> _Summand:
-    y = positive_real(u, "u")
-    _check_reducible("digamma_series", "u", u)
-    # psi(y+1) = psi(y) + 1/y, one step per unit: integer y down to 1, whose
-    # series is empty, other y into (5, 6].
-    acc = 0.0
-    reductions = 0
-    while y > (1.0 if y.is_integer() else _U_MAX):
-        y -= 1.0
-        acc += 1.0 / y
-        reductions += 1
-    while not y.is_integer() and y <= _U_MAX - 1.0:
-        acc -= 1.0 / y
-        y += 1.0
-        reductions += 1
-    return _Summand(
-        _ratio_kernel(y, 0.0), base=acc - EULER_GAMMA, div=-1.0, reductions=reductions,
-        m=0 if y.is_integer() else 1,
-    )
+    # psi(u) = -gamma - L(u), with L beta-limit's series: its summand negated.
+    _check_reducible("digamma_series", "u", positive_real(u, "u"))
+    limit = _beta_limit(u)
+    return limit._replace(base=-limit.base - EULER_GAMMA, div=-1.0)
 
 
 def _log2() -> _Summand:
@@ -704,12 +681,13 @@ def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> Series
     """B(u, v) as ``1/v + sum_{n>=1} (1-u)_n / ((n+v) n!)``.
 
     Terminates exactly for positive integer u (the rising factor vanishes).
-    Other u are first stepped into (5, 6], and integer u above 12 down to 12,
-    one step per unit with ``B(u, v) = B(u-1, v) (u-1)/(u+v-1)``, so u <= 1e6;
-    u below 5 steps up only where v <= 64 or u < 0.015.  v above 2 is then
-    reduced alike, so v <= 1e6 as well, except at u = 1, whose empty sum
+    u above 6 is first stepped into (5, 6], an integer to 6, one step per unit
+    with ``B(u, v) = B(u-1, v) (u-1)/(u+v-1)``, so u <= 1e6; non-integer u
+    below 5 steps up alike where v <= 64 or u < 0.015.  v above 2 is then
+    reduced too, so v <= 1e6 as well, except at u = 1, whose empty sum
     B = 1/v keeps any v.  ``reductions`` counts the steps.  u below about
-    2.2e-308 v raises :class:`OverflowRangeError`.
+    2.2e-308 v, or a B(u, v) near the subnormal range, raises
+    :class:`OverflowRangeError`.
     """
     return _run(_beta(u, v), ctrl)[0]
 
@@ -718,8 +696,8 @@ def beta_limit_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResu
     """``sum_{n>=1} (1-u)_n / (n n!)``: the v->0 limit of ``B(u,v) - 1/v``.
 
     Terminates exactly for positive integer u.  As in :func:`beta_series`,
-    other u are first stepped into (5, 6], and integer u above 50 down to 50,
-    one step per unit with ``L(u) = L(u-1) - 1/(u-1)``, so u <= 1e6.
+    u is first stepped into (5, 6], an integer above 6 to 6, one step per
+    unit with ``L(u) = L(u-1) - 1/(u-1)``, so u <= 1e6.
     """
     return _run(_beta_limit(u), ctrl)[0]
 
@@ -727,9 +705,9 @@ def beta_limit_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResu
 def digamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
     """psi(u) as ``-gamma - sum_{n>=1} (1-u)_n / (n n!)``.
 
-    Integer u is first stepped down to its empty series at 1, and other u
-    into (5, 6], with ``psi(y+1) = psi(y) + 1/y``, one step per unit, so
-    u <= 1e6.  The number of steps is reported in ``reductions``.
+    This is the beta-limit series negated, stepped into (5, 6] as in
+    :func:`beta_limit_series` (``psi(y+1) = psi(y) + 1/y``), so u <= 1e6.
+    The number of steps is reported in ``reductions``.
     """
     return _run(_digamma(u), ctrl)[0]
 

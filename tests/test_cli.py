@@ -218,7 +218,7 @@ def test_series_extrapolation_short_of_tol_exits_3(capsys):
 
 
 def test_series_finite_sum_cut_short_of_tol_exits_3(capsys):
-    argv = ("series", "beta", "--u", "50", "--v", "0.5", "--max-terms", "10")
+    argv = ("series", "beta", "--u", "50", "--v", "0.5", "--max-terms", "3")
     code, out, err = run_cli(capsys, *argv, "--tol", "1e-3")
     assert code == 3
     assert "termination      = max_terms" in out

@@ -236,11 +236,16 @@ def test_huge_counts_return_or_raise_within_a_second(call, outcome):
 
 def test_count_caps_admit_their_bound():
     assert cs.odd_harmonic(10**6) > cs.odd_harmonic(10**6 - 1)
-    # Reductions end at 1 for an integer, in (5, 6] otherwise.
-    assert sr.digamma_series(1e6, CTRL).reductions == 999_999
+    # Reductions end in (5, 6], at 6 for an integer.
+    assert sr.digamma_series(1e6, CTRL).reductions == 999_994
     assert sr.digamma_series(1e6 - 0.5, CTRL).reductions == 999_994
-    with pytest.raises(DomainError, match="u <= 1000000"):
+    # digamma sums beta-limit's summand, but its cap names digamma_series.
+    with pytest.raises(DomainError, match="^digamma_series supports u <= 1000000, got 1000001.0$"):
         sr.digamma_series(1e6 + 1, CTRL)
-    # beta steps u into (5, 6], integer u down to 12, and then v into (0, 2].
-    assert sr.beta_series(1e6, 0.5, CTRL).reductions == 1e6 - 12
-    assert sr.beta_series(1e6 - 0.5, 1e6, CTRL).reductions == (1e6 - 6) + (1e6 - 2)
+    # beta steps u into (5, 6], and then v into (0, 2].
+    assert sr.beta_series(1e6, 0.5, CTRL).reductions == 1e6 - 6
+    assert sr.beta_series(1e6 - 0.5, 40.0, CTRL).reductions == (1e6 - 6) + 38
+    assert sr.beta_series(5.5, 1e6, CTRL).reductions == 1e6 - 2
+    # Both at their caps, B(u, v) ~ 4**-1e6 is far below the normal range.
+    with pytest.raises(OverflowRangeError, match="underflows"):
+        sr.beta_series(1e6 - 0.5, 1e6, CTRL)

@@ -232,8 +232,8 @@ def test_max_terms_still_caps_the_levin_path():
         (60.5, 0.5, 55),  # was 17% off
         (200.5, 0.5, 195),  # was 4.8e40 with tolerance_met
         (1000.25, 1.5, 995),
-        (60.0, 0.5, 48),  # integers above 12 step down to 12, then end exactly
-        (200.0, 2.5, 189),  # and then v steps into (0, 2]
+        (60.0, 0.5, 54),  # integers above 6 step down to 6, then end exactly
+        (200.0, 2.5, 195),  # and then v steps into (0, 2]
     ],
 )
 @mpmath.workdps(30)
@@ -281,9 +281,9 @@ def test_beta_series_reduces_large_v_of_an_infinite_series(u, v, reductions):
 @pytest.mark.parametrize(
     "u, v, reductions",
     [
-        (8.0, 40.0, 38),  # unreduced, 9.6e-10 relative off
-        (8.0, 200.0, 198),  # unreduced, 1.6e-4 relative off
-        (50.0, 1000.0, 38 + 998),  # u to 12, then v; v unreduced, 100% off
+        (8.0, 40.0, 2 + 38),  # v unreduced, 9.6e-10 relative off
+        (8.0, 200.0, 2 + 198),  # v unreduced, 1.6e-4 relative off
+        (50.0, 1000.0, 44 + 998),  # u to 6, then v; v unreduced, 100% off
         (1.0, 1000.5, 0),  # the empty sum B(1, v) = 1/v keeps its v
     ],
 )
@@ -310,10 +310,10 @@ def test_beta_series_reduction_caps():
 @pytest.mark.parametrize(
     "name, params, reductions",
     [
-        ("beta-limit", {"u": 50.0}, 0),  # inside the exact range: the plain finite sum
-        ("beta-limit", {"u": 60.0}, 10),  # unreduced, 7e-3 relative off
-        ("beta-limit", {"u": 80.0}, 30),  # unreduced, 18891.65 (true -4.95)
-        ("beta-limit", {"u": 1000.0}, 950),
+        ("beta-limit", {"u": 6.0}, 0),  # inside the window: the plain finite sum
+        ("beta-limit", {"u": 60.0}, 54),  # unreduced, 7e-3 relative off
+        ("beta-limit", {"u": 80.0}, 74),  # unreduced, 18891.65 (true -4.95)
+        ("beta-limit", {"u": 1000.0}, 994),
         ("beta-limit", {"u": 80.5}, 75),  # into (5, 6]; unreduced, 1e-6 relative off
         ("norlund", {"x": 10.0, "a": 0.5}, 0),  # inside the exact range
         ("norlund", {"x": 20.0, "a": 0.5}, 10),  # unreduced, 8e-13 relative off
@@ -330,6 +330,16 @@ def test_beta_limit_and_norlund_reduce_large_arguments(name, params, reductions)
     assert float(abs(res.value - reference) / abs(reference)) <= 1e-12
     if res.termination != bl.EXACT_TERMINATION:
         assert float(abs(res.value - reference)) <= res.tail_estimate
+
+
+@mpmath.workdps(30)
+def test_norlund_far_above_its_window_meets_tol():
+    # Charged 4 ulps of sum |a_n| per step, its 491 steps held the floor above tol:
+    # 1,477 terms to precision_limit.  Per step, 4 ulps of |value| + |base| suffice.
+    res = bl.norlund_diff(500.3, 0.5)
+    assert (res.termination, res.terms_used, res.reductions) == (bl.TOLERANCE_MET, 38, 491)
+    reference = mpmath.digamma(mpmath.mpf(500.3) + 0.5) - mpmath.digamma(0.5)
+    assert float(abs(res.value - reference)) <= res.tail_estimate <= 1e-10
 
 
 def test_beta_limit_and_norlund_reduction_caps():

@@ -569,6 +569,11 @@ REPORT_SHA256 = {
         "csv": "fa31652c78764e3d78659b1535818adf7d03b897bc4371e0ba6a01f69d1979ca",
         "table": "fd466ef7c436b81bf1f6a3fb8a89553616e664400b6357a054eb3e7996c5f552",
     },
+    "0.9.0": {
+        "json": "bd05a0597ae24f3ba1a1fdb9f398a06e100a1b7aaaff6d9097b467180811e7b5",
+        "csv": "778ef745b494c7c348ea894857e00f135e0175297a2078cc5003a234887605ea",
+        "table": "aa19bd58e21171e9707babc046b0e3f45c3405c98e4c52b2bfbc23f86a83cfb7",
+    },
 }
 
 
@@ -597,9 +602,9 @@ DENSE_GRIDS = {
 # sha256 of each render of the dense report, its tool version set to "dense",
 # so that a version bump that keeps every value needs no new digest.
 DENSE_SHA256 = {
-    "json": "88302e7d27699b9711eb42737fdfeab8cfa54773f813cb3dee7018ca8d7db4af",
-    "csv": "6ddf5bb752e76bbdd66365dda8c3facc4517c50f26b0b3c093578b2ab89b192f",
-    "table": "bf8de298c5ea5435a121e4ea7d5bdad9a4449acb1afe9ddeab2b5284b727d9d2",
+    "json": "570a6a99a4367639b9ae2059865fae4c5f58ae644a50bf3155cea5609c75e8d1",
+    "csv": "9fd2009b9a4a73a4335220de35b7d7224dbac327e58f72ffa540a66d8ce8a53d",
+    "table": "e3ee10f89864e2cfb4ce7a58171fff628bd158853487c3f8c067789483fb08ce",
 }
 
 

@@ -4,8 +4,9 @@ A non-integer u below the window steps up one unit at a time by its family's
 recurrence, so each of the four series sums where its terms fall like n^-7.
 These tests hold each series to mpmath at 40 digits, with err = |value - ref|
 / max(1, |ref|): accurate, honest (``tail_estimate`` bounds the real error) and
-short.  The constant series of the paper (log2, trigamma-half, zeta2) and the
-exact integer-u sums keep their bits.
+short.  An integer u above the window steps down into it like any other u, and
+an integer u <= 6 sums its exact finite series.  The constant series of the paper
+(log2, trigamma-half, zeta2) keep the bits of the unshifted tree.
 """
 
 from __future__ import annotations
@@ -134,6 +135,42 @@ def test_beta_series_below_the_normal_range_of_its_factor_overflows():
         sr.beta_series(1e-307, 64.0)
 
 
+INTEGER_US = [float(u) for u in range(7, 61)] + [100.0, 1000.0, 12345.0]
+
+
+@mpmath.workdps(40)
+def test_integer_u_above_the_window_steps_down_like_any_other_u():
+    # Integer u once kept a finite sum through 12 (beta) and 50 (beta-limit).  Beta's
+    # rounds at n + v and cancels like 2**u, and its steps rounded u + v alike: 3.6e-13
+    # off here at worst (1.1e-14 now, at u = 12345).  beta_limit_series(60.0) reported a
+    # tail of 0.25 for a 2e-17 error; from u = 1000 the 4 ulps charged per step dominate
+    # beta-limit's tail (1.9e-11 relative at 12345).
+    beta_off, failures = [], []
+    for u in INTEGER_US:
+        for v in _log_grid(0.01, 1e4, 13):
+            reference = mpmath.beta(u, v)
+            try:
+                res = sr.beta_series(u, v)
+            except bl.OverflowRangeError:  # B(u, v) below the normal range
+                assert reference < 2.0**-1000, (u, v)
+                continue
+            off = abs(mpmath.mpf(res.value) - reference)
+            if not float(off) <= res.tail_estimate:
+                failures.append(("beta", u, v))
+            if v <= 100:
+                beta_off.append(float(off / reference))
+        limit = sr.beta_limit_series(u)
+        off = abs(mpmath.mpf(limit.value) + mpmath.digamma(u) + mpmath.euler)
+        sharp = 1e-12 * max(1.0, abs(limit.value)) if u <= 100 else math.inf
+        if not float(off) <= limit.tail_estimate <= sharp:
+            failures.append(("beta-limit", u, limit.tail_estimate))
+        digamma = sr.digamma_series(u)
+        if not float(abs(mpmath.mpf(digamma.value) - mpmath.digamma(u))) <= digamma.tail_estimate:
+            failures.append(("digamma", u))
+    assert not failures, failures[:5]
+    assert max(beta_off) <= 2e-14
+
+
 def test_beta_series_keeps_the_unshifted_path_for_large_v():
     # Many v steps would lift the shifted floor above tol: 194 terms, as before.
     res = sr.beta_series(0.3, 1e6)
@@ -142,7 +179,9 @@ def test_beta_series_keeps_the_unshifted_path_for_large_v():
 
 _UNCORRECTED = bl.SeriesControl(max_terms=3_000, tail_correction=False)
 # (name, params, uncorrected?) -> value, raw_partial_sum, tail_estimate as hex,
-# terms_used, termination, reductions: the bits of the unshifted tree.
+# terms_used, termination, reductions: for the constants the bits of the unshifted
+# tree, for the integer sums those of the one step-down rule (beta(12, 3.7) was
+# 2.1e-13 relative off when it kept its 11-term sum; it is now 2.1e-16 off).
 PINNED = {
     ("log2", (), False): ("0x1.62e42fefa3a4cp-1", "0x1.4983fbfe2c4d2p-1", "0x1.32a6000000000p-35",
                           129, "tolerance_met", 0),
@@ -174,20 +213,20 @@ PINNED = {
         3000, "max_terms", 0),
     ("beta", (3.0, 0.5), False): ("0x1.1111111111111p+0", "0x1.1111111111111p+0",
                                   "0x1.ddddddddddddep-48", 2, "exact_termination", 0),
-    ("beta", (12.0, 3.7), False): ("0x1.2ee8ecdfdd500p-12", "0x1.2ee8ecdfdd500p-12",
-                                   "0x1.b95e290a26df4p-46", 11, "exact_termination", 2),
-    ("beta", (20.0, 0.7), False): ("0x1.483a21fcb5928p-3", "0x1.483a21fcb5928p-3",
-                                   "0x1.3b197c96f74c2p-39", 11, "exact_termination", 8),
+    ("beta", (12.0, 3.7), False): ("0x1.2ee8ecdfdd960p-12", "0x1.2ee8ecdfdd960p-12",
+                                   "0x1.44d765729b068p-53", 5, "exact_termination", 8),
+    ("beta", (20.0, 0.7), False): ("0x1.483a21fcb5908p-3", "0x1.483a21fcb5908p-3",
+                                   "0x1.4f8eb80a82d32p-46", 5, "exact_termination", 14),
     ("beta", (1.0, 50.0), False): ("0x1.47ae147ae147bp-6", "0x1.47ae147ae147bp-6",
                                    "0x1.47ae147ae147bp-54", 0, "exact_termination", 0),
-    ("beta-limit", (7.0,), False): ("-0x1.399999999999ap+1", "-0x1.399999999999ap+1",
-                                    "0x1.9488888888889p-45", 6, "exact_termination", 0),
-    ("beta-limit", (60.0,), False): ("-0x1.2a71ee2038429p+2", "-0x1.2a71ee2038429p+2",
-                                     "0x1.003cffc4f7d1dp-2", 49, "exact_termination", 10),
+    ("beta-limit", (7.0,), False): ("-0x1.3999999999999p+1", "-0x1.3999999999999p+1",
+                                    "0x1.0422222222222p-45", 5, "exact_termination", 1),
+    ("beta-limit", (60.0,), False): ("-0x1.2a71ee2038428p+2", "-0x1.2a71ee2038428p+2",
+                                     "0x1.9ea7047a93e58p-42", 5, "exact_termination", 54),
     ("digamma", (3.0,), False): ("0x1.d8773039049e7p-1", "0x1.d8773039049e7p-1",
-                                 "0x1.d8773039049e7p-48", 0, "exact_termination", 2),
-    ("digamma", (50.0,), False): ("0x1.f37465ca59ec2p+1", "0x1.f37465ca59ec2p+1",
-                                  "0x1.8e00c11d3fa83p-42", 0, "exact_termination", 49),
+                                 "0x1.89e233f1bed86p-48", 2, "exact_termination", 0),
+    ("digamma", (50.0,), False): ("0x1.f37465ca59ec1p+1", "0x1.f37465ca59ec1p+1",
+                                  "0x1.13b6601acfc28p-42", 5, "exact_termination", 44),
 }
 
 
