@@ -105,6 +105,14 @@ def gamma_derivative_at_1(depth: int = DEFAULT_DEPTH, h0: float = 0.5) -> LimitR
     return richardson_limit(lambda v: math.expm1(lgamma(v + 1.0)) / v, h0, depth)
 
 
+def _checked_u(u: float) -> tuple[float, float]:
+    """``u`` as the beta limits accept it, a finite real >= 0.1, and ``lgamma(u)``."""
+    u = finite_real(u, "u")
+    if u < _MIN_U:
+        raise DomainError(f"u must be a finite real >= {_MIN_U}, got {u!r}")
+    return u, lgamma(u)
+
+
 def beta_pole_limit(u: float, depth: int = DEFAULT_DEPTH, h0: float = 0.25) -> LimitResult:
     """``lim_{v->0+} (B(u,v) - 1/v)`` for u >= 0.1.
 
@@ -113,10 +121,7 @@ def beta_pole_limit(u: float, depth: int = DEFAULT_DEPTH, h0: float = 0.25) -> L
     like 1/v.  In closed form the limit is ``-(gamma + psi(u))`` (0 at u = 1);
     the identity suite checks it against both that form and the series route.
     """
-    u = finite_real(u, "u")
-    if u < _MIN_U:
-        raise DomainError(f"u must be a finite real >= {_MIN_U}, got {u!r}")
-    lg_u = lgamma(u)
+    u, lg_u = _checked_u(u)
 
     def sample(v: float) -> float:
         return math.expm1(lgamma(v + 1.0) + lg_u - lgamma(u + v)) / v
@@ -135,10 +140,7 @@ def scaled_beta_limits(
     agreement is a structural check on both the beta evaluator and the
     extrapolator.
     """
-    u = finite_real(u, "u")
-    if u < _MIN_U:
-        raise DomainError(f"u must be a finite real >= {_MIN_U}, got {u!r}")
-    lg_u = lgamma(u)
+    u, lg_u = _checked_u(u)
 
     def via_log(v: float) -> float:
         return math.exp(lgamma(v + 1.0) + lg_u - lgamma(u + v))

@@ -98,7 +98,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable, Generator, Mapping
-from contextvars import ContextVar
 
 from .errors import DomainError, OverflowRangeError, Record, finite_real, integer, positive_real
 
@@ -498,49 +497,16 @@ def _trigamma_kernel(
         target = yield n, s, comp, abs_sum, term, diff
 
 
-# Inside a verify pass, each trigamma kernel by the bits of its (u, d, shift), with the states
-# it yielded by checkpoint; None outside a pass and in other threads.  A state at n depends on
-# its arguments and n alone, so the runs of a pass at one key replay them and drive one kernel on.
-_checkpoints: ContextVar[dict | None] = ContextVar("checkpoints", default=None)
-
-
-def _d2_kernel(u: float, d: float = 0.0, shift: float = 0.0) -> Generator[tuple, float, None]:
-    """The trigamma kernel at (u, d, shift), shared within a pass (see above)."""
-    shared = _checkpoints.get()
-    if shared is None:
-        return _trigamma_kernel(u, d, shift)
-    key = (u.hex(), d.hex(), shift)
-    if key not in shared:
-        shared[key] = _trigamma_kernel(u, d, shift), {}
-        next(shared[key][0])
-    return _replay(*shared[key], (u, d, shift))
-
-
-def _replay(kernel: Generator, states: dict, args: tuple) -> Generator[tuple, float, None]:
-    """Replay ``states`` and record there what ``kernel`` yields past them.  A
-    target below the last one reached and not among them, such as a trace row,
-    takes a kernel of its own."""
-    target = yield
-    while True:
-        if target not in states:
-            if states and target < next(reversed(states)):  # below the last one reached
-                kernel, states = _trigamma_kernel(*args), {}
-                next(kernel)
-            states[target] = kernel.send(target)
-        target = yield states[target]
-
-
 # --- term sources: validate parameters, say what the engine sums ----------
 
 
 _Summand = namedtuple("_Summand", "kernel base div reductions m", defaults=(0.0, 1.0, 0, 0))
 _Summand.__doc__ = """A validated series: the engine sums ``base + sum(terms) / div``.
 
-``kernel`` is a fresh kernel generator over the terms, or in a verify pass a
-d2 replay (see above); ``base`` (0.0) and ``div`` (1.0) are floats,
-``reductions`` (0) and ``m`` (0) ints.  ``m`` is the order of the d^(m)
-transform that extrapolates an infinite series, 1 or 2, and 0 for a finite
-one.  The kernel of a d2 series, the trigamma kernel, yields the forward
+``kernel`` is a kernel generator over the terms, ``base`` (0.0) and ``div``
+(1.0) floats, ``reductions`` (0) and ``m`` (0) ints.  ``m`` is the order of
+the d^(m) transform that extrapolates an infinite series, 1 or 2, and 0 for a
+finite one.  The trigamma kernel, of the d2 series, yields the forward
 difference ``a_{n+1} - a_n`` as ``rest``, carries no rounding remainder and
 adds every term, zeros included; the ratio kernel folds its ``rest``, a
 rounding remainder, into ``comp`` and ends at its first zero or non-finite term.
@@ -569,8 +535,8 @@ def _beta(u: float, v: float) -> _Summand:
         div *= u / (u + v)
         u += 1.0
         reductions += 1
-    if div < 2.0**-1022:  # B(u, v) ~ 1/u is within a factor v of overflow
-        raise OverflowRangeError(f"beta_series overflows double precision at u = {u0!r}")
+    if div < 2.0**-1022 or v * div == 0.0:  # B ~ 1/u is within v of overflow, or 1/(v div) past it
+        raise OverflowRangeError(f"beta_series overflows at u = {u0!r}, v = {v0!r}")
     # A finite sum cancels against its base 1/v as v grows, unless it is
     # empty: B(1, v) = 1/v keeps any v.
     if u != 1.0:
@@ -643,7 +609,7 @@ def _trigamma(u: float) -> _Summand:
         raise DomainError(f"trigamma_series requires 0 < u < 1, got {u!r}")
     # psi'(u) = sum_{j<5} 1/(u+j)^2 + psi'(u+5): the kernel sums at exactly 5 + u.
     base = math.fsum(w * w for w in [1.0 / (u + j) for j in (0.0, 1.0, 2.0, 3.0, 4.0)])
-    return _Summand(_d2_kernel(u, 0.0, _U_MAX - 1.0), base=base, reductions=5, m=2)
+    return _Summand(_trigamma_kernel(u, 0.0, _U_MAX - 1.0), base=base, reductions=5, m=2)
 
 
 def _trigamma_half(convention: str) -> _Summand:
@@ -653,7 +619,7 @@ def _trigamma_half(convention: str) -> _Summand:
     # u = 1/2, bit for bit: there r_n = C(2n,n)/4^n, and the bracket
     # sum_{k<n} 2/(2k+1) is twice the inner sum, an exact scaling.  The literal
     # inner sum starts at k = 1, without k = 0's 1, so its bracket starts at -2.
-    return _Summand(_d2_kernel(0.5, 0.0 if convention == CORRECTED else -2.0), m=2)
+    return _Summand(_trigamma_kernel(0.5, 0.0 if convention == CORRECTED else -2.0), m=2)
 
 
 def _zeta2(convention: str) -> _Summand:
@@ -686,8 +652,8 @@ def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> Series
     below 5 steps up alike where v <= 64 or u < 0.015.  v above 2 is then
     reduced too, so v <= 1e6 as well, except at u = 1, whose empty sum
     B = 1/v keeps any v.  ``reductions`` counts the steps.  u below about
-    2.2e-308 v, or a B(u, v) near the subnormal range, raises
-    :class:`OverflowRangeError`.
+    2.2e-308 v, a B(u, v) past double range or near the subnormal range
+    raises :class:`OverflowRangeError`.
     """
     return _run(_beta(u, v), ctrl)[0]
 

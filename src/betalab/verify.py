@@ -183,14 +183,12 @@ _results: ContextVar[dict | None] = ContextVar("results", default=None)
 
 @contextlib.contextmanager
 def _one_pass():
-    """The scope of one suite pass: every distinct routine call of the pass, and every
-    d2 kernel checkpoint (see ``series._checkpoints``), runs once; nothing outlives it."""
-    tokens = _results.set({}), sr._checkpoints.set({})
+    """The scope of one suite pass: each distinct routine call runs once; nothing outlives it."""
+    token = _results.set({})
     try:
         yield
     finally:
-        _results.reset(tokens[0])
-        sr._checkpoints.reset(tokens[1])
+        _results.reset(token)
 
 
 class _Routine(Record):
@@ -231,6 +229,7 @@ def _merge_diag(a: Mapping, b: Mapping) -> dict:
 _U7 = (0.25, 0.5, 0.75, 1.0, 2.0, 3.5, 5.0)
 _V3 = (0.5, 1.0, 2.5)
 _log_moment = _Routine(qd, "log_kernel_moment")  # EQ1, EQ3, EQ4 and EQ4H share it
+_trigamma_half = _Routine(sr, "trigamma_half_series")  # EQ10 and EQ11 share it
 
 
 def _log_moment_form(u: float) -> qd.QuadratureResult:
@@ -246,6 +245,14 @@ def _neg_n_log_moment(n: float) -> qd.QuadratureResult:
 def _eq3_rhs(u: float) -> qd.QuadratureResult:
     res = _log_moment_form(u)
     return res._replace(value=-cs.EULER_GAMMA - res.value)
+
+
+def _zeta2_third(conv: str) -> sr.SeriesResult:
+    """zeta(2) as one third of EQ10's psi'(1/2) run (Ruben; Srivastava & Choi), each field
+    divided by 3 as ``zeta2_series``'s engine divides: the same bits at the default control."""
+    res = _trigamma_half(conv)
+    return res._replace(value=res.value / 3.0, raw_partial_sum=res.raw_partial_sum / 3.0,
+                        tail_estimate=res.tail_estimate / 3.0)
 
 
 def _gamma_pole_route(route: str) -> lm.LimitResult:
@@ -446,7 +453,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=5e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=_Routine(sr, "trigamma_half_series"),
+            lhs=_trigamma_half,
             rhs=lambda conv: cs.trigamma(0.5),
         ),
         IdentitySpec(
@@ -456,7 +463,7 @@ def builtin_registry() -> tuple[IdentitySpec, ...]:
             grid=((sr.CORRECTED,),),
             tolerance=2e-4,
             tolerance_mode=TAIL_AWARE,
-            lhs=_Routine(sr, "zeta2_series"),
+            lhs=_zeta2_third,
             rhs=lambda conv: cs.riemann_zeta(2.0),
         ),
         IdentitySpec(

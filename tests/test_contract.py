@@ -153,6 +153,7 @@ def test_series_control_fields_are_checked(field, bad):
         (cs.polygamma, (171, 1.0)),  # 171! overflows
         (sr.beta_series, (0.5, 1e-310)),  # the base 1/v overflows
         (sr.beta_series, (0.5, 5e-324)),
+        (sr.beta_series, (5e-324, 5e-324)),  # u steps onto 1 and v div = 0
         (sr.norlund_diff, (0.5, 1e-310)),  # the first term x / a overflows
         (qd.integrate01, (lambda t: 1e308,)),  # fsum's intermediate overflow
         (qd.integrate01, (lambda t: 1e308 if t < 0.5 else -1e308,)),  # only the bound overflows
@@ -161,6 +162,7 @@ def test_series_control_fields_are_checked(field, bad):
         "gamma-tiny", "beta-tiny", "trigamma-tiny", "hurwitz-tiny",
         "lgamma-huge", "digamma-subnormal", "polygamma-high-order",
         "polygamma-order-171", "beta-series-tiny", "beta-series-subnormal",
+        "beta-series-subnormal-u-and-v",
         "norlund-tiny", "integrate01-level-sum", "integrate01-error-bound",
     ],
 )

@@ -25,7 +25,6 @@ import pytest
 
 import betalab as bl
 from betalab import series as sr
-from betalab import verify
 
 # --- the oracle: per-term generators ----------------------------------------
 
@@ -286,63 +285,20 @@ def test_the_cases_reach_every_edge_path():
                     "series value or its error bound overflows double precision"}
 
 
-# --- one verify pass shares each d2 kernel's checkpoints ------------------------
-
-D2_RUNS = [
-    ("trigamma", {"u": 0.5}),
-    *[(name, {"convention": c}) for name in ("trigamma-half", "zeta2") for c in bl.CONVENTIONS],
-]
-D2_PUBLIC = {
-    "trigamma": sr.trigamma_series,
-    "trigamma-half": sr.trigamma_half_series,
-    "zeta2": sr.zeta2_series,
-}
-# Short runs first, so that later ones replay, drive the shared kernel past
-# them and, for trace rows and max_terms=100, ask for targets out of order.
-D2_CONTROLS = [
-    bl.SeriesControl(max_terms=100),
-    None,
-    bl.SeriesControl(max_terms=3_000),
-    bl.SeriesControl(max_terms=3_000, tail_correction=False),
-]
-
-
-def _d2_runs():
-    """Each public d2 call and its trace every 7 terms under each control, then
-    trigamma at 1/2 and corrected zeta2 uncorrected to 1,000,000 terms."""
-    runs = []
-    for ctrl, (name, params) in itertools.product(D2_CONTROLS, D2_RUNS):
-        args = (*params.values(), ctrl)
-        runs.append(lambda name=name, args=args: (D2_PUBLIC[name](*args), ()))
-        runs.append(lambda name=name, params=params, ctrl=ctrl: sr.trace(name, params, ctrl, 7))
-    uncorrected = bl.SeriesControl(tail_correction=False)
-    runs.append(lambda: (sr.trigamma_series(0.5, uncorrected), ()))
-    runs.append(lambda: (sr.zeta2_series(bl.CORRECTED, uncorrected), ()))
-    return runs
-
-
-@pytest.mark.parametrize("order", ["short-first", "long-first"])
-def test_d2_runs_in_a_pass_match_the_same_runs_outside_it_bit_for_bit(order, monkeypatch):
-    runs = _d2_runs()
-    if order == "long-first":
-        runs.reverse()
-    want = [_outcome(run) for run in runs]
-    starts = []
-    kernel = sr._trigamma_kernel
-    monkeypatch.setattr(sr, "_trigamma_kernel", lambda *args: starts.append(args) or kernel(*args))
-    with verify._one_pass():
-        got = [_outcome(run) for run in runs]
-    assert got == want
-    assert 2 < len(starts) < len(runs)  # shared, with kernels of their own for out-of-order targets
-    assert sr._checkpoints.get() is None
+# --- one verify pass starts each trigamma kernel once ---------------------------
 
 
 def test_a_builtin_pass_starts_the_trigamma_kernel_five_times(monkeypatch):
     starts = []
     kernel = sr._trigamma_kernel
-    monkeypatch.setattr(sr, "_trigamma_kernel", lambda *args: starts.append(args) or kernel(*args))
+
+    def counted(u, d=0.0, shift=0.0):
+        starts.append((u, d, shift))
+        return kernel(u, d, shift)
+
+    monkeypatch.setattr(sr, "_trigamma_kernel", counted)
     bl.run_suite()
-    # EQ9 runs at 5 + u, one kernel per u; EQ10 and EQ11 share one kernel per convention.
+    # EQ9 runs at 5 + u, one kernel per u; EQ11 reads EQ10's run, one per convention.
     assert sorted(starts) == [
         (0.25, 0.0, 5.0), (0.5, -2.0, 0.0), (0.5, 0.0, 0.0), (0.5, 0.0, 5.0), (0.75, 0.0, 5.0)
     ]

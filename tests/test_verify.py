@@ -95,7 +95,7 @@ ROUTINE_SIDES = {
     ("EQ7", "lhs"): sr.digamma_series, ("EQ7", "rhs"): cs.digamma, ("EQ7H", "lhs"): cs.digamma,
     ("LOG2", "lhs"): sr.log2_series, ("EQ8", "lhs"): sr.norlund_diff,
     ("EQ9", "lhs"): sr.trigamma_series, ("EQ9", "rhs"): cs.trigamma,
-    ("EQ10", "lhs"): sr.trigamma_half_series, ("EQ11", "lhs"): sr.zeta2_series,
+    ("EQ10", "lhs"): sr.trigamma_half_series,
     ("GHALF", "lhs"): cs.gamma_half, ("BHALF", "lhs"): cs.beta_half,
 }
 
@@ -112,6 +112,19 @@ def test_sides_that_evaluate_one_route_name_its_routine():
     assert named == ROUTINE_SIDES and set(named.values()) <= _route_routines()
     # None is the routine itself, which the registry would keep as it was bound when cached.
     assert not [key for key, side in _sides() if side in _route_routines()]
+
+
+@pytest.mark.parametrize("convention", sr.CONVENTIONS)
+def test_eq11_reads_zeta2_series_off_eq10s_run(convention):
+    # EQ11 divides EQ10's shared run by 3; at the default control that is zeta2_series, bit for bit.
+    want = sr.zeta2_series(convention)
+    report = bl.run_suite(only=["EQ10", "EQ11"], overrides={"EQ11": {"grid": [(convention,)]}})
+    (record,) = [r for r in report.records if r.identity_id == "EQ11"]
+    diag = record.diagnostics
+    assert (record.lhs_value, diag["terms_used"], diag["tail_estimate"]) == (
+        want.value, want.terms_used, want.tail_estimate)
+    literal = {obs["identity_id"]: obs["value"] for obs in report.informational}
+    assert literal["EQ11"] == sr.zeta2_series(sr.LITERAL).value
 
 
 class _Recorder:
@@ -234,7 +247,7 @@ def test_each_pass_repeats_every_call(monkeypatch):
     bl.run_suite()
     assert len(set(first)) == len(first)
     assert moments == first + first
-    assert verify._results.get() is None and sr._checkpoints.get() is None
+    assert verify._results.get() is None
 
 
 def test_a_call_that_raises_is_not_shared(monkeypatch):
@@ -277,15 +290,14 @@ def test_a_pass_that_raises_leaves_nothing_shared(monkeypatch):
     def broken(*args):
         raise RuntimeError("not a skip")
 
-    monkeypatch.setattr(sr, "zeta2_series", broken)
+    monkeypatch.setattr(sr, "trigamma_half_series", broken)
     with pytest.raises(RuntimeError, match="not a skip"):
-        bl.run_suite(only=["EQ1", "EQ10", "EQ11"])  # EQ1 and EQ10 share first
-    assert verify._results.get() is None and sr._checkpoints.get() is None
+        bl.run_suite(only=["EQ1", "EQ6", "EQ10"])  # EQ1 and EQ6 share first
+    assert verify._results.get() is None
 
 
 def test_passes_in_threads_share_nothing():
-    # Each thread's pass drives its own d2 kernels: a shared one would raise
-    # "generator already executing" or hand one thread another's states.
+    # Each thread's pass shares its routine results within that thread alone.
     only = ["EQ1", "EQ6", "EQ9", "EQ10", "EQ11"]
     want = bl.render_report(bl.run_suite(only=only), "csv")
     outcomes = []
