@@ -220,14 +220,13 @@ def log_kernel_moment(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
 def digamma_integral(u: float, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """``int_0^1 (1 - t^u)/(1 - t) dt`` for ``u >= 0.05``.
 
-    The integrand has a removable point at t = 1; evaluating through the
-    distance ``s = 1 - t`` keeps it finite and fully accurate there.
+    The integrand, ``-expm1(u log t) / s`` with ``s = 1 - t``, has a removable
+    point at t = 1; the carried log and distance keep it finite and fully
+    accurate there.
     """
     [u] = _kernel_args(u=u)
 
     def g(t: float, s: float, lt: float, ls: float) -> float:
-        if t <= 0.5:
-            return (1.0 - t**u) / s
         return -math.expm1(u * lt) / s
 
     return _refine(g, tol, interior_only=False)

@@ -57,12 +57,13 @@ level 1 there is its limit, (S / g_2, 1 / g_2, 0, t) of that sample.
 The residual is 8 times the larger of the last two differences between
 successive transforms, never below the rounding floor that the transforms
 cannot see: 8 ulps of ``max(|value|, sum |a_n| / |div|) + |base|`` for the
-sum, and 4 ulps of ``|value| + |base|`` per argument-reduction step.  Measured
-against 30-digit references it bounds the real error.  The accelerator is
-done after the last sample: past it rounding grows faster than the transform
-gains (order 10 of d2 would take 3,325 terms).  Terms fall like n^-(u+1):
-at u = 1/2 (log2, trigamma-half, zeta2) they crawl, and in the window below
-like n^-7, meeting the default tol in 11 to 291 terms.
+sum, and 4 ulps of ``|value|`` per argument-reduction step, plus ``|base|``
+where the steps add to it.  Measured against 30-digit references it bounds
+the real error.  The accelerator is done after the last sample: past it
+rounding grows faster than the transform gains (order 10 of d2 would take
+3,325 terms).  Terms fall like n^-(u+1): at u = 1/2 (log2, trigamma-half,
+zeta2) they crawl, and in the window below like n^-7, meeting the default
+tol in 11 to 291 terms.
 
 Under tail correction (the default) a run stops with ``tolerance_met`` once
 the best residual is at most ``ctrl.tol``, and with ``precision_limit`` when
@@ -77,11 +78,11 @@ series, it stops with ``exact_termination`` at its first zero term: a
 rising/falling factor vanished, so all later terms vanish too.  (A d2 series
 may open with a zero term: literal trigamma-half and zeta2.)  Such finite
 series take no accelerator, and their ``tail_estimate`` is the rounding
-floor; one cut short by ``max_terms`` adds the terms it left out, at most 10.
+floor; one cut short by ``max_terms`` adds the terms it left out, at most 6.
 Beta, beta-limit, digamma (beta-limit's summand negated) and trigamma step u
 into the window (5, 6] by their recurrences, one step per unit, an integer u
-above it down to 6, and Norlund x above 10 down; ``reductions`` counts the
-steps.  A step up may round u onto an integer (u below 2^-53, or 1 - 2^-53),
+above it down to 6, and Norlund x above 6 down alike; ``reductions`` counts
+the steps.  A step up may round u onto an integer (u below 2^-53, or 1 - 2^-53),
 whose finite sum is exact, the step's error below an ulp of the result;
 trigamma's kernel runs at exactly 5 + u.
 
@@ -139,17 +140,10 @@ CONVENTIONS = (LITERAL, CORRECTED)
 EULER_GAMMA = 0.5772156649015329
 
 _MAX_REDUCED = 1_000_000  # the argument reductions take one step per unit
-# The window (5, 6] where beta, beta-limit, digamma and trigamma sum, any other u
-# stepping into it one unit at a time: above it the cancellation of the binomial
-# terms grows like 2**u, below it the terms fall like n**-(u+1), slowly.
+# The window (5, 6] where beta, beta-limit, digamma, trigamma and Norlund sum, u
+# stepping into it one unit at a time (Norlund's x from above): above it the
+# cancellation of the binomial terms grows like 2**u, below it they fall like n**-(u+1).
 _U_MAX = 6.0
-# Beta's u steps up only for v <= 64 or u < 0.015: thousands of v steps at 4 ulps of
-# |value| + |base| each keep the floor above the default tol (u = 0.072, v = 3727.6:
-# 194 -> 1,477 terms), and at tiny B tol is met farther off (u = 3.77: 1.2e-4 -> 6.4e-3).
-_V_STEP_UP, _U_STEP_UP = 64.0, 0.015
-# Norlund's x above this steps down into (9, 10]: its terms grow like 2**x / a.
-# Integer x through 10 sums to 4e-16 relative at a = 0.5 (8e-13 at x = 20).
-_NORLUND_X_MAX = 10.0
 
 _RESIDUAL_FACTOR = 8.0  # residual = 8 x the larger of the last two transform differences
 _EPS = 2.0**-52  # one ulp of 1.0
@@ -182,8 +176,8 @@ class SeriesResult(Record):
     first transform has a residual: order 3 or four terms for d1, order 3 or
     11 terms for d2.  An exact termination reports the rounding floor, 8 ulps
     of ``max(|value|, sum |terms| / |div|) + |base|`` plus ``4 reductions`` ulps
-    of ``|value| + |base|``, and a finite series cut short by ``max_terms``
-    adds ``sum |terms left out| / |div|``.
+    of ``|value|``, plus ``|base|`` where the steps add to it, and a finite
+    series cut short by ``max_terms`` adds ``sum |terms left out| / |div|``.
     ``termination`` is one of ``exact_termination``, ``tolerance_met`` and
     ``precision_limit`` (under tail correction only) and ``max_terms``.
     ``reductions`` counts argument-reduction recurrence steps taken before
@@ -208,10 +202,12 @@ _DEFAULT_CTRL = SeriesControl()
 
 def _floor(reductions: int, value: float, abs_sum: float, base: float, div: float) -> float:
     """The rounding that the sum and the argument reduction leave in ``value``:
-    8 ulps of ``max(|value|, sum |a_n| / |div|) + |base|`` for the sum, and 4 of
-    ``|value| + |base|`` per step, which moves ``base`` or scales ``div`` alone."""
+    8 ulps of ``max(|value|, sum |a_n| / |div|) + |base|`` for the sum, and 4 per
+    step of ``|value|``, plus ``|base|`` where the steps add to it (``|div|`` 1):
+    one that scales ``div`` (beta's) divides ``base`` and the sum alike."""
+    moved = abs(value) + abs(base) if abs(div) == 1.0 else abs(value)
     return _EPS * (8.0 * (max(abs(value), abs_sum / abs(div)) + abs(base))
-                   + 4.0 * reductions * (abs(value) + abs(base)))
+                   + 4.0 * reductions * moved)
 
 
 _NAN_ENTRY = (math.nan,) * 5
@@ -504,7 +500,9 @@ _Summand = namedtuple("_Summand", "kernel base div reductions m", defaults=(0.0,
 _Summand.__doc__ = """A validated series: the engine sums ``base + sum(terms) / div``.
 
 ``kernel`` is a kernel generator over the terms, ``base`` (0.0) and ``div``
-(1.0) floats, ``reductions`` (0) and ``m`` (0) ints.  ``m`` is the order of
+(1.0) floats, ``reductions`` (0) and ``m`` (0) ints.  A reduction step adds
+to ``base`` where ``|div|`` is 1 and scales ``div`` otherwise (beta's), as
+:func:`_floor` charges it.  ``m`` is the order of
 the d^(m) transform that extrapolates an infinite series, 1 or 2, and 0 for a
 finite one.  The trigamma kernel, of the d2 series, yields the forward
 difference ``a_{n+1} - a_n`` as ``rest``, carries no rounding remainder and
@@ -531,7 +529,7 @@ def _beta(u: float, v: float) -> _Summand:
         # div (u+v)/u without forming u + v, which rounds v alike for all u of a binade
         div += div * v / u
         reductions += 1
-    while (v <= _V_STEP_UP or u0 < _U_STEP_UP) and not u.is_integer() and u <= _U_MAX - 1.0:
+    while not u.is_integer() and u <= _U_MAX - 1.0:
         div *= u / (u + v)
         u += 1.0
         reductions += 1
@@ -593,7 +591,7 @@ def _norlund(x: float, a: float) -> _Summand:
     # N(x, a) = N(x-1, a) + 1/(x-1+a); div = -1 undoes the kernel's negation.
     acc = 0.0
     reductions = 0
-    while x > _NORLUND_X_MAX:
+    while x > _U_MAX:
         x -= 1.0
         acc += 1.0 / (x + a)
         reductions += 1
@@ -649,11 +647,11 @@ def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> Series
     Terminates exactly for positive integer u (the rising factor vanishes).
     u above 6 is first stepped into (5, 6], an integer to 6, one step per unit
     with ``B(u, v) = B(u-1, v) (u-1)/(u+v-1)``, so u <= 1e6; non-integer u
-    below 5 steps up alike where v <= 64 or u < 0.015.  v above 2 is then
-    reduced too, so v <= 1e6 as well, except at u = 1, whose empty sum
-    B = 1/v keeps any v.  ``reductions`` counts the steps.  u below about
-    2.2e-308 v, a B(u, v) past double range or near the subnormal range
-    raises :class:`OverflowRangeError`.
+    below 5 steps up alike, whatever v is.  v above 2 is then reduced too, so
+    v <= 1e6 as well, except at u = 1, whose empty sum B = 1/v keeps any v.
+    ``reductions`` counts the steps, each charged 4 ulps of ``|value|``.  u
+    below about 2.2e-308 v, a B(u, v) past double range or near the subnormal
+    range raises :class:`OverflowRangeError`.
     """
     return _run(_beta(u, v), ctrl)[0]
 
@@ -691,9 +689,9 @@ def norlund_diff(x: float, a: float, ctrl: SeriesControl | None = None) -> Serie
     """psi(x+a) - psi(a) as ``sum_{k>=1} (-1)^{k+1}/k falling(x,k)/rising(a,k)``.
 
     Requires ``a > 0`` and ``x + a > 0``; terminates exactly for integer
-    x >= 0 (falling factor vanishes at k = x + 1).  x above 10 is first
-    reduced one step per unit with ``N(x, a) = N(x-1, a) + 1/(x-1+a)``, so
-    x <= 1e6.
+    x >= 0 (falling factor vanishes at k = x + 1).  x above 6 is first
+    stepped into (5, 6], an integer to 6, one step per unit with
+    ``N(x, a) = N(x-1, a) + 1/(x-1+a)``, so x <= 1e6.
     """
     return _run(_norlund(x, a), ctrl)[0]
 

@@ -62,7 +62,7 @@ __all__ = [
     "render_report",
 ]
 
-TOOL_VERSION = "0.9.0"
+TOOL_VERSION = "0.10.0"
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"

@@ -200,8 +200,7 @@ def _per_call_integrand(name, args):
                                              + (v - 1.0) * _log_given(s, t))
     if name == "log-kernel":
         return lambda t, s, lt, ls: math.exp((u - 1.0) * _log_given(t, s)) * _log_given(s, t)
-    return lambda t, s, lt, ls: ((1.0 - t**u) / s if t <= 0.5
-                                 else -math.expm1(u * math.log1p(-s)) / s)
+    return lambda t, s, lt, ls: -math.expm1(u * _log_given(t, s)) / s
 
 
 @pytest.mark.parametrize("level", range(9))

@@ -586,6 +586,11 @@ REPORT_SHA256 = {
         "csv": "778ef745b494c7c348ea894857e00f135e0175297a2078cc5003a234887605ea",
         "table": "aa19bd58e21171e9707babc046b0e3f45c3405c98e4c52b2bfbc23f86a83cfb7",
     },
+    "0.10.0": {
+        "json": "27fb8ef6b40c91934890931aca678317f257bc8f4a9426dda3544fddee66e9f4",
+        "csv": "2d291976adf8f3913c6f91aee1bafcb82859ff372ea16c361065953422dc0d15",
+        "table": "04df456e6b609d5e83a0f5d306b89964b14d0ded58dd36c95fd23fa2cf046d89",
+    },
 }
 
 
@@ -614,9 +619,9 @@ DENSE_GRIDS = {
 # sha256 of each render of the dense report, its tool version set to "dense",
 # so that a version bump that keeps every value needs no new digest.
 DENSE_SHA256 = {
-    "json": "570a6a99a4367639b9ae2059865fae4c5f58ae644a50bf3155cea5609c75e8d1",
-    "csv": "9fd2009b9a4a73a4335220de35b7d7224dbac327e58f72ffa540a66d8ce8a53d",
-    "table": "e3ee10f89864e2cfb4ce7a58171fff628bd158853487c3f8c067789483fb08ce",
+    "json": "25bb9fecdaef0a77969ae7db60baf030e96161cc019ff7f7a95ae02877d56055",
+    "csv": "4e153d056658d17b1903c1e6cdcd1bd670002ae3e49e987e323d2b680ddaba4d",
+    "table": "cb959ddd97803e147c2a75e1cc4b4ab29d7ef4a4be020a4901a3f78602f54eb8",
 }
 
 

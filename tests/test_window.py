@@ -1,12 +1,13 @@
-"""The argument window (5, 6] of beta, beta-limit, digamma and trigamma.
+"""The argument window (5, 6] of beta, beta-limit, digamma, trigamma and Norlund.
 
 A non-integer u below the window steps up one unit at a time by its family's
 recurrence, so each of the four series sums where its terms fall like n^-7.
 These tests hold each series to mpmath at 40 digits, with err = |value - ref|
 / max(1, |ref|): accurate, honest (``tail_estimate`` bounds the real error) and
 short.  An integer u above the window steps down into it like any other u, and
-an integer u <= 6 sums its exact finite series.  The constant series of the paper
-(log2, trigamma-half, zeta2) keep the bits of the unshifted tree.
+an integer u <= 6 sums its exact finite series; Norlund's x above 6 steps down
+alike.  The constant series of the paper (log2, trigamma-half, zeta2) keep the
+bits of the unshifted tree.
 """
 
 from __future__ import annotations
@@ -171,10 +172,39 @@ def test_integer_u_above_the_window_steps_down_like_any_other_u():
     assert max(beta_off) <= 2e-14
 
 
-def test_beta_series_keeps_the_unshifted_path_for_large_v():
-    # Many v steps would lift the shifted floor above tol: 194 terms, as before.
-    res = sr.beta_series(0.3, 1e6)
-    assert (res.termination, res.terms_used, res.reductions) == (bl.TOLERANCE_MET, 194, 999_998)
+# Every 5th point, from the 3rd on, of a 40 x 60 grid u = 0.01 * 500**(i/39),
+# v = 2 * 5e5**(j/59): 8 x 12 points where v steps down by the thousand.
+BETA_LARGE_V = [(0.01 * 500.0 ** (i / 39), 2.0 * 5e5 ** (j / 59))
+                for i in range(2, 40, 5) for j in range(2, 60, 5)]
+
+
+@mpmath.workdps(40)
+def test_beta_series_steps_up_at_any_v():
+    # Each step scales div, which moves the value by ulps of |value| alone, so
+    # u steps up whatever v is: 27,512 terms here, where a gate that kept u
+    # unshifted for v > 64 took 42,569.  The whole 40 x 60 grid takes 685,536
+    # terms (was 1,065,470), its worst err 2.9e-11 (was 5.3e-11).
+    runs = [(sr.beta_series, (u, v), mpmath.beta) for u, v in BETA_LARGE_V]
+    _, honest, terms = _errors(runs)
+    assert all(honest)
+    assert terms <= 30_000
+    res = sr.beta_series(0.058, 88.0)  # 1,477 terms to precision_limit unshifted
+    assert res.termination == bl.TOLERANCE_MET and res.terms_used <= 60
+
+
+NORLUND_GRID = [(6.0 + 4.0 * (i + 0.5) / 20, 0.05 * 200.0 ** (j / 9))
+                for i in range(20) for j in range(10)]
+
+
+@mpmath.workdps(40)
+def test_norlund_above_the_window_steps_down_into_it():
+    # x in (6, 10] summed at x itself was 1.16e-14 off at worst; stepped down
+    # into (5, 6], 1.8e-15.
+    runs = [(sr.norlund_diff, (x, a), lambda x, a: mpmath.digamma(x + a) - mpmath.digamma(a))
+            for x, a in NORLUND_GRID]
+    errors, honest, _ = _errors(runs)
+    assert max(errors) <= 5e-15
+    assert all(honest)
 
 
 _UNCORRECTED = bl.SeriesControl(max_terms=3_000, tail_correction=False)
@@ -214,9 +244,9 @@ PINNED = {
     ("beta", (3.0, 0.5), False): ("0x1.1111111111111p+0", "0x1.1111111111111p+0",
                                   "0x1.ddddddddddddep-48", 2, "exact_termination", 0),
     ("beta", (12.0, 3.7), False): ("0x1.2ee8ecdfdd960p-12", "0x1.2ee8ecdfdd960p-12",
-                                   "0x1.44d765729b068p-53", 5, "exact_termination", 8),
+                                   "0x1.fc3c3d39de0bap-54", 5, "exact_termination", 8),
     ("beta", (20.0, 0.7), False): ("0x1.483a21fcb5908p-3", "0x1.483a21fcb5908p-3",
-                                   "0x1.4f8eb80a82d32p-46", 5, "exact_termination", 14),
+                                   "0x1.8ee3c86447a28p-47", 5, "exact_termination", 14),
     ("beta", (1.0, 50.0), False): ("0x1.47ae147ae147bp-6", "0x1.47ae147ae147bp-6",
                                    "0x1.47ae147ae147bp-54", 0, "exact_termination", 0),
     ("beta-limit", (7.0,), False): ("-0x1.3999999999999p+1", "-0x1.3999999999999p+1",
