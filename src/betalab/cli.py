@@ -49,7 +49,11 @@ def _g(value: float) -> str:
 
 
 def _print_result(res, width: int, prefix: str = "") -> None:
-    """One ``name = value`` line per field of a series, quadrature or limit result."""
+    """One ``name = value`` line per field of a series, quadrature or limit result;
+    a float result, eval's, is its one ``_g`` line."""
+    if isinstance(res, float):
+        print(_g(res))
+        return
     for name in res._fields:
         value = getattr(res, name)
         print(f"{prefix}{name:<{width}} = {_g(value) if isinstance(value, float) else value}")
@@ -80,8 +84,7 @@ _TYPES = {"float": float, "int": int, "str": str}  # the annotations routes use
 
 def _flags(command: str, routine: Callable) -> dict[str, _Param]:
     """flag -> (name, default, type) of each parameter of ``routine``.  eval's
-    flags go by position, Norlund's x is --xarg, and series convention
-    defaults to corrected."""
+    flags go by position, and Norlund's x is --xarg."""
     code = routine.__code__
     names = code.co_varnames[: code.co_argcount]
     defaults = routine.__defaults__ or ()
@@ -89,8 +92,6 @@ def _flags(command: str, routine: Callable) -> dict[str, _Param]:
     flags = {}
     for i, (name, default) in enumerate(zip(names, defaults)):
         flag = ("x", "x2")[i] if command == "eval" else {"x": "xarg"}.get(name, name)
-        if name == "convention":
-            default = _module("series").CORRECTED
         flags[flag] = (name, default, _TYPES[routine.__annotations__[name]])
     return flags
 
@@ -148,12 +149,6 @@ def _arguments(command: str, name: str, options: Mapping) -> dict:
 # --- handlers -------------------------------------------------------------
 
 
-def _run_eval(options: Mapping) -> int:
-    name = options["function"]
-    print(_g(_routes("eval")[name](**_arguments("eval", name, options))))
-    return 0
-
-
 def _run_series(options: Mapping) -> int:
     name = options["name"]
     params = _arguments("series", name, options)
@@ -189,7 +184,7 @@ _PREFIXES = {"scaled-beta": ("via_log_gamma  ", "via_recurrence ")}
 
 
 def _run_routine(command: str, options: Mapping) -> int:
-    """Run an integrate or limit route and print each result it returns."""
+    """Run an eval, integrate or limit route and print each result it returns."""
     name = options[_COMMANDS[command][2]]
     results = _routes(command)[name](**_arguments(command, name, options))
     if not isinstance(results, tuple):
@@ -290,9 +285,8 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {"eval": _run_eval, "series": _run_series, "verify": _run_verify,
-             "integrate": functools.partial(_run_routine, "integrate"),
-             "limit": functools.partial(_run_routine, "limit")}
+_HANDLERS = {"series": _run_series, "verify": _run_verify} | {
+    command: functools.partial(_run_routine, command) for command in ("eval", "integrate", "limit")}
 
 
 def parse(argv: Sequence[str]) -> CommandInvocation:

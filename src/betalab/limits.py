@@ -21,7 +21,8 @@ import math
 from collections.abc import Callable
 
 from .core_special import beta, gamma, lgamma
-from .errors import DomainError, EvaluationError, Record, finite_real, integer, positive_real
+from .errors import DomainError, EvaluationError, OverflowRangeError, Record
+from .errors import finite_real, integer, positive_real
 
 __all__ = [
     "LimitResult",
@@ -60,6 +61,8 @@ def richardson_limit(
     error of ``beta_pole_limit`` on 92 of 200 u in [0.1, 6].  A sample that
     is not finite or real, or a ``TypeError`` of ``f``'s own, raises
     :class:`EvaluationError` (chaining the ``TypeError``), as :func:`integrate01` does.
+    An int sample past double range, an ``OverflowError`` of ``f``'s own (chained)
+    and a tableau or estimate that overflows raise :class:`OverflowRangeError`.
     """
     h0 = positive_real(h0, "h0")
     depth = integer(depth, "depth", _MIN_DEPTH, _MAX_DEPTH)
@@ -81,9 +84,15 @@ def richardson_limit(
             diags.append(row[-1])
     except TypeError as exc:  # f's own; isfinite of a str, None or complex; a Decimal's tableau
         raise EvaluationError(f"limit sample f({x!r}) did not give a real number: {exc}") from exc
+    except OverflowRangeError:
+        raise
+    except OverflowError as exc:  # isfinite of an int past double range, or f's own
+        raise OverflowRangeError(f"limit sample f({x!r}) overflows doubles: {exc}") from exc
     last = diags[-3:]
-    spread = max(abs(b - a) for a, b in zip(last, last[1:]))
-    return LimitResult(diags[-1], _ERROR_FACTOR * spread, depth)
+    error = _ERROR_FACTOR * max(abs(b - a) for a, b in zip(last, last[1:]))
+    if not (math.isfinite(diags[-1]) and math.isfinite(error)):
+        raise OverflowRangeError("Richardson tableau or its error estimate overflows doubles")
+    return LimitResult(diags[-1], error, depth)
 
 
 def gamma_pole_limit(depth: int = DEFAULT_DEPTH, h0: float = 0.5) -> LimitResult:

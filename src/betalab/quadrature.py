@@ -131,9 +131,7 @@ def _refine(
                     continue
             fv = g(t, s, lt, ls)
             wf = w * fv
-            if not math.isfinite(wf):
-                if math.isfinite(fv):
-                    raise OverflowRangeError(f"weight times integrand {fv!r} overflows at t={t!r}")
+            if not math.isfinite(wf):  # every weight is at most pi/4: f itself is not finite
                 raise EvaluationError(f"integrand returned non-finite value {fv!r} at t={t!r}")
             phi.append(wf)
             mass += abs(wf)
@@ -172,12 +170,17 @@ def integrate01(f: Callable[[float], float], tol: float = DEFAULT_TOL) -> Quadra
     attached) if the successive-level difference is still above ``tol`` at
     the cap, :class:`EvaluationError` if ``f`` returns a non-finite or non-real
     value or raises ``TypeError`` (chained as the cause), and
-    :class:`OverflowRangeError` if a level sum or its error bound overflows.
+    :class:`OverflowRangeError` if ``f`` returns an int past double range or raises
+    ``OverflowError`` (chained), or if a level sum or its error bound overflows.
     """
     try:  # around the whole refinement, not each evaluation
         return _refine(lambda t, s, lt, ls: f(t), tol, interior_only=True)
     except TypeError as exc:  # w * f(t) or isfinite of a str, None or complex; or f's own
         raise EvaluationError(f"integrand did not give a real number: {exc}") from exc
+    except OverflowRangeError:
+        raise
+    except OverflowError as exc:  # w * f(t) of an int past double range, or f's own
+        raise OverflowRangeError(f"integrand overflows doubles: {exc}") from exc
 
 
 def _kernel_args(**args: float) -> list[float]:

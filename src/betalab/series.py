@@ -79,12 +79,16 @@ rising/falling factor vanished, so all later terms vanish too.  (A d2 series
 may open with a zero term: literal trigamma-half and zeta2.)  Such finite
 series take no accelerator, and their ``tail_estimate`` is the rounding
 floor; one cut short by ``max_terms`` adds the terms it left out, at most 6.
-Beta, beta-limit, digamma (beta-limit's summand negated) and trigamma step u
-into the window (5, 6] by their recurrences, one step per unit, an integer u
-above it down to 6, and Norlund x above 6 down alike; ``reductions`` counts
-the steps.  A step up may round u onto an integer (u below 2^-53, or 1 - 2^-53),
-whose finite sum is exact, the step's error below an ulp of the result;
-trigamma's kernel runs at exactly 5 + u.
+The step rule, decided in ``_steps`` alone: beta, beta-limit, digamma
+(beta-limit's summand negated) and Norlund (its x) sum with u in the window
+(5, 6].  A u above it steps down into it one unit at a time by its family's
+recurrence, an integer to 6; below it, but for Norlund's, u steps up alike
+unless it is an integer >= 0, whose series is finite.  Beta then steps v
+above 2 down into (1, 2], unless u = 1.  Each step folds into ``base`` or
+``div`` and counts in ``reductions``; arguments above 1e6 raise DomainError.
+A step up may round u onto an integer (u below 2^-53, or 1 - 2^-53), whose
+finite sum is exact, the step's error below an ulp of the result.  Trigamma
+takes its five steps up at once: its kernel runs at exactly 5 + u.
 
 Two series families sum an inner reciprocal-odd sum whose published lower
 index is ambiguous by one; both readings are first-class here as the
@@ -140,9 +144,8 @@ CONVENTIONS = (LITERAL, CORRECTED)
 EULER_GAMMA = 0.5772156649015329
 
 _MAX_REDUCED = 1_000_000  # the argument reductions take one step per unit
-# The window (5, 6] where beta, beta-limit, digamma, trigamma and Norlund sum, u
-# stepping into it one unit at a time (Norlund's x from above): above it the
-# cancellation of the binomial terms grows like 2**u, below it they fall like n**-(u+1).
+# The top of the step rule's window (5, 6]: above it the cancellation of the
+# binomial terms grows like 2**u, below it they fall like n**-(u+1).
 _U_MAX = 6.0
 
 _RESIDUAL_FACTOR = 8.0  # residual = 8 x the larger of the last two transform differences
@@ -221,25 +224,22 @@ class _DTransform:
     (A, B, x, y, t_j) for d2 and (A, B, t_j) for d1, so its length counts the
     samples taken (for d2 None stands for the infinite level 0 of a zero first
     term, and ``limit`` for level 1 above it).  ``first`` is a_1, which scales
-    every R a_R of d1.  ``transforms`` holds the finite transforms so far,
-    whose differences are divided by ``|div|`` only at the end: zeta2's
-    residual stays a third of trigamma-half's.
+    every R a_R of d1.  ``transforms`` holds the finite transforms so far, of
+    the bare sum: the engine scales them and their spread by ``base`` and
+    ``div``, so zeta2's residual stays a third of trigamma-half's.
     """
 
-    def __init__(self, m: int, base: float, div: float, reductions: int) -> None:
+    def __init__(self, m: int) -> None:
         self.m = m
-        self.base = base
-        self.div = div
-        self.reductions = reductions
         self.diagonal: list = []
         self.transforms: list[float] = []
 
     def sample(
-        self, n: int, partial: float, term: float, rest: float, abs_sum: float = 0.0
+        self, n: int, partial: float, term: float, rest: float
     ) -> tuple[int, tuple[float, float] | None]:
-        """Take S_n, a_n and the term's ``rest`` (d2: a_{n+1} - a_n), with
-        ``abs_sum`` = sum |a_k| so far; return the next index to sample (0 once
-        done) and a ``(transform, residual)`` estimate or None."""
+        """Take S_n, a_n and the term's ``rest`` (d2: a_{n+1} - a_n); return the
+        next index to sample (0 once done) and a ``(transform, spread)`` estimate
+        or None, the spread 8 times the larger of the last two differences."""
         m, diagonal = self.m, self.diagonal
         t = 1.0 / n
         if m == 1:
@@ -284,10 +284,7 @@ class _DTransform:
                 transforms.append(transform)
                 if len(transforms) >= 3:
                     d1, d2, d3 = transforms[-3:]
-                    base, div = self.base, self.div
-                    value = base + d3 / div
-                    spread = _RESIDUAL_FACTOR * max(abs(d3 - d2), abs(d2 - d1)) / abs(div)
-                    estimate = (value, max(spread, _floor(self.reductions, value, abs_sum, base, div)))
+                    estimate = (d3, _RESIDUAL_FACTOR * max(abs(d3 - d2), abs(d2 - d1)))
         return (_D2_SAMPLES[taken] if taken < len(_D2_SAMPLES) else 0), estimate
 
 
@@ -322,7 +319,7 @@ def _run(
     next_row = every or max_terms + 1  # the next trace row; past the stop without rows
     next_sample = 0  # the next index the accelerator samples; 0: none
     if m:
-        accel = _DTransform(m, base, div, reductions)
+        accel = _DTransform(m)
         next_sample = 1
     best = math.nan  # the transform with the smallest residual so far
     best_residual = math.inf
@@ -342,9 +339,11 @@ def _run(
                 break
             raise OverflowRangeError(f"series term {n + 1} overflows double precision")
         if n == next_sample:
-            next_sample, estimate = accel.sample(n, s + comp, term, rest, abs_sum)
+            next_sample, estimate = accel.sample(n, s + comp, term, rest)
             if estimate is not None:
-                transform, residual = estimate
+                transform, spread = estimate
+                transform = base + transform / div
+                residual = max(spread / abs(div), _floor(reductions, transform, abs_sum, base, div))
                 if residual < best_residual:
                     best, best_residual = transform, residual
             if not next_sample and correct:
@@ -511,70 +510,65 @@ rounding remainder, into ``comp`` and ends at its first zero or non-finite term.
 """
 
 
-def _check_reducible(name: str, param: str, value: float) -> None:
-    if value > _MAX_REDUCED:
-        raise DomainError(f"{name} supports {param} <= {_MAX_REDUCED}, got {value!r}")
+def _steps(
+    name: str, param: str, u: float, acc: float, down: Callable, up: Callable | None = None,
+    top: float = _U_MAX,
+) -> tuple[float, float, int, int]:
+    """Step ``u`` into the window (top - 1, top], one unit at a time: down from
+    above, an integer to ``top``, and, given ``up``, up from below unless u is
+    an integer >= 0.  ``acc = down(acc, u)`` folds a step down, u already
+    lowered, and ``acc = up(acc, u)`` a step up, u not yet raised.  Return the
+    reduced u, ``acc``, the step count and ``m``: 0 where u is an integer >= 0,
+    whose series is finite, else 1."""
+    if u > _MAX_REDUCED:
+        raise DomainError(f"{name} supports {param} <= {_MAX_REDUCED}, got {u!r}")
+    steps = 0
+    while u > top:
+        u -= 1.0
+        acc = down(acc, u)
+        steps += 1
+    while up is not None and u <= top - 1.0 and not (u >= 0.0 and u.is_integer()):
+        acc = up(acc, u)
+        u += 1.0
+        steps += 1
+    return u, acc, steps, 0 if u >= 0.0 and u.is_integer() else 1
 
 
 def _beta(u: float, v: float) -> _Summand:
     u0 = u = positive_real(u, "u")
     v0 = v = positive_real(v, "v")
     # B(u, v) = B(u-1, v) (u-1)/(u+v-1), and alike in v: u into (5, 6], then v into (0, 2].
-    # ``div`` gathers the inverse factors, so B(reduced u, v) / div is B(u, v).
-    _check_reducible("beta_series", "u", u)
-    div = 1.0
-    reductions = 0
-    while u > _U_MAX:
-        u -= 1.0
-        # div (u+v)/u without forming u + v, which rounds v alike for all u of a binade
-        div += div * v / u
-        reductions += 1
-    while not u.is_integer() and u <= _U_MAX - 1.0:
-        div *= u / (u + v)
-        u += 1.0
-        reductions += 1
+    # ``div`` gathers the inverse factors, so B(reduced u, v) / div is B(u, v); stepping
+    # down, it takes (u+v)/u without forming u + v, which rounds v alike for all u of a binade.
+    u, div, reductions, m = _steps("beta_series", "u", u, 1.0, lambda div, u: div + div * v / u,
+                                   lambda div, u: div * (u / (u + v)))
     if div < 2.0**-1022 or v * div == 0.0:  # B ~ 1/u is within v of overflow, or 1/(v div) past it
         raise OverflowRangeError(f"beta_series overflows at u = {u0!r}, v = {v0!r}")
     # A finite sum cancels against its base 1/v as v grows, unless it is
     # empty: B(1, v) = 1/v keeps any v.
     if u != 1.0:
-        _check_reducible("beta_series", "v", v)
-        while v > 2.0:
-            v -= 1.0
-            div *= (u + v) / v
-            reductions += 1
+        v, div, steps, _ = _steps(
+            "beta_series", "v", v, div, lambda div, v: div * ((u + v) / v), top=2.0)
+        reductions += steps
     if div > 2.0**1016:  # B(u, v) >= B(6, 2) / div = 1 / (42 div) may leave the normal range
         raise OverflowRangeError(f"beta_series underflows at u = {u0!r}, v = {v0!r}")
-    return _Summand(
-        _ratio_kernel(u, v), base=1.0 / (v * div), div=div,
-        reductions=reductions, m=0 if u.is_integer() else 1,
-    )
+    return _Summand(_ratio_kernel(u, v), base=1.0 / (v * div), div=div, reductions=reductions, m=m)
+
+
+def _limit(name: str, u: float) -> _Summand:
+    # L(u) = L(u-1) - 1/(u-1), with L the series: -(psi(u) + gamma).
+    u, acc, reductions, m = _steps(name, "u", positive_real(u, "u"), 0.0,
+                                   lambda acc, u: acc - 1.0 / u, lambda acc, u: acc + 1.0 / u)
+    return _Summand(_ratio_kernel(u, 0.0), base=acc, reductions=reductions, m=m)
 
 
 def _beta_limit(u: float) -> _Summand:
-    u = positive_real(u, "u")
-    _check_reducible("beta_limit_series", "u", u)
-    # L(u) = L(u-1) - 1/(u-1), with L the series: -(psi(u) + gamma).
-    acc = 0.0
-    reductions = 0
-    while u > _U_MAX:
-        u -= 1.0
-        acc -= 1.0 / u
-        reductions += 1
-    while not u.is_integer() and u <= _U_MAX - 1.0:
-        acc += 1.0 / u
-        u += 1.0
-        reductions += 1
-    return _Summand(
-        _ratio_kernel(u, 0.0), base=acc, reductions=reductions,
-        m=0 if u.is_integer() else 1,
-    )
+    return _limit("beta_limit_series", u)
 
 
 def _digamma(u: float) -> _Summand:
     # psi(u) = -gamma - L(u), with L beta-limit's series: its summand negated.
-    _check_reducible("digamma_series", "u", positive_real(u, "u"))
-    limit = _beta_limit(u)
+    limit = _limit("digamma_series", u)
     return limit._replace(base=-limit.base - EULER_GAMMA, div=-1.0)
 
 
@@ -587,18 +581,9 @@ def _norlund(x: float, a: float) -> _Summand:
     a = positive_real(a, "a")
     if x + a <= 0.0:
         raise DomainError(f"norlund_diff requires x + a > 0, got x={x!r}, a={a!r}")
-    _check_reducible("norlund_diff", "x", x)
     # N(x, a) = N(x-1, a) + 1/(x-1+a); div = -1 undoes the kernel's negation.
-    acc = 0.0
-    reductions = 0
-    while x > _U_MAX:
-        x -= 1.0
-        acc += 1.0 / (x + a)
-        reductions += 1
-    return _Summand(
-        _ratio_kernel(x, 1.0, a, 0.0), base=acc, div=-1.0, reductions=reductions,
-        m=0 if x >= 0.0 and x.is_integer() else 1,
-    )
+    x, acc, reductions, m = _steps("norlund_diff", "x", x, 0.0, lambda acc, x: acc + 1.0 / (x + a))
+    return _Summand(_ratio_kernel(x, 1.0, a, 0.0), base=acc, div=-1.0, reductions=reductions, m=m)
 
 
 def _trigamma(u: float) -> _Summand:
@@ -610,7 +595,7 @@ def _trigamma(u: float) -> _Summand:
     return _Summand(_trigamma_kernel(u, 0.0, _U_MAX - 1.0), base=base, reductions=5, m=2)
 
 
-def _trigamma_half(convention: str) -> _Summand:
+def _trigamma_half(convention: str = CORRECTED) -> _Summand:
     if convention not in CONVENTIONS:
         raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     # The term 2 C(2n,n)/(n 4^n) * sum_{k<n} 1/(2k+1) is the trigamma term at
@@ -620,7 +605,7 @@ def _trigamma_half(convention: str) -> _Summand:
     return _Summand(_trigamma_kernel(0.5, 0.0 if convention == CORRECTED else -2.0), m=2)
 
 
-def _zeta2(convention: str) -> _Summand:
+def _zeta2(convention: str = CORRECTED) -> _Summand:
     return _trigamma_half(convention)._replace(div=3.0)
 
 
@@ -645,13 +630,10 @@ def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> Series
     """B(u, v) as ``1/v + sum_{n>=1} (1-u)_n / ((n+v) n!)``.
 
     Terminates exactly for positive integer u (the rising factor vanishes).
-    u above 6 is first stepped into (5, 6], an integer to 6, one step per unit
-    with ``B(u, v) = B(u-1, v) (u-1)/(u+v-1)``, so u <= 1e6; non-integer u
-    below 5 steps up alike, whatever v is.  v above 2 is then reduced too, so
-    v <= 1e6 as well, except at u = 1, whose empty sum B = 1/v keeps any v.
-    ``reductions`` counts the steps, each charged 4 ulps of ``|value|``.  u
-    below about 2.2e-308 v, a B(u, v) past double range or near the subnormal
-    range raises :class:`OverflowRangeError`.
+    u, then v, step by the module's step rule with ``B(u, v) = B(u-1, v)
+    (u-1)/(u+v-1)`` and its twin in v, so u, v <= 1e6, except v at u = 1, whose
+    empty sum B = 1/v keeps any v.  u below about 2.2e-308 v, a B(u, v) past
+    double range or near the subnormal range raises :class:`OverflowRangeError`.
     """
     return _run(_beta(u, v), ctrl)[0]
 
@@ -659,9 +641,8 @@ def beta_series(u: float, v: float, ctrl: SeriesControl | None = None) -> Series
 def beta_limit_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
     """``sum_{n>=1} (1-u)_n / (n n!)``: the v->0 limit of ``B(u,v) - 1/v``.
 
-    Terminates exactly for positive integer u.  As in :func:`beta_series`,
-    u is first stepped into (5, 6], an integer above 6 to 6, one step per
-    unit with ``L(u) = L(u-1) - 1/(u-1)``, so u <= 1e6.
+    Terminates exactly for positive integer u.  u steps by the module's step
+    rule with ``L(u) = L(u-1) - 1/(u-1)``, so u <= 1e6.
     """
     return _run(_beta_limit(u), ctrl)[0]
 
@@ -669,9 +650,8 @@ def beta_limit_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResu
 def digamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult:
     """psi(u) as ``-gamma - sum_{n>=1} (1-u)_n / (n n!)``.
 
-    This is the beta-limit series negated, stepped into (5, 6] as in
-    :func:`beta_limit_series` (``psi(y+1) = psi(y) + 1/y``), so u <= 1e6.
-    The number of steps is reported in ``reductions``.
+    This is the beta-limit series negated, with its steps
+    (``psi(y+1) = psi(y) + 1/y``), so u <= 1e6.
     """
     return _run(_digamma(u), ctrl)[0]
 
@@ -689,9 +669,8 @@ def norlund_diff(x: float, a: float, ctrl: SeriesControl | None = None) -> Serie
     """psi(x+a) - psi(a) as ``sum_{k>=1} (-1)^{k+1}/k falling(x,k)/rising(a,k)``.
 
     Requires ``a > 0`` and ``x + a > 0``; terminates exactly for integer
-    x >= 0 (falling factor vanishes at k = x + 1).  x above 6 is first
-    stepped into (5, 6], an integer to 6, one step per unit with
-    ``N(x, a) = N(x-1, a) + 1/(x-1+a)``, so x <= 1e6.
+    x >= 0 (falling factor vanishes at k = x + 1).  x above 6 steps down by
+    the module's step rule with ``N(x, a) = N(x-1, a) + 1/(x-1+a)``, so x <= 1e6.
     """
     return _run(_norlund(x, a), ctrl)[0]
 
@@ -707,7 +686,9 @@ def trigamma_series(u: float, ctrl: SeriesControl | None = None) -> SeriesResult
     return _run(_trigamma(u), ctrl)[0]
 
 
-def trigamma_half_series(convention: str, ctrl: SeriesControl | None = None) -> SeriesResult:
+def trigamma_half_series(
+    convention: str = CORRECTED, ctrl: SeriesControl | None = None
+) -> SeriesResult:
     """psi'(1/2) as ``sum_n 2 C(2n,n)/(n 4^n) * sum_k 1/(2k+1)``.
 
     ``convention`` picks the inner sum's lower index: ``corrected`` starts at
@@ -716,7 +697,7 @@ def trigamma_half_series(convention: str, ctrl: SeriesControl | None = None) -> 
     return _run(_trigamma_half(convention), ctrl)[0]
 
 
-def zeta2_series(convention: str, ctrl: SeriesControl | None = None) -> SeriesResult:
+def zeta2_series(convention: str = CORRECTED, ctrl: SeriesControl | None = None) -> SeriesResult:
     """zeta(2) as one third of the trigamma-at-one-half series."""
     return _run(_zeta2(convention), ctrl)[0]
 

@@ -22,9 +22,9 @@ def requested(kernel, accel):
     next(kernel)
     n = 1
     while n:
-        _, s, comp, abs_sum, term, rest = kernel.send(float(n))
+        _, s, comp, _, term, rest = kernel.send(float(n))
         samples.append((n, s + comp, term, rest))
-        n = accel.sample(n, s + comp, term, rest, abs_sum)[0]
+        n = accel.sample(n, s + comp, term, rest)[0]
     return samples
 
 

@@ -31,13 +31,13 @@ CASES = [("trigamma", {"u": u}) for u in _geometric(0.02, 0.99, 16) + [0.25, 0.5
 
 def _drive(samples):
     """Feed ``samples`` to a fresh d2 accelerator; return it and its estimates."""
-    d2 = sr._DTransform(2, 0.0, 1.0, 0)
+    d2 = sr._DTransform(2)
     return d2, [d2.sample(*sample)[1] for sample in samples]
 
 
 def _loop_samples(name: str, params: dict) -> list[tuple[int, float, float, float]]:
     """The samples a run of series ``name`` takes, at the indices the accelerator picks."""
-    return drive.requested(sr.SERIES[name](**params).kernel, sr._DTransform(2, 0.0, 1.0, 0))
+    return drive.requested(sr.SERIES[name](**params).kernel, sr._DTransform(2))
 
 
 @mpmath.workdps(40)

@@ -106,7 +106,7 @@ def _oracle_run(terms, base, div, reductions, m, ctrl, every):
     fold = m != 2
     next_sample = 0
     if m:
-        accel = sr._DTransform(m, base, div, reductions)
+        accel = sr._DTransform(m)
         next_sample = 1
     s = comp = abs_sum = 0.0
     n = 0
@@ -132,9 +132,11 @@ def _oracle_run(terms, base, div, reductions, m, ctrl, every):
         if fold:
             comp += rest
         if n == next_sample:
-            next_sample, estimate = accel.sample(n, s + comp, term, rest, abs_sum)
+            next_sample, estimate = accel.sample(n, s + comp, term, rest)
             if estimate is not None:
-                transform, residual = estimate
+                transform, spread = estimate
+                transform = base + transform / div
+                residual = max(spread / abs(div), sr._floor(reductions, transform, abs_sum, base, div))
                 if residual < best_residual:
                     best, best_residual = transform, residual
             if not next_sample and correct:

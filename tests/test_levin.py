@@ -186,7 +186,7 @@ def test_subnormal_terms_are_extrapolated():
 
 
 def test_d1_requests_exactly_the_shared_samples():
-    d1 = sr._DTransform(1, 0.0, 1.0, 0)
+    d1 = sr._DTransform(1)
     samples = drive.requested(sr.SERIES["log2"]().kernel, d1)
     assert tuple(n for n, *_ in samples) == sr._D2_SAMPLES
     assert len(d1.transforms) == len(sr._D2_SAMPLES) - 1  # orders 1 to 18
@@ -208,7 +208,7 @@ def _solve(samples) -> mpmath.mpf:
 def test_each_order_matches_a_40_digit_solve(name, params):
     states = drive.states(sr.SERIES[name](**params).kernel, sr._D2_SAMPLES)
     samples = [(r, s + comp, a) for r, (_, s, comp, _, a, _) in zip(sr._D2_SAMPLES, states)]
-    d1 = sr._DTransform(1, 0.0, 1.0, 0)
+    d1 = sr._DTransform(1)
     estimates = [d1.sample(r, s, a, 0.0)[1] for r, s, a in samples]
     for nu in range(3, len(samples)):
         transform, residual = estimates[nu]

@@ -135,7 +135,7 @@ def test_d2_samples_follow_the_geometric_rule():
 def test_d2_requests_exactly_the_samples_where_a_difference_is_computed(kernel):
     # The kernel computes a_{n+1} - a_n at the checkpoints it is sent alone:
     # on an untraced run, the samples the accelerator requests.
-    d2 = sr._DTransform(2, 0.0, 1.0, 0)
+    d2 = sr._DTransform(2)
     samples = drive.requested(kernel, d2)
     assert tuple(n for n, *_ in samples) == sr._D2_SAMPLES
     assert all(math.isfinite(term) and math.isfinite(diff) for _, _, term, diff in samples)

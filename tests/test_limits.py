@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 import betalab as bl
-from betalab.errors import DomainError, EvaluationError
+from betalab.errors import DomainError, EvaluationError, OverflowRangeError
 from oracles import euler_gamma_oracle, harmonic_oracle
 
 
@@ -88,6 +88,32 @@ def test_richardson_keeps_the_functions_own_type_error_as_the_cause():
     with pytest.raises(EvaluationError) as info:
         bl.richardson_limit(lambda h, extra: h, 0.5)  # called with one argument
     assert isinstance(info.value.__cause__, TypeError) and "extra" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize(
+    "f", [lambda h: 10**400, lambda h: math.exp(1e4)], ids=["int-past-doubles", "own-overflow"]
+)
+def test_richardson_turns_a_builtin_overflow_into_overflow_range_error(f):
+    with pytest.raises(OverflowRangeError, match="overflows") as info:
+        bl.richardson_limit(f, 0.5, 4)
+    assert type(info.value.__cause__) is OverflowError
+
+
+def test_richardson_passes_the_functions_own_overflow_range_error_through():
+    own = OverflowRangeError("the function's own")
+
+    def f(h):
+        raise own
+
+    with pytest.raises(OverflowRangeError) as info:
+        bl.richardson_limit(f, 0.5)
+    assert info.value is own
+
+
+def test_richardson_refuses_a_tableau_that_overflows_on_finite_samples():
+    # The samples are finite, but the first Neville step doubles their gap past doubles.
+    with pytest.raises(OverflowRangeError, match="tableau"):
+        bl.richardson_limit(lambda h: 1.7e308 if h > 0.2 else -1.7e308, 0.5, 4)
 
 
 def test_deepening_stays_within_error_estimate():

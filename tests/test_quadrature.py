@@ -9,7 +9,7 @@ import pytest
 
 import betalab as bl
 from betalab import quadrature as qd
-from betalab.errors import DomainError, EvaluationError, NonConvergenceError
+from betalab.errors import DomainError, EvaluationError, NonConvergenceError, OverflowRangeError
 from oracles import harmonic_oracle, log2_oracle
 
 BETA_GRID = [0.25, 0.5, 1.0, 2.5, 5.0]
@@ -92,6 +92,26 @@ def test_integrate01_keeps_the_integrands_own_type_error_as_the_cause():
     with pytest.raises(EvaluationError) as info:
         bl.integrate01(lambda t, extra: t)  # called with one argument
     assert isinstance(info.value.__cause__, TypeError) and "extra" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize(
+    "f", [lambda t: 10**400, lambda t: math.exp(1e4)], ids=["int-past-doubles", "own-overflow"]
+)
+def test_integrate01_turns_a_builtin_overflow_into_overflow_range_error(f):
+    with pytest.raises(OverflowRangeError, match="integrand overflows") as info:
+        bl.integrate01(f)
+    assert type(info.value.__cause__) is OverflowError
+
+
+def test_integrate01_passes_the_integrands_own_overflow_range_error_through():
+    own = OverflowRangeError("the integrand's own")
+
+    def f(t):
+        raise own
+
+    with pytest.raises(OverflowRangeError) as info:
+        bl.integrate01(f)
+    assert info.value is own
 
 
 def test_refinement_is_monotone():

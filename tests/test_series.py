@@ -446,6 +446,12 @@ def test_trigamma_half_literal_first_term_vanishes():
     assert res.terms_used == 1_000
 
 
+@pytest.mark.parametrize("series", [bl.trigamma_half_series, bl.zeta2_series])
+def test_the_convention_defaults_to_corrected(series):
+    assert series() == series(bl.CORRECTED)
+    assert series(ctrl=CTRL_1E3) == series(bl.CORRECTED, CTRL_1E3)
+
+
 def test_trigamma_half_rejects_unknown_convention():
     with pytest.raises(DomainError):
         bl.trigamma_half_series("classic")

@@ -235,7 +235,7 @@ SERIES_FLAGS = ("u", "v", "a", "xarg", "convention")
 
 @pytest.mark.parametrize("name", sorted(sr.SERIES))
 def test_series_takes_its_term_sources_parameters(capsys, name):
-    params = _required(sr.SERIES[name])
+    params = list(inspect.signature(sr.SERIES[name], eval_str=True).parameters.values())
     flags = ["xarg" if p.name == "x" else p.name for p in params]  # norlund's x is --xarg
     given = {flag: "literal" if flag == "convention" else "0.5" for flag in flags}
     prefix = ["series", name, "--max-terms", "20"]
