@@ -219,14 +219,20 @@ def _run_verify(options: Mapping) -> int:
 
 def _add_routes(parser: argparse.ArgumentParser, command: str, dest: str) -> None:
     """A route name, then one flag per routine parameter, whose help names the
-    routes that take it and their default if they share one."""
+    routes that take it and, unless one requires it, their defaults."""
     parser.add_argument(dest, choices=sorted(_routes(command)))
     for flag, takers in _takers(command).items():
-        _, default, kind = next(iter(takers.values()))
+        _, _, kind = next(iter(takers.values()))
         text = "for " + ", ".join(takers)
-        defaults = {d for _, d, _ in takers.values()}
-        if len(defaults) == 1 and default is not _REQUIRED:
-            text += f" (default {default})"
+        if (command, flag) == ("integrate", "tol"):
+            text += ", relative: stop once error_estimate <= tol * |value|"
+        routes_by_default: dict[object, list[str]] = {}
+        for name, (_, default, _) in takers.items():
+            routes_by_default.setdefault(default, []).append(name)
+        if _REQUIRED not in routes_by_default:  # the most shared default is said last
+            *rest, (common, _) = sorted(routes_by_default.items(), key=lambda d: len(d[1]))
+            said = [f"{d} for {', '.join(names)}; " for d, names in rest]
+            text += f" (default {''.join(said)}{common}{' otherwise' if said else ''})"
         parser.add_argument(f"--{flag}", type=None if command == "eval" else kind, help=text)
 
 

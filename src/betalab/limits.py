@@ -36,7 +36,10 @@ __all__ = [
 
 _MIN_DEPTH = 2
 _MAX_DEPTH = 12
-DEFAULT_DEPTH = 10  # Neville tableau rows every limit uses unless told otherwise
+DEFAULT_DEPTH = 10  # Neville tableau rows every limit but beta_pole_limit uses unless told otherwise
+# beta_pole_limit's default rows, chosen on 240 log-spaced u in [0.1, 50] against 30-digit
+# references: at most 1.9e-11 relative off, against 4.9e-11 at depth 10, every estimate a bound.
+_BETA_POLE_DEPTH = 8
 _MIN_U = 0.1  # smallest u the beta limits accept
 _ERROR_FACTOR = 8.0  # error estimate = 8 x the larger of the last two diagonal differences
 
@@ -122,13 +125,16 @@ def _checked_u(u: float) -> tuple[float, float]:
     return u, lgamma(u)
 
 
-def beta_pole_limit(u: float, depth: int = DEFAULT_DEPTH, h0: float = 0.25) -> LimitResult:
+def beta_pole_limit(u: float, depth: int = _BETA_POLE_DEPTH, h0: float = 0.25) -> LimitResult:
     """``lim_{v->0+} (B(u,v) - 1/v)`` for u >= 0.1.
 
     Uses ``B(u,v) - 1/v = expm1(lgamma(v+1) + lgamma(u) - lgamma(u+v)) / v``,
-    which stays fully accurate even though the two terms individually grow
-    like 1/v.  In closed form the limit is ``-(gamma + psi(u))`` (0 at u = 1);
-    the identity suite checks it against both that form and the series route.
+    which avoids cancelling the two terms that individually grow like 1/v.
+    A sample's rounding still grows like 1/v, since its log-gamma sum is
+    divided by v, so the default depth is ``_BETA_POLE_DEPTH`` (8), two rows
+    fewer than the other limits', which stops at a larger v.  In closed form
+    the limit is ``-(gamma + psi(u))`` (0 at u = 1); the identity suite checks
+    it against both that form and the series route.
     """
     u, lg_u = _checked_u(u)
 

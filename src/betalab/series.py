@@ -707,16 +707,19 @@ def trace(
 ) -> tuple[SeriesResult, tuple[TraceRow, ...]]:
     """Run series ``name`` with ``params``, recording a row every ``every`` terms.
 
-    Raises :class:`DomainError` for an unknown name, for ``params`` that is
-    not a mapping whose keys are exactly the parameters of the series' term
-    source in :data:`SERIES`, for an ``every`` that is not an integer >= 0,
-    or for a ``ctrl`` that is not a SeriesControl or None.
+    ``params`` maps parameters of the series' term source in :data:`SERIES`
+    to values: each one it requires, and any of those with a default (which
+    applies when left out, as in the public function).  Raises
+    :class:`DomainError` for an unknown name, for ``params`` that is not such
+    a mapping, for an ``every`` that is not an integer >= 0, or for a ``ctrl``
+    that is not a SeriesControl or None.
     """
     if not (isinstance(name, str) and name in SERIES):
         raise DomainError(f"unknown series {name!r}; choose from {sorted(SERIES)}")
     source = SERIES[name]
     code = source.__code__
     expected = list(code.co_varnames[: code.co_argcount])
-    if not isinstance(params, Mapping) or set(params) != set(expected):
+    required = expected[: len(expected) - len(source.__defaults__ or ())]
+    if not (isinstance(params, Mapping) and set(required) <= set(params) <= set(expected)):
         raise DomainError(f"series {name!r} takes parameters {expected}, got {params!r}")
     return _run(source(**params), ctrl, integer(every, "every", 0))

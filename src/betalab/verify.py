@@ -62,7 +62,7 @@ __all__ = [
     "render_report",
 ]
 
-TOOL_VERSION = "0.10.0"
+TOOL_VERSION = "0.11.0"
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
@@ -203,17 +203,19 @@ class _Routine(Record):
         results = _results.get()
         if results is None or not all(type(a) in (int, float, str) for a in args):
             return getattr(self.module, self.name)(*args)
-        key = (self.module, self.name, *[(type(a), repr(a)) for a in args])
+        key = (self.module, self.name, *map(type, args), *map(repr, args))
         if key not in results:
             results[key] = getattr(self.module, self.name)(*args)
         return results[key]
 
 
 def _route(side: Callable, params: tuple) -> tuple[float, Mapping]:
-    """``side`` at ``params`` and the ``_DIAG_KEYS`` attributes its result carries."""
+    """``side`` at ``params`` and the ``_DIAG_KEYS`` attributes its result carries: a
+    float carries none, a result object its ``.value`` and any of them."""
     result = side(*params)
-    diag = {key: getattr(result, key) for key in _DIAG_KEYS if hasattr(result, key)}
-    return getattr(result, "value", result), diag
+    if isinstance(result, float):
+        return result, {}
+    return result.value, {key: getattr(result, key) for key in _DIAG_KEYS if hasattr(result, key)}
 
 
 def _merge_diag(a: Mapping, b: Mapping) -> dict:
@@ -751,15 +753,10 @@ def _render_table(report: SuiteReport) -> bytes:
     for r, (texts, _) in zip(report.records, records):
         status = "skip" if r.skipped else "pass" if r.passed else "FAIL"
         rows.append((r.identity_id, *shown_texts(texts), status))
-    widths = [
-        max(len(h), max((len(row[i]) for row in rows), default=0))
-        for i, h in enumerate(headers)
-    ]
-    out = []
-    out.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip())
-    out.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        out.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    line = "  ".join(f"%-{w}s" for w in widths)  # each cell left-justified to its column
+    out = [(line % headers).rstrip(), "  ".join("-" * w for w in widths)]
+    out += [(line % row).rstrip() for row in rows]
     c = report.counts
     out.append("")
     out.append(

@@ -212,15 +212,16 @@ def _log_given(t, s):
 
 
 def _per_call_integrand(name, args):
-    """The kernel's integrand with its logs computed at every call."""
+    """The kernel's ``w f`` at each node of a level, with its logs computed at every node."""
     u = args[0]
     if name == "beta":
         v = args[1]
-        return lambda t, s, lt, ls: math.exp((u - 1.0) * _log_given(t, s)
-                                             + (v - 1.0) * _log_given(s, t))
-    if name == "log-kernel":
-        return lambda t, s, lt, ls: math.exp((u - 1.0) * _log_given(t, s)) * _log_given(s, t)
-    return lambda t, s, lt, ls: -math.expm1(u * _log_given(t, s)) / s
+        f = lambda t, s: math.exp((u - 1.0) * _log_given(t, s) + (v - 1.0) * _log_given(s, t))
+    elif name == "log-kernel":
+        f = lambda t, s: math.exp((u - 1.0) * _log_given(t, s)) * _log_given(s, t)
+    else:
+        f = lambda t, s: -math.expm1(u * _log_given(t, s)) / s
+    return lambda nodes: [w * f(t, s) for t, s, w, _, _ in nodes]
 
 
 @pytest.mark.parametrize("level", range(9))
@@ -234,7 +235,7 @@ def test_node_logs_are_the_logs_of_the_nearer_distance(level):
 @pytest.mark.parametrize("name, args", KERNEL_GRID)
 def test_carried_logs_give_the_same_bits_as_logs_per_call(name, args):
     res = qd.KERNELS[name](*args)
-    local = qd._refine(_per_call_integrand(name, args), qd.DEFAULT_TOL, interior_only=False)
+    local = qd._refine(_per_call_integrand(name, args), qd.DEFAULT_TOL, kernel=True)
     assert (res.value, res.levels_used, res.evaluations) == (
         local.value, local.levels_used, local.evaluations)
 
@@ -268,16 +269,93 @@ def _compensated_sum(values, start=0):
 
 
 @pytest.mark.parametrize("name, args, floor", [
-    ("beta", (0.5, 0.5), "0x1.921fb54442d16p-49"),
-    ("log-kernel", (2.0,), "0x1.7fffffffffffep-51"),
-    ("beta", (5.0, 5.0), "0x1.a01a01a01a01ep-60"),
-    ("beta", (0.5, 0.7), "0x1.40bde8d16c1edp-49"),
+    ("beta", (0.25, 0.5), "0x1.4f9f94f9f50adp-46"),
+    ("log-kernel", (2.0,), "0x1.7ffffffffffffp-49"),
+    ("beta", (5.0, 5.0), "0x1.a01a01a01a01ep-58"),
+    ("beta", (0.5, 0.7), "0x1.40bde8d16c1edp-47"),
 ])
 def test_error_floor_bits_do_not_depend_on_builtin_sum(monkeypatch, name, args, floor):
     # Each estimate here is the rounding floor, which plain float adds give on every Python;
     # a floor taken through builtin sum moves by an ulp or two where that sum is compensated.
     monkeypatch.setattr(qd, "sum", _compensated_sum, raising=False)
     assert qd.KERNELS[name](*args).error_estimate.hex() == floor
+
+
+# --- estimates on the result's scale --------------------------------------
+
+
+def _log_grid(lo, hi, n):
+    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+
+
+def _unbounded(points, tol=qd.DEFAULT_TOL):
+    """Each (name, args) whose result is off by more than its ``error_estimate``
+    or than ``tol * |value|``, and the evaluations of all of them."""
+    bad, evaluations = [], 0
+    for name, args in points:
+        res = qd.KERNELS[name](*args, tol)
+        err = float(abs(mpmath.mpf(res.value) - _reference(name, args)))
+        evaluations += res.evaluations
+        if not err <= min(res.error_estimate, tol * abs(res.value)):
+            bad.append((name, args, res, err))
+    return bad, evaluations
+
+
+@mpmath.workdps(30)
+def test_beta_integral_is_within_its_estimate_and_tol_on_a_23_by_23_log_grid():
+    # With an absolute tol and the last difference, 49 of these points were past their
+    # estimate: beta_integral(50, 26.68...) stopped at level 1, 93% off, as B = 1.8e-22.
+    grid = _log_grid(0.05, 50.0, 23)
+    bad, evaluations = _unbounded([("beta", (u, v)) for u in grid for v in grid])
+    assert not bad, bad[:5]
+    assert evaluations <= 44_000  # 51,761 a level later
+
+
+@pytest.mark.parametrize("name, most", [("digamma", 17_000), ("log-kernel", 14_500)])
+@mpmath.workdps(30)
+def test_one_argument_kernels_are_within_their_estimate_and_tol_on_200_log_u(name, most):
+    # The three-level estimate stops a level earlier: 22,152 and 17,816 evaluations
+    # with the last difference.
+    bad, evaluations = _unbounded([(name, (u,)) for u in _log_grid(0.05, 100.0, 200)])
+    assert not bad, bad[:5]
+    assert evaluations <= most
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-14])
+@mpmath.workdps(30)
+def test_beta_integral_is_within_its_estimate_and_tol_at_every_tol(tol):
+    # With an absolute tol, 27 to 35 of these 256 points were past their estimate.
+    grid = _log_grid(0.05, 50.0, 16)
+    bad, _ = _unbounded([("beta", (u, v)) for u in grid for v in grid], tol)
+    assert not bad, bad[:5]
+
+
+def test_an_estimate_above_tol_times_the_value_does_not_converge():
+    # The rounding floor, 16 eps |value|, is above a relative tol of 1e-16.
+    with pytest.raises(NonConvergenceError, match="relative") as info:
+        bl.beta_integral(2.0, 3.0, tol=1e-16)
+    assert info.value.result.levels_used == qd.MAX_LEVEL
+
+
+# integrate01 as the last-difference rule left it: value, error_estimate, levels, evaluations.
+INTEGRATE01_BITS = {
+    "square": (lambda t: t * t, "0x1.5555555555553p-2", "0x1.5555555555553p-52", 4, 148),
+    "sqrt": (math.sqrt, "0x1.5555555555555p-1", "0x1.8380000000000p-43", 3, 74),
+    "log1p": (lambda t: math.log1p(-t), "-0x1.ffffffffffff6p-1", "0x1.5780000000000p-43", 3, 74),
+    "kink": (lambda t: abs(t - 1 / 3), "0x1.1c71c746e3a12p-2", "0x1.8b8dc30000000p-30", 12,
+             37841),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATE01_BITS))
+def test_integrate01_keeps_its_absolute_tol_and_last_difference(name):
+    f, value, estimate, levels, evaluations = INTEGRATE01_BITS[name]
+    try:
+        res = bl.integrate01(f)
+    except NonConvergenceError as exc:  # |t - 1/3| converges linearly: not by level 12
+        res = exc.result
+    assert (res.value.hex(), res.error_estimate.hex(), res.levels_used,
+            res.evaluations) == (value, estimate, levels, evaluations)
 
 
 @mpmath.workdps(30)
@@ -308,6 +386,23 @@ def test_tail_cut_changes_no_bit_and_saves_a_third_of_the_evaluations(monkeypatc
     full = _kernel_runs()
     assert [_bits(r) for r in cut] == [_bits(r) for r in full]
     assert sum(r.evaluations for r in cut) <= 0.65 * sum(r.evaluations for r in full)
+
+
+def test_a_kernel_counts_each_integrand_evaluation(monkeypatch):
+    # Level 0 runs out from the centre node by node, so no node past a cut is evaluated.
+    evaluated = []
+    refine = qd._refine
+
+    def counting(level_values, tol, kernel):
+        def counted(nodes):
+            evaluated[-1] += len(nodes)
+            return level_values(nodes)
+
+        evaluated.append(0)
+        return refine(counted, tol, kernel)
+
+    monkeypatch.setattr(qd, "_refine", counting)
+    assert [r.evaluations for r in _kernel_runs()] == evaluated
 
 
 @pytest.mark.parametrize("f", [lambda t: 1.0, math.sqrt], ids=["one", "sqrt"])

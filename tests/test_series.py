@@ -545,6 +545,19 @@ def test_trace_rejects_missing_params():
         bl.trace("beta", {"u": 1.0})
 
 
+@pytest.mark.parametrize("name, public", [
+    ("zeta2", bl.zeta2_series), ("trigamma-half", bl.trigamma_half_series)])
+def test_trace_takes_a_defaulted_parameter_left_out(name, public):
+    # The convention defaults to CORRECTED, in trace as in the public function.
+    assert bl.trace(name, {}, CTRL_1E3)[0] == public(ctrl=CTRL_1E3)
+    assert bl.trace(name, {}, CTRL_1E3) == bl.trace(name, {"convention": bl.CORRECTED}, CTRL_1E3)
+
+
+def test_trace_rejects_an_unknown_param_beside_a_defaulted_one():
+    with pytest.raises(DomainError, match=r"takes parameters \['convention'\]"):
+        bl.trace("zeta2", {"u": 1.0})
+
+
 @pytest.mark.parametrize("params", [None, 3, ["u", "v"]])
 def test_trace_rejects_non_mapping_params(params):
     with pytest.raises(DomainError, match=r"takes parameters \['u', 'v'\]"):

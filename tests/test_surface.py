@@ -308,5 +308,19 @@ def test_each_route_flag_help_names_the_routes_that_take_it(capsys, command, rou
     for flag, defaults in takers.items():
         assert helps[flag].startswith("for" + ",".join(defaults)), (flag, helps[flag])
         shared = set(defaults.values())
-        if len(shared) == 1 and inspect.Parameter.empty not in shared:  # e.g. --tol, --depth
+        if len(shared) == 1 and inspect.Parameter.empty not in shared:  # e.g. --tol
             assert helps[flag].endswith(f"(default{shared.pop()})"), (flag, helps[flag])
+        elif inspect.Parameter.empty not in shared:  # e.g. limit's --depth: each is said
+            assert all(f"{d}for" in helps[flag] or helps[flag].endswith(f"{d}otherwise)")
+                       for d in shared), (flag, helps[flag])
+
+
+def test_a_flag_whose_routes_differ_in_default_says_each(capsys):
+    helps = _flag_help(capsys, "limit")
+    pole_depth = inspect.signature(lm.beta_pole_limit).parameters["depth"].default
+    assert helps["depth"].endswith(f"(default{pole_depth}forbeta-pole;{lm.DEFAULT_DEPTH}otherwise)")
+    assert helps["h0"].endswith("(default0.25forbeta-pole,scaled-beta;0.5otherwise)")
+
+
+def test_integrate_tol_help_says_it_is_relative(capsys):
+    assert "relative:stoponceerror_estimate<=tol*|value|" in _flag_help(capsys, "integrate")["tol"]

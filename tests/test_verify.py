@@ -250,6 +250,20 @@ def test_each_pass_repeats_every_call(monkeypatch):
     assert verify._results.get() is None
 
 
+def test_a_pass_takes_at_most_3000_quadrature_evaluations(monkeypatch):
+    # 45 kernel calls; with the last-difference estimate they took 4,173.
+    results = []
+    for name in ("beta_integral", "log_kernel_moment", "digamma_integral"):
+        def counted(*args, _routine=getattr(qd, name)):
+            results.append(_routine(*args))
+            return results[-1]
+
+        monkeypatch.setattr(qd, name, counted)
+    assert bl.run_suite().counts["passed"] == 199
+    assert len(results) == 45
+    assert sum(res.evaluations for res in results) <= 3000
+
+
 def test_a_call_that_raises_is_not_shared(monkeypatch):
     # Only the first call at 5.0 raises: EQ1 skips, EQ3 calls again, EQ4 shares EQ3's result.
     moments = _recorded(monkeypatch, qd, "log_kernel_moment",
@@ -591,6 +605,11 @@ REPORT_SHA256 = {
         "csv": "2d291976adf8f3913c6f91aee1bafcb82859ff372ea16c361065953422dc0d15",
         "table": "04df456e6b609d5e83a0f5d306b89964b14d0ded58dd36c95fd23fa2cf046d89",
     },
+    "0.11.0": {
+        "json": "d77d6880f3ed80ffbb1426d741db6c8cf7d6839bf15208f171aa8e0498c79036",
+        "csv": "d0d4935ef74e3eeda4303a24cd4b1acbd5bbffa4dd65109ddec711f93aefaaa0",
+        "table": "0e19bcf46d8cf70423e9f1df0a21b5da1f99b27ebb7d95d0b76e62ce5ebca615",
+    },
 }
 
 
@@ -619,9 +638,9 @@ DENSE_GRIDS = {
 # sha256 of each render of the dense report, its tool version set to "dense",
 # so that a version bump that keeps every value needs no new digest.
 DENSE_SHA256 = {
-    "json": "25bb9fecdaef0a77969ae7db60baf030e96161cc019ff7f7a95ae02877d56055",
-    "csv": "4e153d056658d17b1903c1e6cdcd1bd670002ae3e49e987e323d2b680ddaba4d",
-    "table": "cb959ddd97803e147c2a75e1cc4b4ab29d7ef4a4be020a4901a3f78602f54eb8",
+    "json": "4fe0361dafbf498940f7fa6b18df634122ce37dc2a994fcbd0889172fda4cc18",
+    "csv": "64c4d99a62ebe71f24e05c9681d7490fa5739734f57e9f74505ccc81b238cd99",
+    "table": "b3706c074d43b8b01e9a963c97482eda862dbf8678d527f09446e2ad8ef4f642",
 }
 
 
