@@ -7,8 +7,10 @@ limits), and ``verify`` (the identity suite with table/json/csv reports).
 The first four reach a route by name through its layer's table (``series.SERIES``,
 ``quadrature.KERNELS``, ``limits.LIMITS``; for eval, each function in
 ``core_special.__all__``).  A route's flags are exactly its routine's parameters,
-and those without a default are required.  A command loads its own module, and
-reads its routes' parameters, on first use; the parser gets its arguments only.
+and those without a default are required.  A flag left out takes the routine's own
+default: the CLI passes only the flags given, and reads a default only for the
+help text.  A command loads its own module, and reads its routes' parameters, on
+first use; the parser gets its arguments only.
 A route's parameters come from its code object (``__code__``, ``__defaults__``)
 and its string annotations (``float``, ``int`` or ``str``), not from
 ``inspect``, and ``CommandInvocation`` is an ``errors.Record``, not a
@@ -82,67 +84,52 @@ _REQUIRED = object()
 _TYPES = {"float": float, "int": int, "str": str}  # the annotations routes use
 
 
-def _flags(command: str, routine: Callable) -> dict[str, _Param]:
-    """flag -> (name, default, type) of each parameter of ``routine``.  eval's
-    flags go by position, and Norlund's x is --xarg."""
-    code = routine.__code__
-    names = code.co_varnames[: code.co_argcount]
-    defaults = routine.__defaults__ or ()
-    defaults = (_REQUIRED,) * (len(names) - len(defaults)) + defaults
-    flags = {}
-    for i, (name, default) in enumerate(zip(names, defaults)):
-        flag = ("x", "x2")[i] if command == "eval" else {"x": "xarg"}.get(name, name)
-        flags[flag] = (name, default, _TYPES[routine.__annotations__[name]])
-    return flags
-
-
 @functools.cache
-def _routes(command: str) -> Mapping[str, Callable]:
-    """route name -> routine: the layer's table, or for eval each function in its ``__all__``."""
+def _table(command: str) -> tuple[dict[str, tuple[Callable, dict[str, _Param]]], dict]:
+    """The routes of ``command``, read once, on its first use: route name -> (routine,
+    flag -> parameter), and flag -> {route name: parameter} over the routes that take
+    it.  The routines are the layer's table, or for eval each function in its
+    ``__all__``; eval's flags go by position, and Norlund's x is --xarg."""
     module, table = _module(command), _COMMANDS[command][3]
-    return getattr(module, table) if table else {
+    routines = getattr(module, table) if table else {
         name: f for name in sorted(module.__all__) if callable(f := getattr(module, name))}
-
-
-@functools.cache
-def _signatures(command: str) -> dict[str, dict[str, _Param]]:
-    """route name -> flag -> parameter; each route is read once, on its command's first use."""
-    return {name: _flags(command, routine) for name, routine in _routes(command).items()}
-
-
-def _takers(command: str) -> dict[str, dict[str, _Param]]:
-    """flag -> {route name: parameter} over the routes of ``command`` that take it."""
-    takers: dict[str, dict[str, _Param]] = {}
-    for name, flags in _signatures(command).items():
-        for flag, param in flags.items():
-            takers.setdefault(flag, {})[name] = param
-    return takers
+    routes, takers = {}, {}
+    for name, routine in routines.items():
+        code = routine.__code__
+        params = code.co_varnames[: code.co_argcount]
+        defaults = routine.__defaults__ or ()
+        defaults = (_REQUIRED,) * (len(params) - len(defaults)) + defaults
+        flags = {}
+        for i, (param, default) in enumerate(zip(params, defaults)):
+            flag = ("x", "x2")[i] if command == "eval" else "xarg" if param == "x" else param
+            flags[flag] = (param, default, _TYPES[routine.__annotations__[param]])
+            takers.setdefault(flag, {})[name] = flags[flag]
+        routes[name] = (routine, flags)
+    return routes, takers
 
 
 def _arguments(command: str, name: str, options: Mapping) -> dict:
-    """Route ``name``'s keyword arguments: its routine's parameters, each given or
-    defaulted, and converted by annotation (eval's flags are text)."""
+    """Route ``name``'s keyword arguments: the flags given, converted by annotation
+    (eval's flags are text).  A flag left out takes its routine's own default."""
     where = f"{command} {name}"
-    params = _signatures(command)[name]
-    for flag in _takers(command):
-        if options.get(flag) is not None and flag not in params:
+    routes, takers = _table(command)
+    flags = routes[name][1]
+    for flag in takers:
+        if options.get(flag) is not None and flag not in flags:
             raise DomainError(f"{where} takes no --{flag}")
-    missing = [f"--{flag}" for flag, (_, default, _) in params.items()
+    missing = [f"--{flag}" for flag, (_, default, _) in flags.items()
                if options.get(flag) is None and default is _REQUIRED]
     if missing:
         raise DomainError(f"{where} requires {' and '.join(missing)}")
     args = {}
-    for flag, (param, default, kind) in params.items():
+    for flag, (param, _, kind) in flags.items():
         value = options.get(flag)
-        if value is None:
-            value = default
-        else:
+        if value is not None:
             try:
-                value = kind(value)
+                args[param] = kind(value)
             except ValueError:
                 what = "an integer" if kind is int else "a number"
                 raise DomainError(f"--{flag} must be {what}, got {value!r}") from None
-        args[param] = value
     return args
 
 
@@ -179,17 +166,14 @@ def _run_series(options: Mapping) -> int:
     return 0
 
 
-# One print prefix per result, for the routes that return several.
-_PREFIXES = {"scaled-beta": ("via_log_gamma  ", "via_recurrence ")}
-
-
 def _run_routine(command: str, options: Mapping) -> int:
     """Run an eval, integrate or limit route and print each result it returns."""
     name = options[_COMMANDS[command][2]]
-    results = _routes(command)[name](**_arguments(command, name, options))
+    results = _table(command)[0][name][0](**_arguments(command, name, options))
     if not isinstance(results, tuple):
         results = (results,)
-    for prefix, res in zip(_PREFIXES.get(name, ("",)), results):
+    labels = ("via_log_gamma  ", "via_recurrence ") if name == "scaled-beta" else ("",)
+    for prefix, res in zip(labels, results):
         _print_result(res, 14, prefix)
     return 0
 
@@ -220,8 +204,9 @@ def _run_verify(options: Mapping) -> int:
 def _add_routes(parser: argparse.ArgumentParser, command: str, dest: str) -> None:
     """A route name, then one flag per routine parameter, whose help names the
     routes that take it and, unless one requires it, their defaults."""
-    parser.add_argument(dest, choices=sorted(_routes(command)))
-    for flag, takers in _takers(command).items():
+    routes, takers_by_flag = _table(command)
+    parser.add_argument(dest, choices=sorted(routes))
+    for flag, takers in takers_by_flag.items():
         _, _, kind = next(iter(takers.values()))
         text = "for " + ", ".join(takers)
         if (command, flag) == ("integrate", "tol"):

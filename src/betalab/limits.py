@@ -70,7 +70,7 @@ def richardson_limit(
     h0 = positive_real(h0, "h0")
     depth = integer(depth, "depth", _MIN_DEPTH, _MAX_DEPTH)
     xs: list[float] = []
-    rows: list[list[float]] = []
+    row: list[float] = []  # the tableau's last row
     diags: list[float] = []
     try:  # around the whole sampling, not each sample
         for i in range(depth):
@@ -79,11 +79,10 @@ def richardson_limit(
             if not math.isfinite(y):
                 raise EvaluationError(f"limit sample f({x!r}) is not finite: {y!r}")
             xs.append(x)
-            row = [y]
+            prev, row = row, [y]
             for j in range(1, i + 1):
-                num = xs[i - j] * row[j - 1] - xs[i] * rows[i - 1][j - 1]
+                num = xs[i - j] * row[j - 1] - xs[i] * prev[j - 1]
                 row.append(num / (xs[i - j] - xs[i]))
-            rows.append(row)
             diags.append(row[-1])
     except TypeError as exc:  # f's own; isfinite of a str, None or complex; a Decimal's tableau
         raise EvaluationError(f"limit sample f({x!r}) did not give a real number: {exc}") from exc

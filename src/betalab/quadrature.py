@@ -126,9 +126,8 @@ def _nodes(level: int, ends: tuple[int, int] | None) -> tuple[_Node, ...]:
     nodes = _build_level(level)
     if ends is None:
         return tuple(node for node in nodes if 0.0 < node[0] < 1.0)
-    near0, near1 = (k << (level - 1) for k in ends)  # a side ending at step k keeps k 2^(level-1)
-    pairs = 2 * min(near0, near1)  # the sides alternate up to here; the longer goes on
-    return nodes[:pairs] + nodes[pairs + (near1 > near0) : 2 * max(near0, near1) : 2]
+    # Node i is on side i & 1 at step (i | 1) 2^-level; a side ending at step k keeps those below.
+    return tuple(node for i, node in enumerate(nodes) if i | 1 < ends[i & 1] << level)
 
 
 def _level_zero(
@@ -139,8 +138,8 @@ def _level_zero(
     ``_TAIL_CUT`` of the peak so far, and its nodes beyond are not evaluated."""
     nodes, values, peak = [], [], 0.0
     ends = [len(_build_level(0)) // 2 + 1] * 2  # past the last step: no end yet
-    side, k = 1, 0  # the centre is step 0 of side 1; each later step has side 0, then 1
-    for node in _build_level(0):
+    for i, node in enumerate(_build_level(0)):
+        side, k = (i + 1) & 1, (i + 1) >> 1  # the centre is step 0 of side 1; then side 0, 1
         if k < ends[side]:
             [wf] = level_values((node,))
             nodes.append(node)
@@ -150,8 +149,6 @@ def _level_zero(
                 peak = size
             elif size < _TAIL_CUT * peak:
                 ends[side] = k
-        side ^= 1
-        k += side ^ 1
     return nodes, values, tuple(ends)
 
 

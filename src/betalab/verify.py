@@ -26,7 +26,6 @@ The two differ by ``4 log 2``.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -179,16 +178,6 @@ class SuiteReport(Record):
 # Inside a run_suite pass, each routine result by (module, name, argument types and
 # reprs); None outside one.  A context variable, so a pass is its own thread's alone.
 _results: ContextVar[dict | None] = ContextVar("results", default=None)
-
-
-@contextlib.contextmanager
-def _one_pass():
-    """The scope of one suite pass: each distinct routine call runs once; nothing outlives it."""
-    token = _results.set({})
-    try:
-        yield
-    finally:
-        _results.reset(token)
 
 
 class _Routine(Record):
@@ -634,11 +623,14 @@ def run_suite(
     selected = [spec for spec in specs if spec.id in wanted]
     records: list[CheckRecord] = []
     informational: list[Mapping] = []
-    with _one_pass():
+    token = _results.set({})  # each distinct routine call runs once; nothing outlives the pass
+    try:
         for spec in selected:
             records.extend(run_identity(spec))
             if spec.id in ("EQ10", "EQ11"):
                 informational.append(_literal_observation(spec))
+    finally:
+        _results.reset(token)
     records.sort(key=lambda r: r.identity_id)  # stable: grid order kept within an id
     informational.sort(key=lambda obs: obs["identity_id"])
     outcomes = [r.passed for r in records]  # None where a record is skipped

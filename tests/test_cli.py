@@ -227,6 +227,15 @@ def test_series_finite_sum_cut_short_of_tol_exits_3(capsys):
     assert run_cli(capsys, *argv)[::2] == (0, "")
 
 
+def test_series_exact_termination_above_tol_exits_3(capsys):
+    # An exact termination reports its rounding floor, which a tight --tol can miss.
+    code, out, err = run_cli(capsys, "series", "beta", "--u", "3", "--v", "0.5", "--tol", "1e-20")
+    assert code == 3
+    assert "termination      = exact_termination" in out
+    assert err.startswith("error: series stopped at exact_termination with estimated tail ")
+    assert err.count("\n") == 1
+
+
 def test_series_explicit_tol_met_exits_0(capsys):
     code, _, err = run_cli(
         capsys, "series", "norlund", "--xarg", "0.5", "--a", "0.5", "--tol", "1e-4"

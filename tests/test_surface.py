@@ -196,7 +196,7 @@ def test_series_help_names_every_termination(capsys):
 def _check_takes_exactly(capsys, prefix: list, given: dict, flags: tuple, defaulted=()):
     """``prefix`` runs with the ``given`` flags, needs each and refuses the others.
 
-    A flag in ``defaulted`` may be left out: the CLI supplies its default.
+    A flag in ``defaulted`` may be left out: the routine applies its own default.
     """
     code, _, err = _run(capsys, _argv(prefix, given))
     assert code == 0, (prefix, err)
